@@ -7,18 +7,15 @@ classification, contraction-constant estimation, Picard iteration with
 runtime-enforced error certificates, a brute-force oracle with a randomized
 theorem audit, and a corpus of desk-checkable worked examples.
 
-A compiled kernel accelerates the contraction pair scan when available; the
-pure-Python fallback is selected automatically and produces bit-identical
-results (see `backend_name`).
+Contraction scans run on a scaled-integer form of rational metrics and on
+exact scalars otherwise; both engines produce identical reports.
 """
 
 from .contraction import (
     ContractionKind,
     ContractionReport,
     HierarchyVerdict,
-    backend_name,
     check_contraction,
-    compiled_kernel_loaded,
     hierarchy_check,
     m_value,
     scan_value_pairs,
@@ -79,12 +76,10 @@ __all__ = [
     "Rat",
     "SelfMap",
     "ValidationReport",
-    "backend_name",
     "brute_force_fixed_points",
     "certify_fixed_point",
     "check_contraction",
     "classify_orthogonality",
-    "compiled_kernel_loaded",
     "format_rational",
     "generate_map",
     "generate_space",

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from . import corpus as corpus_mod
-from .contraction import ContractionKind, backend_name, check_contraction, hierarchy_check
+from .contraction import ContractionKind, check_contraction, hierarchy_check
 from .errors import CertificateError, InputError, OrthofixError
 from .oracle import GenParams, theorem_audit
 from .rational import format_rational, parse_rational
@@ -76,7 +77,7 @@ class _Group(click.Group):
 
 
 @click.group(cls=_Group)
-@click.version_option(package_name="orthofix", prog_name="orthofix")
+@click.version_option(version=__version__, prog_name="orthofix")
 def main():
     """Exact verification and certified fixed point iteration for
     metric spaces carrying an orthogonality relation."""
@@ -299,7 +300,6 @@ def audit(trials, seed, max_points, density, map_attempts, dump_dir, as_json):
         _emit_json({"command": "audit", **summary.to_dict()})
     else:
         d = summary.to_dict()
-        click.echo(f"backend: {backend_name()}")
         for key in (
             "trials_run",
             "hypotheses_satisfied",

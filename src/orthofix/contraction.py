@@ -22,22 +22,17 @@ the condition.  `symmetric=True` scans both orientations of every related
 pair, which is the stronger reading the convergence certificates in the
 solver rely on; it can only raise the constant.
 
-Three interchangeable engines produce bit-identical answers:
+Two engines produce identical reports:
 
-* a compiled int64 kernel (``orthofix._speedups``) over a common-denominator
-  integer rescaling of the metric, with 128-bit cross-multiplied comparisons;
-* the same rescaled scan in pure Python (arbitrary precision, always safe);
-* a generic scan over exact scalars, which also handles QuadExt metrics.
-
-The compiled kernel is used automatically when it is importable, the metric
-is rational and the rescaled entries fit in 62 bits; set ORTHOFIX_NO_EXT=1
-to force pure Python.
+* a scan over a common-denominator integer rescaling of the metric, used
+  for every rational metric (arbitrary-precision ints, so no size limit);
+* a generic scan over exact scalars, used for QuadExt metrics and for
+  value-domain samples, and the reference the scaled scan is checked
+  against.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -46,21 +41,6 @@ from typing import Callable, Sequence
 
 from .errors import InputError
 from .space import FiniteSpace, Scalar, SelfMap
-
-try:  # pragma: no cover - exercised via backend tests when built
-    from . import _speedups
-except ImportError:  # pragma: no cover
-    _speedups = None
-
-_INT64_LIMIT = 1 << 61
-
-
-def compiled_kernel_loaded() -> bool:
-    return _speedups is not None and os.environ.get("ORTHOFIX_NO_EXT", "") in ("", "0")
-
-
-def backend_name() -> str:
-    return "compiled" if compiled_kernel_loaded() else "pure"
 
 
 class ContractionKind(str, Enum):
@@ -87,7 +67,7 @@ class ContractionKind(str, Enum):
             raise InputError(f"unknown contraction kind {name!r} (expected one of: {valid})") from None
 
 
-# kernel kind ids: 0 = d(x,y) denominator, 1 = ciric, 2 = kannan, 3 = chatterjea, 4 = generalized
+# functional ids: 0 = d(x,y) denominator, 1 = ciric, 2 = kannan, 3 = chatterjea, 4 = generalized
 _KIND_ID = {
     ContractionKind.BANACH_PERP: 0,
     ContractionKind.UNRESTRICTED_LIPSCHITZ: 0,
@@ -186,8 +166,8 @@ def _scan_generic(kind_id: int, pairs: Sequence[tuple], d: Callable, t: Callable
     return best_num, best_den, best_pos, inf_pos
 
 
-def _scan_scaled_py(dist: list[int], n: int, images: Sequence[int], pairs, kind_id: int):
-    """Rescaled-integer scan, semantics identical to the compiled kernel."""
+def _scan_scaled(dist: list[int], n: int, images: Sequence[int], pairs, kind_id: int):
+    """Rescaled-integer scan, semantics identical to the generic scan."""
     best_num = best_den = 0
     best_pos = inf_pos = -1
     for pos, (x, y) in enumerate(pairs):
@@ -268,6 +248,21 @@ def _pair_list(space: FiniteSpace, kind: ContractionKind, symmetric: bool) -> li
     return sorted(space.relation)
 
 
+def _report(kind: ContractionKind, pairs: Sequence[tuple], sup, best_pos: int, inf_pos: int) -> ContractionReport:
+    """Build the report from a scan result; `sup` is None when no pair has a positive denominator."""
+    feasible = inf_pos < 0
+    minimal_k = (Fraction(0) if sup is None else sup) if feasible else None
+    return ContractionReport(
+        kind=kind,
+        feasible=feasible,
+        minimal_k=minimal_k,
+        witness_max=tuple(pairs[best_pos]) if best_pos >= 0 else None,
+        infeasible_witness=tuple(pairs[inf_pos]) if inf_pos >= 0 else None,
+        admissible=feasible and minimal_k < kind.k_bound,
+        pairs_scanned=len(pairs),
+    )
+
+
 def check_contraction(
     kind: ContractionKind,
     space: FiniteSpace,
@@ -278,58 +273,28 @@ def check_contraction(
 ) -> ContractionReport:
     """Scan the pair set of `kind` and report feasibility and the minimal constant.
 
-    `engine` forces one of "compiled", "scaled" or "generic" (used by the
-    cross-checking tests and the benchmark); by default the fastest exact
-    engine available for this instance is selected.
+    `engine` forces "scaled" or "generic" (used to cross-check the engines);
+    by default the scaled engine runs whenever the metric is rational.
     """
     kind = ContractionKind(kind)
+    if engine not in (None, "scaled", "generic"):
+        raise InputError(f"unknown engine {engine!r} (expected 'scaled' or 'generic')")
     if len(mapping) != space.n:
         raise InputError("map size does not match the space")
     pairs = _pair_list(space, kind, symmetric)
     kind_id = _KIND_ID[kind]
 
     dist = _rescaled_metric(space) if engine != "generic" else None
-    if engine == "compiled" and (
-        dist is None or not compiled_kernel_loaded() or max(dist, default=0) >= _INT64_LIMIT
-    ):
-        raise InputError("compiled engine unavailable for this instance")
     if engine == "scaled" and dist is None:
         raise InputError("scaled engine requires a rational metric")
 
     if dist is not None:
-        use_compiled = (
-            engine == "compiled"
-            or (engine is None and compiled_kernel_loaded() and pairs and max(dist, default=0) < _INT64_LIMIT)
-        )
-        if use_compiled and pairs:
-            flat = array("q", [c for pair in pairs for c in pair])
-            num, den, best_pos, inf_pos = _speedups.scan_pairs(
-                array("q", dist), space.n, array("q", mapping.images), flat, kind_id
-            )
-        else:
-            num, den, best_pos, inf_pos = _scan_scaled_py(dist, space.n, mapping.images, pairs, kind_id)
+        num, den, best_pos, inf_pos = _scan_scaled(dist, space.n, mapping.images, pairs, kind_id)
         sup = Fraction(num, den) if best_pos >= 0 else None
     else:
         num, den, best_pos, inf_pos = _scan_generic(kind_id, pairs, space.d, mapping)
         sup = num / den if best_pos >= 0 else None
-
-    feasible = inf_pos < 0
-    if not feasible:
-        minimal_k = None
-    elif sup is None:
-        minimal_k = Fraction(0)
-    else:
-        minimal_k = sup
-    admissible = feasible and minimal_k < kind.k_bound
-    return ContractionReport(
-        kind=kind,
-        feasible=feasible,
-        minimal_k=minimal_k,
-        witness_max=pairs[best_pos] if best_pos >= 0 else None,
-        infeasible_witness=pairs[inf_pos] if inf_pos >= 0 else None,
-        admissible=admissible,
-        pairs_scanned=len(pairs),
-    )
+    return _report(kind, pairs, sup, best_pos, inf_pos)
 
 
 def scan_value_pairs(
@@ -345,25 +310,8 @@ def scan_value_pairs(
     scanned sample.  Same report semantics as check_contraction.
     """
     kind = ContractionKind(kind)
-    kind_id = _KIND_ID[kind]
-    num, den, best_pos, inf_pos = _scan_generic(kind_id, pairs, dist, apply_map)
-    feasible = inf_pos < 0
-    if not feasible:
-        minimal_k = None
-    elif best_pos < 0:
-        minimal_k = Fraction(0)
-    else:
-        minimal_k = num / den
-    admissible = feasible and minimal_k < kind.k_bound
-    return ContractionReport(
-        kind=kind,
-        feasible=feasible,
-        minimal_k=minimal_k,
-        witness_max=tuple(pairs[best_pos]) if best_pos >= 0 else None,
-        infeasible_witness=tuple(pairs[inf_pos]) if inf_pos >= 0 else None,
-        admissible=admissible,
-        pairs_scanned=len(pairs),
-    )
+    num, den, best_pos, inf_pos = _scan_generic(_KIND_ID[kind], pairs, dist, apply_map)
+    return _report(kind, pairs, num / den if best_pos >= 0 else None, best_pos, inf_pos)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,11 @@ class ValidationReport:
         return {"ok": self.ok, "violations": [v.to_dict() for v in self.violations]}
 
 
+def _is_index(value) -> bool:
+    """A point index is a true int; bools, floats and strings are never coerced."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class FiniteSpace:
     """Immutable labelled point set + exact metric + directed relation."""
 
@@ -68,9 +73,9 @@ class FiniteSpace:
             raise InputError(f"metric must be a {n}x{n} matrix matching the point count")
         rel = []
         for pair in relation:
-            if len(pair) != 2:
+            if len(pair) != 2 or not all(_is_index(v) for v in pair):
                 raise InputError(f"relation entry {pair!r} is not an index pair")
-            i, j = int(pair[0]), int(pair[1])
+            i, j = pair
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError(f"relation pair ({i}, {j}) out of range for {n} points")
             rel.append((i, j))
@@ -108,11 +113,13 @@ class SelfMap:
     __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int], n: int | None = None):
-        imgs = tuple(int(i) for i in images)
+        imgs = tuple(images)
         bound = len(imgs) if n is None else n
         if n is not None and len(imgs) != n:
             raise InputError(f"map must list exactly {n} images, got {len(imgs)}")
         for idx, img in enumerate(imgs):
+            if not _is_index(img):
+                raise InputError(f"map image {img!r} of point {idx} is not an index")
             if not (0 <= img < bound):
                 raise InputError(f"map image {img} of point {idx} out of range")
         self.images = imgs

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .errors import InputError
 from .rational import format_rational, parse_rational
-from .space import FiniteSpace, SelfMap, validate_metric
+from .space import FiniteSpace, SelfMap, _is_index, validate_metric
 
 _ALLOWED_KEYS = {"points", "metric", "relation", "map"}
 
@@ -61,7 +61,7 @@ def parse_space_data(data: dict) -> tuple[FiniteSpace, SelfMap | None]:
         raise InputError("'relation' must be a list of index pairs")
     pairs = []
     for entry in relation:
-        if not isinstance(entry, list) or len(entry) != 2 or not all(isinstance(v, int) for v in entry):
+        if not isinstance(entry, list) or len(entry) != 2 or not all(_is_index(v) for v in entry):
             raise InputError(f"relation entry {entry!r} must be a pair of indices")
         pairs.append((entry[0], entry[1]))
 
@@ -77,7 +77,7 @@ def parse_space_data(data: dict) -> tuple[FiniteSpace, SelfMap | None]:
     mapping = None
     if "map" in data:
         images = data["map"]
-        if not isinstance(images, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in images):
+        if not isinstance(images, list) or not all(_is_index(v) for v in images):
             raise InputError("'map' must be a list of point indices")
         try:
             mapping = SelfMap(images, n)

@@ -1,4 +1,4 @@
-"""The compiled kernel, the rescaled pure scan and the generic scan must be
+"""The rescaled-integer scan and the generic exact-scalar scan must be
 indistinguishable: same constants, same witnesses, same feasibility, on the
 same pair order."""
 
@@ -6,12 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from orthofix import ContractionKind, FiniteSpace, InputError, SelfMap, check_contraction
-from orthofix.contraction import compiled_kernel_loaded
+from orthofix import ContractionKind, FiniteSpace, InputError, QuadExt, SelfMap, check_contraction
 
-needs_kernel = pytest.mark.skipif(not compiled_kernel_loaded(), reason="compiled kernel not built")
-
-ENGINES = ["scaled", "generic"] + (["compiled"] if compiled_kernel_loaded() else [])
+ENGINES = ["scaled", "generic"]
 
 
 def _report_key(rep):
@@ -58,7 +55,7 @@ def test_engines_agree_on_arbitrary_maps():
 
 
 def test_auto_path_handles_huge_rationals():
-    # Entries far beyond int64 force the arbitrary-precision fallback.
+    # Entries far beyond 2^61 stay exact on the arbitrary-precision scaled scan.
     big = Fraction(10**30, 7)
     metric = [
         [Fraction(0), big, big],
@@ -68,24 +65,22 @@ def test_auto_path_handles_huge_rationals():
     space = FiniteSpace(["a", "b", "c"], metric, [(0, 0), (0, 1), (0, 2)])
     mapping = SelfMap([0, 0, 1], 3)
     auto = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping)
+    scaled = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, engine="scaled")
     generic = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, engine="generic")
-    assert _report_key(auto) == _report_key(generic)
-    with pytest.raises(InputError):
-        check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, engine="compiled")
+    assert _report_key(auto) == _report_key(scaled) == _report_key(generic)
+    for engine in ("compiled", "bogus"):
+        with pytest.raises(InputError, match="unknown engine"):
+            check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, engine=engine)
 
 
-@needs_kernel
-def test_forced_compiled_matches_scaled(five_point):
-    space, mapping = five_point
-    a = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, engine="compiled")
-    b = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, engine="scaled")
-    assert _report_key(a) == _report_key(b)
-
-
-@needs_kernel
-def test_env_toggle_reports_backend(monkeypatch):
-    from orthofix import backend_name
-
-    assert backend_name() == "compiled"
-    monkeypatch.setenv("ORTHOFIX_NO_EXT", "1")
-    assert backend_name() == "pure"
+def test_scaled_engine_requires_rational_metric():
+    one = QuadExt(Fraction(1), Fraction(0), 2)
+    root = QuadExt(Fraction(0), Fraction(1), 2)
+    zero = QuadExt(Fraction(0), Fraction(0), 2)
+    space = FiniteSpace(["a", "b"], [[zero, root], [root, zero]], [(0, 1)])
+    mapping = SelfMap([1, 0], 2)
+    generic = check_contraction(ContractionKind.BANACH_PERP, space, mapping, engine="generic")
+    assert generic.minimal_k == one
+    assert _report_key(check_contraction(ContractionKind.BANACH_PERP, space, mapping)) == _report_key(generic)
+    with pytest.raises(InputError, match="rational metric"):
+        check_contraction(ContractionKind.BANACH_PERP, space, mapping, engine="scaled")

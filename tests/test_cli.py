@@ -21,6 +21,13 @@ def five_point_file(tmp_path):
     return str(path)
 
 
+def test_version(runner):
+    # Must work from a source checkout, without installed package metadata.
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert "0.1.0" in result.output
+
+
 def test_verify_reports_and_exit_zero(runner, five_point_file):
     result = runner.invoke(main, ["verify", five_point_file])
     assert result.exit_code == 0, result.output

@@ -107,6 +107,20 @@ def test_selfmap_totality():
         SelfMap([0], 2)
 
 
+def test_float_relation_index_rejected():
+    # int() would truncate (0.9, 1.2) to (0, 1).
+    metric = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
+    with pytest.raises(InputError, match="index pair"):
+        FiniteSpace(["a", "b"], metric, [(0.9, 1.2)])
+    assert FiniteSpace(["a", "b"], metric, [(0, 1)]).relation == frozenset({(0, 1)})
+
+
+@pytest.mark.parametrize("image", [1.0, 0.5, True, "1"])
+def test_non_int_map_image_rejected(image):
+    with pytest.raises(InputError, match="not an index"):
+        SelfMap([0, image], 2)
+
+
 def test_index_of(five_point):
     space, _ = five_point
     assert space.index_of("3") == 3

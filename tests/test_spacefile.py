@@ -114,6 +114,12 @@ def test_relation_entry_shape():
         parse_space_data(_broken(relation=[[0, 1, 2]]))
 
 
+def test_boolean_relation_entry_rejected():
+    # JSON true/false would otherwise become the indices 1 and 0.
+    with pytest.raises(InputError, match="pair of indices"):
+        parse_space_data(_broken(relation=[[True, False]]))
+
+
 def test_boolean_map_entry_rejected():
     with pytest.raises(InputError, match="indices"):
         parse_space_data(_broken(map=[0, 0, True, 0, 2]))
