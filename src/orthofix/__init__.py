@@ -7,8 +7,8 @@ classification, contraction-constant estimation, Picard iteration with
 runtime-enforced error certificates, a brute-force oracle with a randomized
 theorem audit, and a corpus of desk-checkable worked examples.
 
-Contraction scans run on a scaled-integer form of rational metrics and on
-exact scalars otherwise; both engines produce identical reports.
+Metric validation and the one contraction scan loop read a rational
+metric's integer form, built once per space, and exact scalars otherwise.
 """
 
 from .contraction import (

@@ -22,13 +22,16 @@ the condition.  `symmetric=True` scans both orientations of every related
 pair, which is the stronger reading the convergence certificates in the
 solver rely on; it can only raise the constant.
 
-Two engines produce identical reports:
+One functional and one scan loop serve every caller.  The functional is
+evaluated doubled, 2 * M(x, y), so the half-sum terms stay exact in each
+value domain it reads:
 
-* a scan over a common-denominator integer rescaling of the metric, used
-  for every rational metric (arbitrary-precision ints, so no size limit);
-* a generic scan over exact scalars, used for QuadExt metrics and for
-  value-domain samples, and the reference the scaled scan is checked
-  against.
+* the space's integer form (the metric scaled by the lcm of its
+  denominators), used for every rational metric -- plain arbitrary-precision
+  ints, so no size limit;
+* the exact metric itself, used for QuadExt metrics, for value-domain
+  samples (indexed into a small distance matrix), and as the reference the
+  integer form is checked against.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Sequence
 
 from .errors import InputError
@@ -109,32 +111,35 @@ class ContractionReport:
 
 
 # ---------------------------------------------------------------------------
-# comparison functionals (generic exact scalars)
+# the comparison functionals and the scan
 # ---------------------------------------------------------------------------
 
-def _functional(kind_id: int, d: Callable, t: Callable, x, y):
-    tx, ty = t(x), t(y)
+def _functional(kind_id: int, m, t, x: int, y: int):
+    """Twice the comparison functional at (x, y), read from matrix `m` and image table `t`.
+
+    Doubling keeps the half-sum terms exact on ints, Fractions and QuadExt.
+    """
+    tx, ty = t[x], t[y]
+    mx, my = m[x], m[y]
     if kind_id == 0:
-        return d(x, y)
+        return 2 * mx[y]
     if kind_id == 2:
-        return d(x, tx) + d(y, ty)
+        return 2 * (mx[tx] + my[ty])
     if kind_id == 3:
-        return d(x, ty) + d(y, tx)
-    m = d(x, y)
-    for term in (d(x, tx), d(y, ty), (d(x, ty) + d(tx, y)) / 2):
-        if term > m:
-            m = term
+        return 2 * (mx[ty] + my[tx])
+    best = 2 * max(mx[y], mx[tx], my[ty])
+    term = mx[ty] + m[tx][y]
+    if term > best:
+        best = term
     if kind_id == 4:
-        ttx = t(tx)
-        for term in (
-            (d(ttx, x) + d(ttx, ty)) / 2,
-            d(ttx, tx),
-            d(ttx, y),
-            d(ttx, ty),
-        ):
-            if term > m:
-                m = term
-    return m
+        mt = m[t[tx]]
+        term = mt[x] + mt[ty]
+        if term > best:
+            best = term
+        term = 2 * max(mt[tx], mt[y], mt[ty])
+        if term > best:
+            best = term
+    return best
 
 
 def m_value(kind: ContractionKind, space: FiniteSpace, mapping: SelfMap, x: int, y: int) -> Scalar:
@@ -143,20 +148,27 @@ def m_value(kind: ContractionKind, space: FiniteSpace, mapping: SelfMap, x: int,
         raise InputError("unrestricted_lipschitz has no separate functional; its denominator is d(x, y)")
     if not (0 <= x < space.n and 0 <= y < space.n):
         raise InputError(f"index pair ({x}, {y}) out of range for {space.n} points")
-    return _functional(_KIND_ID[kind], space.d, mapping, x, y)
+    return _ratio(_functional(_KIND_ID[kind], space.metric, mapping.images, x, y), 2)
 
 
-# ---------------------------------------------------------------------------
-# scan engines
-# ---------------------------------------------------------------------------
+def _ratio(num, den) -> Scalar:
+    """Exact num / den, also when both are ints."""
+    return Fraction(num, den) if isinstance(num, int) else num / den
 
-def _scan_generic(kind_id: int, pairs: Sequence[tuple], d: Callable, t: Callable):
-    """Reference scan over exact scalars.  Returns (num, den, best_pos, inf_pos)."""
+
+def _scan(kind_id: int, pairs: Sequence[tuple[int, int]], m, t):
+    """Exact supremum of d(Tx,Ty) / functional over `pairs`.
+
+    Returns (num, den, best_pos, inf_pos): the attaining ratio as two
+    doubled values, the position of its pair (-1 when no pair has a positive
+    denominator) and the first pair with zero denominator that moves (-1 if
+    none).
+    """
     best_num = best_den = None
     best_pos = inf_pos = -1
     for pos, (x, y) in enumerate(pairs):
-        num = d(t(x), t(y))
-        den = _functional(kind_id, d, t, x, y)
+        num = 2 * m[t[x]][t[y]]
+        den = _functional(kind_id, m, t, x, y)
         if den == 0:
             if num > 0 and inf_pos < 0:
                 inf_pos = pos
@@ -164,79 +176,6 @@ def _scan_generic(kind_id: int, pairs: Sequence[tuple], d: Callable, t: Callable
         if best_pos < 0 or num * best_den > best_num * den:
             best_num, best_den, best_pos = num, den, pos
     return best_num, best_den, best_pos, inf_pos
-
-
-def _scan_scaled(dist: list[int], n: int, images: Sequence[int], pairs, kind_id: int):
-    """Rescaled-integer scan, semantics identical to the generic scan."""
-    best_num = best_den = 0
-    best_pos = inf_pos = -1
-    for pos, (x, y) in enumerate(pairs):
-        tx = images[x]
-        ty = images[y]
-        num = dist[tx * n + ty]
-        if kind_id == 0:
-            den = dist[x * n + y]
-        elif kind_id == 2:
-            den = dist[x * n + tx] + dist[y * n + ty]
-        elif kind_id == 3:
-            den = dist[x * n + ty] + dist[y * n + tx]
-        else:
-            den = dist[x * n + y]
-            term = dist[x * n + tx]
-            if term > den:
-                den = term
-            term = dist[y * n + ty]
-            if term > den:
-                den = term
-            term = (dist[x * n + ty] + dist[tx * n + y]) // 2
-            if term > den:
-                den = term
-            if kind_id == 4:
-                ttx = images[tx]
-                term = (dist[ttx * n + x] + dist[ttx * n + ty]) // 2
-                if term > den:
-                    den = term
-                term = dist[ttx * n + tx]
-                if term > den:
-                    den = term
-                term = dist[ttx * n + y]
-                if term > den:
-                    den = term
-                term = dist[ttx * n + ty]
-                if term > den:
-                    den = term
-        if den == 0:
-            if num > 0 and inf_pos < 0:
-                inf_pos = pos
-            continue
-        if best_pos < 0 or num * best_den > best_num * den:
-            best_num, best_den, best_pos = num, den, pos
-    return best_num, best_den, best_pos, inf_pos
-
-
-def _rescaled_metric(space: FiniteSpace) -> list[int] | None:
-    """Flatten the metric to integers scaled by twice the common denominator.
-
-    Doubling makes every half-sum term in the functionals an exact integer.
-    Returns None when the metric is not purely rational.  Memoized on the
-    space (immutable), since the scans run many times per instance.
-    """
-    cached = space._rescale_cache
-    if cached is not None:
-        return cached or None
-    entries = []
-    denoms = set()
-    for row in space.metric:
-        for e in row:
-            if not isinstance(e, Fraction):
-                space._rescale_cache = False
-                return None
-            entries.append(e)
-            denoms.add(e.denominator)
-    scale = 2 * lcm(*denoms)
-    out = [e.numerator * (scale // e.denominator) for e in entries]
-    space._rescale_cache = out
-    return out
 
 
 def _pair_list(space: FiniteSpace, kind: ContractionKind, symmetric: bool) -> list[tuple[int, int]]:
@@ -248,10 +187,16 @@ def _pair_list(space: FiniteSpace, kind: ContractionKind, symmetric: bool) -> li
     return sorted(space.relation)
 
 
-def _report(kind: ContractionKind, pairs: Sequence[tuple], sup, best_pos: int, inf_pos: int) -> ContractionReport:
-    """Build the report from a scan result; `sup` is None when no pair has a positive denominator."""
+def _report(kind: ContractionKind, pairs: Sequence[tuple], scan) -> ContractionReport:
+    """Build the report from a `_scan` result over `pairs`."""
+    num, den, best_pos, inf_pos = scan
     feasible = inf_pos < 0
-    minimal_k = (Fraction(0) if sup is None else sup) if feasible else None
+    if not feasible:
+        minimal_k = None
+    elif best_pos < 0:
+        minimal_k = Fraction(0)
+    else:
+        minimal_k = _ratio(num, den)
     return ContractionReport(
         kind=kind,
         feasible=feasible,
@@ -273,28 +218,23 @@ def check_contraction(
 ) -> ContractionReport:
     """Scan the pair set of `kind` and report feasibility and the minimal constant.
 
-    `engine` forces "scaled" or "generic" (used to cross-check the engines);
-    by default the scaled engine runs whenever the metric is rational.
+    The scan reads the space's integer form whenever the metric is rational,
+    and the exact metric otherwise.  `engine` forces one of them: "scaled"
+    (the integer form) or "generic" (the exact metric), which lets the two
+    value domains be cross-checked.
     """
     kind = ContractionKind(kind)
     if engine not in (None, "scaled", "generic"):
         raise InputError(f"unknown engine {engine!r} (expected 'scaled' or 'generic')")
     if len(mapping) != space.n:
         raise InputError("map size does not match the space")
+    m = space.int_metric if engine != "generic" else None
+    if m is None:
+        if engine == "scaled":
+            raise InputError("scaled engine requires a rational metric")
+        m = space.metric
     pairs = _pair_list(space, kind, symmetric)
-    kind_id = _KIND_ID[kind]
-
-    dist = _rescaled_metric(space) if engine != "generic" else None
-    if engine == "scaled" and dist is None:
-        raise InputError("scaled engine requires a rational metric")
-
-    if dist is not None:
-        num, den, best_pos, inf_pos = _scan_scaled(dist, space.n, mapping.images, pairs, kind_id)
-        sup = Fraction(num, den) if best_pos >= 0 else None
-    else:
-        num, den, best_pos, inf_pos = _scan_generic(kind_id, pairs, space.d, mapping)
-        sup = num / den if best_pos >= 0 else None
-    return _report(kind, pairs, sup, best_pos, inf_pos)
+    return _report(kind, pairs, _scan(_KIND_ID[kind], pairs, m, mapping.images))
 
 
 def scan_value_pairs(
@@ -305,13 +245,34 @@ def scan_value_pairs(
 ) -> ContractionReport:
     """Value-domain scan for analytic sample spaces.
 
-    `pairs` are ordered pairs of point values, `dist` an exact metric on
-    values and `apply_map` the map evaluator; images need not belong to the
-    scanned sample.  Same report semantics as check_contraction.
+    `pairs` are ordered pairs of hashable point values, `dist` an exact
+    metric on values and `apply_map` the map evaluator; images need not
+    belong to the scanned sample.  The values, their images and their
+    images' images are indexed, and the same scan runs on their distance
+    matrix.  Same report semantics as check_contraction.
     """
     kind = ContractionKind(kind)
-    num, den, best_pos, inf_pos = _scan_generic(_KIND_ID[kind], pairs, dist, apply_map)
-    return _report(kind, pairs, num / den if best_pos >= 0 else None, best_pos, inf_pos)
+    values: list = []
+    index: dict = {}
+    images: dict[int, int] = {}
+
+    def idx(v) -> int:
+        if v not in index:
+            index[v] = len(values)
+            values.append(v)
+        return index[v]
+
+    def image(i: int) -> int:
+        if i not in images:
+            images[i] = idx(apply_map(values[i]))
+        return images[i]
+
+    index_pairs = [(idx(x), idx(y)) for x, y in pairs]
+    for x, y in index_pairs:
+        image(image(x))
+        image(y)
+    m = [[dist(a, b) for b in values] for a in values]
+    return _report(kind, pairs, _scan(_KIND_ID[kind], index_pairs, m, images))
 
 
 # ---------------------------------------------------------------------------
@@ -337,31 +298,13 @@ class HierarchyVerdict:
 def hierarchy_check(space: FiniteSpace, mapping: SelfMap) -> tuple[HierarchyVerdict, ...]:
     """Audit the implications between contraction kinds on this instance.
 
-    Pairwise, the ciric terms are a subset of the generalized terms, so the
-    chain banach -> ciric -> generalized can only lower the minimal constant;
-    kannan and chatterjea constants below 1/2 bound the ciric constant by
-    doubling.  Any failure here falsifies the scan implementation, so each
-    verdict carries a witness.
+    The chain banach -> ciric -> generalized can only lower the minimal
+    constant; kannan and chatterjea constants below 1/2 bound the ciric
+    constant by doubling.  The first verdict rescans the generalized kind on
+    the exact metric and requires the same report as on the integer form.
+    Any failure here falsifies the scan implementation, so each verdict
+    carries a witness.
     """
-    pairs = _pair_list(space, ContractionKind.CIRIC, symmetric=False)
-    verdicts: list[HierarchyVerdict] = []
-
-    witness = None
-    for (x, y) in pairs:
-        mc = _functional(1, space.d, mapping, x, y)
-        mg = _functional(4, space.d, mapping, x, y)
-        if mc > mg:
-            witness = (x, y)
-            break
-    verdicts.append(
-        HierarchyVerdict(
-            "ciric-term-subset",
-            witness is None,
-            witness,
-            "M_ciric(x, y) <= M_generalized(x, y) on every scanned pair",
-        )
-    )
-
     reports = {
         kind: check_contraction(kind, space, mapping)
         for kind in (
@@ -372,6 +315,20 @@ def hierarchy_check(space: FiniteSpace, mapping: SelfMap) -> tuple[HierarchyVerd
             ContractionKind.GENERALIZED_PERP,
         )
     }
+
+    scaled = reports[ContractionKind.GENERALIZED_PERP]
+    if space.int_metric is None:
+        exact = HierarchyVerdict("integer-form-exact", True, None, "metric is not rational; no integer form to check")
+    else:
+        generic = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, engine="generic")
+        ok = generic == scaled
+        exact = HierarchyVerdict(
+            "integer-form-exact",
+            ok,
+            None if ok else (scaled.witness_max or generic.witness_max),
+            "the generalized report on the integer form equals the report on the exact metric",
+        )
+    verdicts = [exact]
 
     def implication(name: str, premise: ContractionReport, conclusion: ContractionReport, factor: int) -> HierarchyVerdict:
         if not premise.admissible:

@@ -122,20 +122,22 @@ def is_ow_sequence(space: FiniteSpace, seq: Sequence[int]) -> SequenceCheck:
 def is_ow_preserving(space: FiniteSpace, mapping: SelfMap) -> PreservationReport:
     """Does the map send orthogonally related pairs to orthogonally related pairs?
 
-    Every related pair is scanned (the premise is the symmetric view: either
-    orientation in the stored relation).  Violations are listed exhaustively,
-    each reported in its stored orientation.
+    Every related pair is scanned once (the premise is the symmetric view:
+    either orientation in the stored relation).  Violations are listed
+    exhaustively, each in the first of its stored orientations in sorted
+    order.
     """
-    seen: set[frozenset[int]] = set()
-    violations: list[tuple[int, int]] = []
-    for (i, j) in sorted(space.relation):
-        key = frozenset((i, j))
-        if key in seen:
-            continue
-        seen.add(key)
-        if not space.related(mapping(i), mapping(j)):
-            violations.append((i, j))
-    return PreservationReport(preserving=not violations, violations=tuple(violations))
+    if len(mapping) != space.n:
+        raise InputError("map size does not match the space")
+    rel = space.relation
+    related = space._related
+    t = mapping.images
+    violations = tuple(
+        (i, j)
+        for (i, j) in sorted(rel)
+        if not (i > j and (j, i) in rel) and (t[i], t[j]) not in related
+    )
+    return PreservationReport(preserving=not violations, violations=violations)
 
 
 def orbit(space: FiniteSpace, mapping: SelfMap, start: int) -> OrbitInfo:

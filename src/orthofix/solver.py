@@ -10,9 +10,10 @@ covers *both orientations* of every related pair guarantees
 
 Such traces are *certified*: both inequalities are enforced at runtime in
 exact arithmetic, and a violation aborts with CertificateError because it
-falsifies the supplied k.  A trace started elsewhere (allow_any_start) still
-records iterates and step distances but carries no bounds; the inequalities
-simply are not theorems there.
+falsifies the supplied k.  A trace started elsewhere (allow_any_start), or
+run with a k below the both-orientation constant, still records iterates
+and step distances but carries no bounds; the inequalities simply are not
+theorems there.
 
 On finite spaces the iteration always terminates: the orbit enters a cycle
 within n steps, and under a valid certificate the cycle must be a single
@@ -133,9 +134,13 @@ def picard_solve(
       * an explicit `k` must be at least the scanned minimal generalized
         constant (`allow_inadmissible_k`).  `k` must always lie in [0, 1).
 
-    Without an explicit `k` the certificate-grade constant is computed by
-    scanning both orientations of every related pair; if that constant is
-    not below 1 there is nothing to certify and the call refuses to run.
+    The certificate-grade constant is computed by scanning both orientations
+    of every related pair.  Without an explicit `k` that constant is used;
+    if it is not below 1 there is nothing to certify and the call refuses to
+    run.  An explicit `k` below it yields an uncertified trace, and is
+    checked against the oriented scan instead.  A `k` forced past that check
+    with `allow_inadmissible_k` is still enforced along the orbit (a
+    violation raises CertificateError), but the trace is not certified.
 
     Stops on the first of: exact zero step distance (converged at a fixed
     point), certified tail bound <= eps, or max_iter.
@@ -150,31 +155,34 @@ def picard_solve(
             f"start {space.points[start]!r} is not a weak orthogonal element; "
             "pass allow_any_start to iterate anyway (the trace will be uncertified)"
         )
+    if k is not None:
+        k = Fraction(k)
+        if not (0 <= k < 1):
+            raise InputError(f"k must lie in [0, 1), got {k}")
+    cert = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
     if k is None:
-        cert = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
         if not cert.admissible:
             raise InputError(
                 "no admissible generalized contraction constant exists for this map; "
                 f"supply k explicitly (scan reported minimal_k={cert.minimal_k})"
             )
         k = cert.minimal_k
-    else:
-        k = Fraction(k)
-        if not (0 <= k < 1):
-            raise InputError(f"k must lie in [0, 1), got {k}")
-        if not allow_inadmissible_k:
-            rep = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping)
-            if not rep.feasible or k < rep.minimal_k:
-                raise InputError(
-                    f"k={k} is below the scanned minimal generalized constant "
-                    f"{rep.minimal_k}; pass allow_inadmissible_k to try anyway"
-                )
+    certificate_grade = cert.feasible and k >= cert.minimal_k
+    if not (certificate_grade or allow_inadmissible_k):
+        rep = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping)
+        if not rep.feasible or k < rep.minimal_k:
+            raise InputError(
+                f"k={k} is below the scanned minimal generalized constant "
+                f"{rep.minimal_k}; pass allow_inadmissible_k to try anyway"
+            )
     if eps is not None:
         eps = Fraction(eps)
         if eps <= 0:
             raise InputError("eps must be positive")
 
-    certified = start in weak and is_ow_preserving(space, mapping).preserving
+    hypotheses = start in weak and is_ow_preserving(space, mapping).preserving
+    certified = hypotheses and certificate_grade
+    enforced = hypotheses and (certificate_grade or allow_inadmissible_k)
 
     iterates = [start]
     steps: list = []
@@ -195,7 +203,7 @@ def picard_solve(
         if len(iterates) > max_iter:
             break
         step = space.d(x, nxt)
-        if certified and steps and not (step <= k * steps[-1]):
+        if enforced and steps and not (step <= k * steps[-1]):
             raise CertificateError(
                 f"step inequality violated at n={len(steps) - 1}: "
                 f"d({space.points[x]}, {space.points[nxt]}) = {step} > k * {steps[-1]}; "
@@ -212,7 +220,7 @@ def picard_solve(
                 break
 
     bounds = None
-    if certified:
+    if enforced:
         base = d0 if d0 is not None else Fraction(0)
         bounds = tuple(k**n / one_minus_k * base for n in range(len(iterates)))
         # Tail bound audited over every recorded pair: d(x_n, x_m) <= bound(n).
@@ -229,7 +237,7 @@ def picard_solve(
         iterates=tuple(iterates),
         step_distances=tuple(steps),
         k=k,
-        apriori_bounds=bounds,
+        apriori_bounds=bounds if certified else None,
         converged=converged,
         fixed_point=fixed_point,
         certified=certified,

@@ -8,15 +8,20 @@ orientation is present; that symmetric view is computed at query time and
 never materialized.
 
 Distance entries are Fractions for ordinary spaces; analytic sample spaces
-may carry QuadExt entries (one shared radicand).  Every value is immutable
-after construction, so spaces, maps and reports are safe to share between
-workers.
+may carry QuadExt entries (one shared radicand).  A rational metric also
+gets an *integer form* at construction: every entry multiplied by the lcm of
+the denominators.  Scaling by a positive constant preserves every order,
+sum and ratio comparison, so metric validation and the contraction scans
+run on plain ints; values are rendered from the exact metric.  Every value
+is immutable after construction, so spaces, maps and reports are safe to
+share between workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import InputError
@@ -51,10 +56,18 @@ def _is_index(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _integer_form(rows: tuple[tuple[Scalar, ...], ...]) -> tuple[tuple[int, ...], ...] | None:
+    """The metric scaled by the lcm of its denominators, or None unless every entry is a Fraction."""
+    if not all(isinstance(e, Fraction) for row in rows for e in row):
+        return None
+    scale = lcm(*{e.denominator for row in rows for e in row})
+    return tuple(tuple(e.numerator * (scale // e.denominator) for e in row) for row in rows)
+
+
 class FiniteSpace:
     """Immutable labelled point set + exact metric + directed relation."""
 
-    __slots__ = ("points", "metric", "relation", "_related", "_rescale_cache")
+    __slots__ = ("points", "metric", "int_metric", "relation", "_related")
 
     def __init__(
         self,
@@ -81,9 +94,9 @@ class FiniteSpace:
             rel.append((i, j))
         self.points = points
         self.metric = rows
+        self.int_metric = _integer_form(rows)
         self.relation = frozenset(rel)
         self._related = self.relation | frozenset((j, i) for (i, j) in self.relation)
-        self._rescale_cache = None  # memo for the contraction engines
 
     @property
     def n(self) -> int:
@@ -152,20 +165,23 @@ def validate_metric(space: FiniteSpace) -> ValidationReport:
 
     Axioms: zero diagonal, symmetry, strict positivity off the diagonal,
     and the triangle inequality over all ordered triples.  Each violation
-    carries a concrete witness so failures are actionable.
+    carries a concrete witness so failures are actionable.  The comparisons
+    run on the integer form when there is one; witness values are rendered
+    from the exact metric.
     """
-    m = space.metric
+    exact = space.metric
+    m = exact if space.int_metric is None else space.int_metric
     n = space.n
     violations: list[Violation] = []
     for i in range(n):
         if m[i][i] != 0:
-            violations.append(Violation("diagonal", (i,), (_fmt(m[i][i]),)))
+            violations.append(Violation("diagonal", (i,), (_fmt(exact[i][i]),)))
     for i in range(n):
         for j in range(n):
             if i < j and m[i][j] != m[j][i]:
-                violations.append(Violation("symmetry", (i, j), (_fmt(m[i][j]), _fmt(m[j][i]))))
+                violations.append(Violation("symmetry", (i, j), (_fmt(exact[i][j]), _fmt(exact[j][i]))))
             if i != j and m[i][j] <= 0:
-                violations.append(Violation("positivity", (i, j), (_fmt(m[i][j]),)))
+                violations.append(Violation("positivity", (i, j), (_fmt(exact[i][j]),)))
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -178,7 +194,7 @@ def validate_metric(space: FiniteSpace) -> ValidationReport:
                         Violation(
                             "triangle",
                             (i, j, k),
-                            (_fmt(m[i][j]), _fmt(m[i][k]), _fmt(m[k][j])),
+                            (_fmt(exact[i][j]), _fmt(exact[i][k]), _fmt(exact[k][j])),
                         )
                     )
     return ValidationReport(ok=not violations, violations=tuple(violations))

@@ -1,12 +1,20 @@
-"""The rescaled-integer scan and the generic exact-scalar scan must be
-indistinguishable: same constants, same witnesses, same feasibility, on the
-same pair order."""
+"""The scan on the integer form, on the exact metric and on value pairs must
+be indistinguishable: same constants, same witnesses, same feasibility, on
+the same pair order."""
 
 from fractions import Fraction
 
 import pytest
 
-from orthofix import ContractionKind, FiniteSpace, InputError, QuadExt, SelfMap, check_contraction
+from orthofix import (
+    ContractionKind,
+    FiniteSpace,
+    InputError,
+    QuadExt,
+    SelfMap,
+    check_contraction,
+    scan_value_pairs,
+)
 
 ENGINES = ["scaled", "generic"]
 
@@ -25,6 +33,19 @@ def test_engines_agree_on_generated_instances(accepted_instances):
                 ]
                 keys = {_report_key(rep) for rep in reports}
                 assert len(keys) == 1, (kind, symmetric, reports)
+
+
+def test_value_pair_scan_matches_index_scan(accepted_instances):
+    for space, mapping in accepted_instances:
+        stored = sorted(space.relation)
+        both = sorted(space.relation | {(j, i) for (i, j) in space.relation})
+        every = [(i, j) for i in range(space.n) for j in range(space.n)]
+        for kind in ContractionKind:
+            for symmetric, pairs in ((False, stored), (True, both)):
+                if kind is ContractionKind.UNRESTRICTED_LIPSCHITZ:
+                    pairs = every
+                expected = check_contraction(kind, space, mapping, symmetric=symmetric)
+                assert scan_value_pairs(kind, pairs, space.d, mapping) == expected, (kind, symmetric)
 
 
 def test_engines_agree_on_five_point(five_point):

@@ -139,6 +139,16 @@ def test_solve_json_trace(runner, five_point_file):
     assert trace["certified"] is False
 
 
+def test_solve_k_below_certificate_constant_is_uncertified(runner, five_point_file):
+    # 1/2 passes the oriented precondition but is below the both-orientation constant 2/3.
+    result = runner.invoke(main, ["solve", five_point_file, "--start", "0", "--k", "1/2"])
+    assert result.exit_code == 0, result.output
+    assert "k = 1/2 (uncertified trace)" in result.output
+    certified = runner.invoke(main, ["solve", five_point_file, "--start", "0", "--k", "2/3", "--json"])
+    trace = json.loads(certified.output)["trace"]
+    assert trace["certified"] is True and trace["apriori_bounds"] == ["0"]
+
+
 def test_solve_rejects_decimal_k(runner, five_point_file):
     result = runner.invoke(main, ["solve", five_point_file, "--start", "0", "--k", "0.5"])
     assert result.exit_code == 2

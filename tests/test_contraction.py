@@ -1,9 +1,9 @@
 """Contraction scans checked against an independent brute-force oracle.
 
 The oracle below recomputes every functional from its definition with
-plain Fraction arithmetic, max() and division; the library path uses
-rescaled integers and cross-multiplied comparisons, so agreement is a real
-two-implementation check.
+plain Fraction arithmetic, max() and division; the library path uses the
+space's integer form, doubled functionals and cross-multiplied comparisons,
+so agreement is a real two-implementation check.
 """
 
 from fractions import Fraction
@@ -14,6 +14,7 @@ from orthofix import (
     ContractionKind,
     FiniteSpace,
     InputError,
+    QuadExt,
     SelfMap,
     check_contraction,
     hierarchy_check,
@@ -245,6 +246,25 @@ def test_hierarchy_check_passes(five_point, accepted_instances):
         verdicts = hierarchy_check(space, mapping)
         assert len(verdicts) == 5
         assert all(v.holds for v in verdicts), [v.name for v in verdicts if not v.holds]
+
+
+def test_integer_form_verdict_fails_on_corrupted_integer_form(five_point):
+    space, mapping = five_point
+    assert hierarchy_check(space, mapping)[0].name == "integer-form-exact"
+    # The generalized witness (0, 2) maps to (0, 1); inflate that distance.
+    rows = [list(row) for row in space.int_metric]
+    rows[0][1] += 100
+    space.int_metric = tuple(tuple(row) for row in rows)
+    verdict = hierarchy_check(space, mapping)[0]
+    assert verdict.name == "integer-form-exact" and not verdict.holds
+    assert verdict.witness is not None
+
+
+def test_integer_form_verdict_vacuous_without_integer_form():
+    zero, root = QuadExt(0, 0, 2), QuadExt(0, 1, 2)
+    space = FiniteSpace(["a", "b"], [[zero, root], [root, zero]], [(0, 1)])
+    verdict = hierarchy_check(space, SelfMap([0, 0], 2))[0]
+    assert verdict.holds and "not rational" in verdict.detail
 
 
 def test_kind_parsing():

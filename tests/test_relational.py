@@ -110,6 +110,17 @@ def test_preserving_violations_listed_exhaustively(five_point):
     assert report.violations == ((0, 0), (0, 2), (4, 0))
 
 
+def test_preserving_reports_first_sorted_orientation():
+    # (1, 2) and (2, 1) are both stored: the pair is checked once, as (1, 2).
+    # (3, 1) is stored only reversed and keeps that orientation.
+    metric = [[Fraction(abs(i - j)) for j in range(4)] for i in range(4)]
+    space = FiniteSpace(["0", "1", "2", "3"], metric, [(2, 1), (1, 2), (3, 1), (3, 3)])
+    report = is_ow_preserving(space, SelfMap([0, 3, 0, 2], 4))
+    assert report.violations == ((1, 2), (3, 1), (3, 3))
+    with pytest.raises(InputError, match="map size"):
+        is_ow_preserving(space, SelfMap([0, 0, 0], 3))
+
+
 def test_orbits_five_point(five_point):
     space, mapping = five_point
     expected = {

@@ -64,12 +64,16 @@ def test_certify_fixed_point(five_point):
 
 def test_picard_from_weak_element(five_point):
     space, mapping = five_point
+    # k = 1/2 covers the stored orientation only; the certificate needs 2/3.
     trace = picard_solve(space, mapping, 0, k=Fraction(1, 2))
     assert trace.iterates == (0,)
     assert trace.converged and trace.fixed_point == 0
-    assert trace.certified
-    assert trace.apriori_bounds == (Fraction(0),)
+    assert not trace.certified
+    assert trace.apriori_bounds is None
     assert trace.stop_reason == "fixed_point"
+    certified = picard_solve(space, mapping, 0, k=Fraction(2, 3))
+    assert certified.certified
+    assert certified.apriori_bounds == (Fraction(0),)
 
 
 def test_picard_requires_weak_start(five_point):
@@ -102,6 +106,7 @@ def test_picard_rejects_undersized_k(five_point):
         picard_solve(space, mapping, 0, k=Fraction(1, 4))
     trace = picard_solve(space, mapping, 0, k=Fraction(1, 4), allow_inadmissible_k=True)
     assert trace.converged
+    assert not trace.certified and trace.apriori_bounds is None
 
 
 def test_picard_k_domain(five_point):

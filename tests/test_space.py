@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from orthofix import FiniteSpace, InputError, SelfMap, related, validate_metric
+from orthofix import FiniteSpace, InputError, QuadExt, SelfMap, related, validate_metric
 
 
 def _space(matrix, relation=()):
@@ -126,3 +126,42 @@ def test_index_of(five_point):
     assert space.index_of("3") == 3
     with pytest.raises(InputError, match="unknown point"):
         space.index_of("9")
+
+
+def _perturbed_rational_metric():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    metric = [
+        [Fraction(0), third, half, third + half],
+        [third, Fraction(0), third, half],
+        [half, third, Fraction(0), third],
+        [third + half, half, third, Fraction(0)],
+    ]
+    metric[0][3] = Fraction(7, 3)   # breaks symmetry and several triangles
+    metric[2][1] = Fraction(-1, 6)  # breaks symmetry and positivity
+    return metric
+
+
+def test_integer_form_scales_by_lcm_of_denominators():
+    space = FiniteSpace(["a", "b", "c", "d"], _perturbed_rational_metric(), [])
+    assert space.int_metric[0] == (0, 2, 3, 14)
+    assert space.int_metric[2][1] == -1
+
+
+def test_integer_form_is_none_for_quadext_metric():
+    zero, root = QuadExt(0, 0, 2), QuadExt(0, 1, 2)
+    space = FiniteSpace(["a", "b"], [[zero, root], [root, zero]], [(0, 1)])
+    assert space.int_metric is None
+    rational = [[QuadExt(v, 0, 2) for v in row] for row in _perturbed_rational_metric()]
+    assert FiniteSpace(["a", "b", "c", "d"], rational, []).int_metric is None
+
+
+def test_validation_identical_on_fraction_and_quadext_entries():
+    fractions = _perturbed_rational_metric()
+    quads = [[QuadExt(v, 0, 3) for v in row] for row in fractions]
+    labels = ["a", "b", "c", "d"]
+    on_ints = validate_metric(FiniteSpace(labels, fractions, []))
+    on_quads = validate_metric(FiniteSpace(labels, quads, []))
+    assert not on_ints.ok
+    assert on_ints.violations == on_quads.violations
+    assert {"symmetry", "positivity", "triangle"} <= {v.axiom for v in on_ints.violations}
+    assert ("7/3", "1/3", "1/2") in [v.values for v in on_ints.violations]
