@@ -18,11 +18,11 @@ import click
 
 from . import __version__
 from . import corpus as corpus_mod
-from .contraction import ContractionKind, check_contraction, hierarchy_check
+from .contraction import Analysis, ContractionKind, check_contraction, hierarchy_check
 from .errors import CertificateError, InputError, OrthofixError
 from .oracle import GenParams, theorem_audit
 from .rational import format_rational, parse_rational
-from .relational import classify_orthogonality, is_ow_preserving, is_ow_sequence, orbit
+from .relational import classify_orthogonality, is_ow_sequence, orbit
 from .solver import MODE_O1, MODE_ORBITAL_CONTINUITY, hypothesis_check, picard_solve
 from .spacefile import load_space_file
 
@@ -94,12 +94,13 @@ def verify(file, mode, as_json):
     """Run every check on a space file: classification, preservation,
     contraction constants, hierarchy implications and theorem hypotheses."""
     space, mapping = _load(file, need_map=True)
-    cls = classify_orthogonality(space)
-    pres = is_ow_preserving(space, mapping)
-    reports = {kind: check_contraction(kind, space, mapping) for kind in ContractionKind}
-    certified = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
-    verdicts = hierarchy_check(space, mapping)
-    hyp = hypothesis_check(space, mapping, mode)
+    analysis = Analysis(space, mapping)
+    cls = analysis.classification
+    pres = analysis.preservation
+    reports = {kind: analysis.report(kind) for kind in ContractionKind}
+    certified = analysis.report(ContractionKind.GENERALIZED_PERP, symmetric=True)
+    verdicts = hierarchy_check(space, mapping, analysis=analysis)
+    hyp = hypothesis_check(space, mapping, mode, analysis=analysis)
     ok = hyp.all_hold and all(v.holds for v in verdicts)
 
     if as_json:
@@ -274,7 +275,7 @@ def corpus(case_name, list_only, as_json):
 @main.command()
 @click.option("--trials", default=500, show_default=True, type=int, help="number of accepted instances to audit")
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--max-points", default=8, show_default=True, type=int)
+@click.option("--max-points", default=8, show_default=True, type=int, help="largest generated space, 2 to 32 points")
 @click.option("--density", default="1/4", show_default=True, help="relation density as a rational in [0, 1]")
 @click.option("--map-attempts", default=64, show_default=True, type=int)
 @click.option("--dump-dir", default=None, type=click.Path(), help="write failure reproduction files here")

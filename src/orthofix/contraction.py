@@ -32,6 +32,11 @@ value domain it reads:
 * the exact metric itself, used for QuadExt metrics, for value-domain
   samples (indexed into a small distance matrix), and as the reference the
   integer form is checked against.
+
+An `Analysis` carries the derived facts of one (space, map) instance --
+classification, preservation and every report scanned so far -- so that
+`verify`, the hypothesis check, Picard iteration, the hierarchy check and
+the audit scan each pair set once per instance.
 """
 
 from __future__ import annotations
@@ -42,6 +47,13 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import InputError
+from .relational import (
+    OrthoClassification,
+    PreservationReport,
+    classify_orthogonality,
+    is_ow_preserving,
+    weak_orthogonal_elements,
+)
 from .space import FiniteSpace, Scalar, SelfMap
 
 
@@ -276,6 +288,73 @@ def scan_value_pairs(
 
 
 # ---------------------------------------------------------------------------
+# derived facts of one instance
+# ---------------------------------------------------------------------------
+
+class Analysis:
+    """The derived facts of one (space, map) instance, each computed once.
+
+    Classification, weak elements, preservation and contraction reports are
+    filled in on first use and reused afterwards, so the commands and the
+    audit can hand one Analysis to every check of an instance instead of
+    recomputing what an earlier check already has.  Reports are keyed by
+    (kind, symmetric, engine) and still come from `check_contraction`.
+
+    The memo lives on the object only: build one per instance (`weak` may
+    pass in the weak elements of the space, shared by every map on it) and
+    drop it with the instance.
+    """
+
+    __slots__ = ("space", "mapping", "_classification", "_weak", "_preservation", "_reports")
+
+    def __init__(self, space: FiniteSpace, mapping: SelfMap, *, weak: frozenset[int] | None = None):
+        self.space = space
+        self.mapping = mapping
+        self._classification: OrthoClassification | None = None
+        self._weak = weak
+        self._preservation: PreservationReport | None = None
+        self._reports: dict[tuple, ContractionReport] = {}
+
+    @classmethod
+    def of(cls, space: FiniteSpace, mapping: SelfMap, analysis: "Analysis | None") -> "Analysis":
+        """`analysis` when it was built for this space and map, else a fresh one."""
+        if analysis is None:
+            return cls(space, mapping)
+        if analysis.space is not space or analysis.mapping is not mapping:
+            raise InputError("analysis was built for a different space or map")
+        return analysis
+
+    @property
+    def classification(self) -> OrthoClassification:
+        if self._classification is None:
+            self._classification = classify_orthogonality(self.space)
+        return self._classification
+
+    @property
+    def weak(self) -> frozenset[int]:
+        if self._weak is None:
+            if self._classification is not None:
+                self._weak = self._classification.weak_elements
+            else:
+                self._weak = weak_orthogonal_elements(self.space)
+        return self._weak
+
+    @property
+    def preservation(self) -> PreservationReport:
+        if self._preservation is None:
+            self._preservation = is_ow_preserving(self.space, self.mapping)
+        return self._preservation
+
+    def report(self, kind: ContractionKind, *, symmetric: bool = False, engine: str | None = None) -> ContractionReport:
+        """`check_contraction(kind, space, mapping, symmetric=..., engine=...)`, scanned once."""
+        key = (ContractionKind(kind), symmetric, engine)
+        rep = self._reports.get(key)
+        if rep is None:
+            rep = self._reports[key] = check_contraction(kind, self.space, self.mapping, symmetric=symmetric, engine=engine)
+        return rep
+
+
+# ---------------------------------------------------------------------------
 # hierarchy checks
 # ---------------------------------------------------------------------------
 
@@ -295,7 +374,9 @@ class HierarchyVerdict:
         }
 
 
-def hierarchy_check(space: FiniteSpace, mapping: SelfMap) -> tuple[HierarchyVerdict, ...]:
+def hierarchy_check(
+    space: FiniteSpace, mapping: SelfMap, *, analysis: Analysis | None = None
+) -> tuple[HierarchyVerdict, ...]:
     """Audit the implications between contraction kinds on this instance.
 
     The chain banach -> ciric -> generalized can only lower the minimal
@@ -303,10 +384,12 @@ def hierarchy_check(space: FiniteSpace, mapping: SelfMap) -> tuple[HierarchyVerd
     constant by doubling.  The first verdict rescans the generalized kind on
     the exact metric and requires the same report as on the integer form.
     Any failure here falsifies the scan implementation, so each verdict
-    carries a witness.
+    carries a witness.  The oriented reports are read from `analysis` when
+    one is given.
     """
+    analysis = Analysis.of(space, mapping, analysis)
     reports = {
-        kind: check_contraction(kind, space, mapping)
+        kind: analysis.report(kind)
         for kind in (
             ContractionKind.BANACH_PERP,
             ContractionKind.CIRIC,
@@ -320,7 +403,7 @@ def hierarchy_check(space: FiniteSpace, mapping: SelfMap) -> tuple[HierarchyVerd
     if space.int_metric is None:
         exact = HierarchyVerdict("integer-form-exact", True, None, "metric is not rational; no integer form to check")
     else:
-        generic = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, engine="generic")
+        generic = analysis.report(ContractionKind.GENERALIZED_PERP, engine="generic")
         ok = generic == scaled
         exact = HierarchyVerdict(
             "integer-form-exact",

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contraction import hierarchy_check
+from .contraction import Analysis, hierarchy_check
 from .errors import InputError
 from .rational import format_rational
 from .relational import weak_orthogonal_elements
@@ -53,8 +53,8 @@ class GenParams:
     map_attempts: int = 64
 
     def __post_init__(self):
-        if not (2 <= self.max_points <= 8):
-            raise InputError("max_points must lie in [2, 8]")
+        if not (2 <= self.max_points <= 32):
+            raise InputError("max_points must lie in [2, 32]")
         lo, hi = self.weight_range
         if not (1 <= lo <= hi):
             raise InputError("weight_range must satisfy 1 <= lo <= hi")
@@ -117,15 +117,17 @@ def generate_space(params: GenParams, rng: random.Random | None = None) -> Finit
     return FiniteSpace([str(i) for i in range(n)], metric, sorted(relation))
 
 
-def _sample_map(params: GenParams, space: FiniteSpace, rng: random.Random) -> tuple[SelfMap | None, int]:
+def _sample_map(params: GenParams, space: FiniteSpace, rng: random.Random) -> tuple[Analysis | None, int]:
+    """The accepted candidate's Analysis (or None) and the number of candidates tried."""
     n = space.n
     weak = weak_orthogonal_elements(space)
     for attempt in range(params.map_attempts):
         attractor = rng.randrange(n)
         images = [attractor if rng.getrandbits(1) else rng.randrange(n) for _ in range(n)]
         candidate = SelfMap(images, n)
-        if _hypotheses_hold(space, candidate, weak):
-            return candidate, attempt + 1
+        analysis = Analysis(space, candidate, weak=weak)
+        if _hypotheses_hold(space, candidate, analysis):
+            return analysis, attempt + 1
     return None, params.map_attempts
 
 
@@ -138,8 +140,8 @@ def generate_map(
     not an error: the caller decides whether to draw a fresh space).
     """
     rng = rng if rng is not None else random.Random(params.seed)
-    mapping, _ = _sample_map(params, space, rng)
-    return mapping
+    analysis, _ = _sample_map(params, space, rng)
+    return analysis.mapping if analysis is not None else None
 
 
 @dataclass(frozen=True)
@@ -192,13 +194,17 @@ class AuditSummary:
         }
 
 
-def _audit_instance(space: FiniteSpace, mapping: SelfMap) -> tuple[list[str], int]:
+def _audit_instance(
+    space: FiniteSpace, mapping: SelfMap, analysis: Analysis | None = None
+) -> tuple[list[str], int]:
     """Verify the theorem's conclusion on one accepted instance.
 
     Returns (discrepancies, traces_checked).  All inequalities are
     re-evaluated here from the raw trace data, independently of the
-    solver's internal enforcement.
+    solver's internal enforcement; the hypotheses, weak elements and scans
+    are read from `analysis`, which the instance filter already filled.
     """
+    analysis = Analysis.of(space, mapping, analysis)
     problems: list[str] = []
     report = validate_metric(space)
     if not report.ok:
@@ -208,11 +214,11 @@ def _audit_instance(space: FiniteSpace, mapping: SelfMap) -> tuple[list[str], in
         problems.append(f"fixed point set {sorted(fixed)} is not a singleton")
         return problems, 0
     (z,) = fixed
-    hyp = hypothesis_check(space, mapping)
+    hyp = hypothesis_check(space, mapping, analysis=analysis)
     k = hyp.minimal_k
     traces = 0
-    for w in sorted(weak_orthogonal_elements(space)):
-        trace = picard_solve(space, mapping, w, k=k)
+    for w in sorted(analysis.weak):
+        trace = picard_solve(space, mapping, w, k=k, analysis=analysis)
         traces += 1
         if not trace.converged or trace.fixed_point != z:
             problems.append(f"Picard from {w} reached {trace.fixed_point}, brute force says {z}")
@@ -248,15 +254,16 @@ def theorem_audit(params: GenParams) -> AuditSummary:
         rng = random.Random(trial_seed)
         space = generate_space(params, rng)
         spaces_generated += 1
-        mapping, tried = _sample_map(params, space, rng)
+        analysis, tried = _sample_map(params, space, rng)
         maps_tried += tried
-        if mapping is None:
+        if analysis is None:
             exhausted += 1
             continue
         trials_run += 1
-        problems, traces = _audit_instance(space, mapping)
+        mapping = analysis.mapping
+        problems, traces = _audit_instance(space, mapping, analysis)
         trace_count += traces
-        for verdict in hierarchy_check(space, mapping):
+        for verdict in hierarchy_check(space, mapping, analysis=analysis):
             if not verdict.holds:
                 hierarchy_failures += 1
                 problems.append(f"hierarchy implication {verdict.name} fails at {verdict.witness}")

@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .contraction import ContractionKind, ContractionReport, check_contraction
+from .contraction import Analysis, ContractionKind
 from .errors import CertificateError, InputError
-from .relational import is_ow_preserving, orbit, weak_orthogonal_elements
+from .relational import orbit
 from .space import FiniteSpace, SelfMap
 
 MODE_ORBITAL_CONTINUITY = "orbital-continuity"
@@ -126,6 +126,7 @@ def picard_solve(
     max_iter: int = 1000,
     allow_any_start: bool = False,
     allow_inadmissible_k: bool = False,
+    analysis: Analysis | None = None,
 ) -> PicardTrace:
     """Run Picard iteration from `start` with runtime certificates.
 
@@ -143,13 +144,15 @@ def picard_solve(
     violation raises CertificateError), but the trace is not certified.
 
     Stops on the first of: exact zero step distance (converged at a fixed
-    point), certified tail bound <= eps, or max_iter.
+    point), certified tail bound <= eps, or max_iter.  Weak elements,
+    preservation and the scans are read from `analysis` when one is given.
     """
     if not (0 <= start < space.n):
         raise InputError(f"start index {start} out of range")
     if max_iter < 0:
         raise InputError("max_iter must be non-negative")
-    weak = weak_orthogonal_elements(space)
+    analysis = Analysis.of(space, mapping, analysis)
+    weak = analysis.weak
     if start not in weak and not allow_any_start:
         raise InputError(
             f"start {space.points[start]!r} is not a weak orthogonal element; "
@@ -159,7 +162,7 @@ def picard_solve(
         k = Fraction(k)
         if not (0 <= k < 1):
             raise InputError(f"k must lie in [0, 1), got {k}")
-    cert = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
+    cert = analysis.report(ContractionKind.GENERALIZED_PERP, symmetric=True)
     if k is None:
         if not cert.admissible:
             raise InputError(
@@ -169,7 +172,7 @@ def picard_solve(
         k = cert.minimal_k
     certificate_grade = cert.feasible and k >= cert.minimal_k
     if not (certificate_grade or allow_inadmissible_k):
-        rep = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping)
+        rep = analysis.report(ContractionKind.GENERALIZED_PERP)
         if not rep.feasible or k < rep.minimal_k:
             raise InputError(
                 f"k={k} is below the scanned minimal generalized constant "
@@ -180,7 +183,7 @@ def picard_solve(
         if eps <= 0:
             raise InputError("eps must be positive")
 
-    hypotheses = start in weak and is_ow_preserving(space, mapping).preserving
+    hypotheses = start in weak and analysis.preservation.preserving
     certified = hypotheses and certificate_grade
     enforced = hypotheses and (certificate_grade or allow_inadmissible_k)
 
@@ -277,25 +280,27 @@ class HypothesisReport:
         }
 
 
-def _hypotheses_hold(space: FiniteSpace, mapping: SelfMap, weak: frozenset[int] | None = None) -> bool:
+def _hypotheses_hold(space: FiniteSpace, mapping: SelfMap, analysis: Analysis | None = None) -> bool:
     """Short-circuit form of ``hypothesis_check(...).all_hold`` (orbital mode).
 
     Used by instance filters that test thousands of candidate maps; checks
-    the cheap conditions before the contraction scan.
+    the cheap conditions before the contraction scan.  Whatever it computes
+    stays in `analysis` for the checks that follow on an accepted map.
     """
-    if weak is None:
-        weak = weak_orthogonal_elements(space)
-    if not weak:
-        return False
-    if not is_ow_preserving(space, mapping).preserving:
-        return False
-    return check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True).admissible
+    analysis = Analysis.of(space, mapping, analysis)
+    return (
+        bool(analysis.weak)
+        and analysis.preservation.preserving
+        and analysis.report(ContractionKind.GENERALIZED_PERP, symmetric=True).admissible
+    )
 
 
 def hypothesis_check(
     space: FiniteSpace,
     mapping: SelfMap,
     mode: str = MODE_ORBITAL_CONTINUITY,
+    *,
+    analysis: Analysis | None = None,
 ) -> HypothesisReport:
     """Evaluate the fixed point theorem's hypotheses on a finite instance.
 
@@ -310,15 +315,15 @@ def hypothesis_check(
     the finite reading of the subsequence condition: whenever the orbit of a
     weak element settles at a fixed point z, the constant tail must be
     orthogonally related to its limit, i.e. z related to z; orbits that do
-    not settle impose nothing.
+    not settle impose nothing.  Weak elements, preservation and the scan are
+    read from `analysis` when one is given.
     """
     if mode not in (MODE_ORBITAL_CONTINUITY, MODE_O1):
         raise InputError(f"unknown mode {mode!r}")
-    weak = weak_orthogonal_elements(space)
-    preserving = is_ow_preserving(space, mapping).preserving
-    rep: ContractionReport = check_contraction(
-        ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True
-    )
+    analysis = Analysis.of(space, mapping, analysis)
+    weak = analysis.weak
+    preserving = analysis.preservation.preserving
+    rep = analysis.report(ContractionKind.GENERALIZED_PERP, symmetric=True)
     contraction_ok = rep.admissible
     notes = ["orbital O_w-completeness: holds (finite space)"]
     if mode == MODE_ORBITAL_CONTINUITY:

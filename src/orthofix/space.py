@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Sequence
 
 from .errors import InputError
@@ -56,6 +57,11 @@ def _is_index(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_exact(value) -> bool:
+    """A metric entry is an int, a Fraction or a QuadExt; floats and bools are never accepted."""
+    return isinstance(value, (Fraction, QuadExt)) or _is_index(value)
+
+
 def _integer_form(rows: tuple[tuple[Scalar, ...], ...]) -> tuple[tuple[int, ...], ...] | None:
     """The metric scaled by the lcm of its denominators, or None unless every entry is a Fraction."""
     if not all(isinstance(e, Fraction) for row in rows for e in row):
@@ -84,6 +90,12 @@ class FiniteSpace:
         rows = tuple(tuple(row) for row in metric)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise InputError(f"metric must be a {n}x{n} matrix matching the point count")
+        int_metric = _integer_form(rows)
+        if int_metric is None:  # an all-Fraction metric needs no entry check
+            for i, row in enumerate(rows):
+                for j, entry in enumerate(row):
+                    if not _is_exact(entry):
+                        raise InputError(f"metric entry {entry!r} at ({i}, {j}) is not exact (int, Fraction or QuadExt)")
         rel = []
         for pair in relation:
             if len(pair) != 2 or not all(_is_index(v) for v in pair):
@@ -94,7 +106,7 @@ class FiniteSpace:
             rel.append((i, j))
         self.points = points
         self.metric = rows
-        self.int_metric = _integer_form(rows)
+        self.int_metric = int_metric
         self.relation = frozenset(rel)
         self._related = self.relation | frozenset((j, i) for (i, j) in self.relation)
 
@@ -168,6 +180,17 @@ def validate_metric(space: FiniteSpace) -> ValidationReport:
     carries a concrete witness so failures are actionable.  The comparisons
     run on the integer form when there is one; witness values are rendered
     from the exact metric.
+
+    The triangle inequality is screened pair by pair before the exact loop
+    over k runs, and only on the pairs the screen flags, in sorted (i, j)
+    order -- so the violations and their order are those of the full loop.
+    The screen is exact: on a symmetric matrix row j equals column j, so
+    d(i, j) > d(i, k) + d(k, j) holds for some k exactly when
+    d(i, j) > min over all k of d(i, k) + d(j, k), a test that is the same
+    for (i, j) and (j, i) and runs as one C-level min per pair.  The terms
+    k = i and k = j are d(i, j) plus a diagonal entry, so they flag a pair
+    only when that entry is negative, and the exact loop then decides.
+    Without symmetry the screen does not apply and every pair is flagged.
     """
     exact = space.metric
     m = exact if space.int_metric is None else space.int_metric
@@ -176,25 +199,34 @@ def validate_metric(space: FiniteSpace) -> ValidationReport:
     for i in range(n):
         if m[i][i] != 0:
             violations.append(Violation("diagonal", (i,), (_fmt(exact[i][i]),)))
+    symmetric = True
     for i in range(n):
         for j in range(n):
             if i < j and m[i][j] != m[j][i]:
+                symmetric = False
                 violations.append(Violation("symmetry", (i, j), (_fmt(exact[i][j]), _fmt(exact[j][i]))))
             if i != j and m[i][j] <= 0:
                 violations.append(Violation("positivity", (i, j), (_fmt(exact[i][j]),)))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
+    if symmetric:
+        flagged = []
+        for i in range(n):
+            row = m[i]
+            for j in range(i + 1, n):
+                if row[j] > min(map(add, row, m[j])):
+                    flagged += [(i, j), (j, i)]
+        flagged.sort()
+    else:
+        flagged = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for i, j in flagged:
+        for k in range(n):
+            if k == i or k == j:
                 continue
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if m[i][j] > m[i][k] + m[k][j]:
-                    violations.append(
-                        Violation(
-                            "triangle",
-                            (i, j, k),
-                            (_fmt(exact[i][j]), _fmt(exact[i][k]), _fmt(exact[k][j])),
-                        )
+            if m[i][j] > m[i][k] + m[k][j]:
+                violations.append(
+                    Violation(
+                        "triangle",
+                        (i, j, k),
+                        (_fmt(exact[i][j]), _fmt(exact[i][k]), _fmt(exact[k][j])),
                     )
+                )
     return ValidationReport(ok=not violations, violations=tuple(violations))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -225,3 +229,36 @@ def test_audit_text_output(runner):
 def test_audit_rejects_bad_density(runner):
     result = runner.invoke(main, ["audit", "--trials", "1", "--density", "0.3"])
     assert result.exit_code == 2
+
+
+def test_audit_at_the_largest_size(runner):
+    result = runner.invoke(main, ["audit", "--trials", "10", "--max-points", "32", "--seed", "0", "--json"])
+    assert result.exit_code == 0, result.output
+    data = json.loads(result.output)
+    assert data["ok"] is True
+    assert data["params"]["max_points"] == 32
+    assert data["conclusion_verified"] == 10
+    assert runner.invoke(main, ["audit", "--trials", "1", "--max-points", "33"]).exit_code == 2
+
+
+_IMPORTED_AT_START = """
+import json, sys
+before = set(sys.modules)
+import orthofix.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_start_up_imports_only_stdlib_and_click():
+    # Start-up time is part of every command; a heavy import would show in all of them.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORTED_AT_START], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    loaded = json.loads(out)
+    assert "orthofix.cli" in loaded
+    allowed = set(sys.stdlib_module_names) | {"click", "orthofix"}
+    outside = sorted(name for name in loaded if name.split(".")[0] not in allowed)
+    assert outside == []
+    assert not any(name == "numpy" or name.startswith("numpy.") for name in loaded)

@@ -110,7 +110,7 @@ def test_params_validation():
     with pytest.raises(InputError):
         GenParams(max_points=1)
     with pytest.raises(InputError):
-        GenParams(max_points=9)
+        GenParams(max_points=33)
     with pytest.raises(InputError):
         GenParams(weight_range=(0, 5))
     with pytest.raises(InputError):

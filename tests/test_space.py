@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orthofix import FiniteSpace, InputError, QuadExt, SelfMap, related, validate_metric
+from orthofix.oracle import _shortest_path_metric
 
 
 def _space(matrix, relation=()):
@@ -165,3 +167,101 @@ def test_validation_identical_on_fraction_and_quadext_entries():
     assert on_ints.violations == on_quads.violations
     assert {"symmetry", "positivity", "triangle"} <= {v.axiom for v in on_ints.violations}
     assert ("7/3", "1/3", "1/2") in [v.values for v in on_ints.violations]
+
+
+@pytest.mark.parametrize("entry", [0.5, True])
+def test_inexact_metric_entry_rejected(entry):
+    # A float would flow into exact decisions and report inexact constants;
+    # a bool is not a distance.
+    with pytest.raises(InputError, match=r"metric entry .* at \(0, 1\) is not exact"):
+        FiniteSpace(["a", "b"], [[0, entry], [Fraction(1, 2), 0]], [(0, 1)])
+
+
+def reference_violations(matrix):
+    """Every axiom checked directly, in the documented order, no screening."""
+    n = len(matrix)
+    out = [("diagonal", (i,)) for i in range(n) if matrix[i][i] != 0]
+    for i in range(n):
+        for j in range(n):
+            if i < j and matrix[i][j] != matrix[j][i]:
+                out.append(("symmetry", (i, j)))
+            if i != j and matrix[i][j] <= 0:
+                out.append(("positivity", (i, j)))
+    out += [
+        ("triangle", (i, j, k))
+        for i, j, k in permutations(range(n), 3)
+        if matrix[i][j] > matrix[i][k] + matrix[k][j]
+    ]
+    return out
+
+
+def _reported(matrix):
+    report = validate_metric(FiniteSpace([str(i) for i in range(len(matrix))], matrix, []))
+    assert report.ok == (not report.violations)
+    return [(v.axiom, v.witness) for v in report.violations]
+
+
+_entries = st.fractions(min_value=-2, max_value=8, max_denominator=3)
+
+
+@st.composite
+def _matrices(draw):
+    """Small matrices: symmetric or not, any diagonal, non-positive entries allowed."""
+    n = draw(st.integers(1, 6))
+    rows = [[draw(_entries) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = Fraction(0)
+    return rows
+
+
+@given(_matrices(), st.sampled_from(["fraction", "int", "quadext"]))
+def test_validation_matches_reference_loop(matrix, domain):
+    if domain == "int":
+        matrix = [[int(v * 6) for v in row] for row in matrix]
+    elif domain == "quadext":
+        matrix = [[QuadExt(v, 0, 2) for v in row] for row in matrix]
+    assert _reported(matrix) == reference_violations(matrix)
+
+
+@given(st.integers(2, 6), st.integers(0, 2**32), st.integers(1, 2))
+def test_validation_matches_reference_on_irrational_entries(n, seed, b):
+    # Symmetric QuadExt metrics with irrational entries; the screen's sums mix radicand parts.
+    rng = random.Random(seed)
+    matrix = [[QuadExt(0, 0, 2)] * n for _ in range(n)]
+    matrix = [list(row) for row in matrix]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = QuadExt(rng.randrange(0, 6), rng.randrange(-b, b + 1), 2)
+    assert _reported(matrix) == reference_violations(matrix)
+
+
+@given(st.integers(1, 12), st.integers(0, 2**32))
+def test_shortest_path_closures_are_metrics(n, seed):
+    metric = _shortest_path_metric(n, random.Random(seed), 1, 10)
+    assert validate_metric(FiniteSpace([str(i) for i in range(n)], metric, [])).ok
+
+
+@given(st.integers(3, 10), st.integers(0, 2**32), st.booleans(), st.booleans())
+def test_perturbed_closure_reports_planted_witness(n, seed, upward, both_orientations):
+    rng = random.Random(seed)
+    metric = _shortest_path_metric(n, rng, 1, 10)
+    i, j, k = rng.sample(range(n), 3)
+    if upward:
+        # d(i, j) pushed past the detour through k: (i, j, k) breaks.
+        value = metric[i][k] + metric[k][j] + Fraction(1, 2)
+        planted = (i, j, k)
+    else:
+        # d(i, j) pulled below d(i, k) - d(j, k): the detour i -> j -> k undercuts d(i, k).
+        value = metric[i][k] - metric[j][k] - Fraction(1, 2)
+        planted = (i, k, j)
+    metric[i][j] = value
+    if both_orientations:
+        metric[j][i] = value
+    reported = _reported(metric)
+    assert ("triangle", planted) in reported
+    assert reported == reference_violations(metric)
