@@ -21,7 +21,7 @@ from . import corpus as corpus_mod
 from .contraction import Analysis, ContractionKind, check_contraction, hierarchy_check
 from .errors import CertificateError, InputError, OrthofixError
 from .oracle import GenParams, theorem_audit
-from .rational import format_rational, parse_rational
+from .rational import parse_rational
 from .relational import classify_orthogonality, is_ow_sequence, orbit
 from .solver import MODE_O1, MODE_ORBITAL_CONTINUITY, hypothesis_check, picard_solve
 from .spacefile import load_space_file
@@ -34,11 +34,7 @@ def _emit_json(payload: dict) -> None:
 
 
 def _fmt_k(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return str(value)
+    return "none" if value is None else str(value)
 
 
 def _labels(space, pair) -> str:
@@ -95,7 +91,7 @@ def verify(file, mode, as_json):
     contraction constants, hierarchy implications and theorem hypotheses."""
     space, mapping = _load(file, need_map=True)
     analysis = Analysis(space, mapping)
-    cls = analysis.classification
+    cls = classify_orthogonality(space)
     pres = analysis.preservation
     reports = {kind: analysis.report(kind) for kind in ContractionKind}
     certified = analysis.report(ContractionKind.GENERALIZED_PERP, symmetric=True)

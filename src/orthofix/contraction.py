@@ -33,10 +33,11 @@ value domain it reads:
   samples (indexed into a small distance matrix), and as the reference the
   integer form is checked against.
 
-An `Analysis` carries the derived facts of one (space, map) instance --
-classification, preservation and every report scanned so far -- so that
-`verify`, the hypothesis check, Picard iteration, the hierarchy check and
-the audit scan each pair set once per instance.
+The pair sets are the space's sorted stored relation and sorted closure,
+built once per space.  An `Analysis` carries the facts of one map on a
+space -- preservation and every report scanned so far -- so that `verify`,
+the hypothesis check, Picard iteration, the hierarchy check, the audit and
+the corpus scan each pair set once per instance.
 """
 
 from __future__ import annotations
@@ -47,14 +48,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import InputError
-from .relational import (
-    OrthoClassification,
-    PreservationReport,
-    classify_orthogonality,
-    is_ow_preserving,
-    weak_orthogonal_elements,
-)
-from .space import FiniteSpace, Scalar, SelfMap
+from .relational import PreservationReport, is_ow_preserving
+from .space import FiniteSpace, Scalar, SelfMap, _check_point
 
 
 class ContractionKind(str, Enum):
@@ -103,18 +98,10 @@ class ContractionReport:
     pairs_scanned: int
 
     def to_dict(self) -> dict:
-        from .rational import format_rational
-
-        if self.minimal_k is None:
-            k = None
-        elif isinstance(self.minimal_k, Fraction):
-            k = format_rational(self.minimal_k)
-        else:
-            k = str(self.minimal_k)
         return {
             "kind": self.kind.value,
             "feasible": self.feasible,
-            "minimal_k": k,
+            "minimal_k": None if self.minimal_k is None else str(self.minimal_k),
             "witness_max": list(self.witness_max) if self.witness_max else None,
             "infeasible_witness": list(self.infeasible_witness) if self.infeasible_witness else None,
             "admissible": self.admissible,
@@ -158,8 +145,8 @@ def m_value(kind: ContractionKind, space: FiniteSpace, mapping: SelfMap, x: int,
     """Evaluate the kind's comparison functional at the ordered pair (x, y)."""
     if kind is ContractionKind.UNRESTRICTED_LIPSCHITZ:
         raise InputError("unrestricted_lipschitz has no separate functional; its denominator is d(x, y)")
-    if not (0 <= x < space.n and 0 <= y < space.n):
-        raise InputError(f"index pair ({x}, {y}) out of range for {space.n} points")
+    _check_point(space, x)
+    _check_point(space, y)
     return _ratio(_functional(_KIND_ID[kind], space.metric, mapping.images, x, y), 2)
 
 
@@ -190,13 +177,10 @@ def _scan(kind_id: int, pairs: Sequence[tuple[int, int]], m, t):
     return best_num, best_den, best_pos, inf_pos
 
 
-def _pair_list(space: FiniteSpace, kind: ContractionKind, symmetric: bool) -> list[tuple[int, int]]:
+def _pair_list(space: FiniteSpace, kind: ContractionKind, symmetric: bool) -> Sequence[tuple[int, int]]:
     if kind is ContractionKind.UNRESTRICTED_LIPSCHITZ:
         return [(i, j) for i in range(space.n) for j in range(space.n)]
-    if symmetric:
-        closure = set(space.relation) | {(j, i) for (i, j) in space.relation}
-        return sorted(closure)
-    return sorted(space.relation)
+    return space.sorted_closure if symmetric else space.sorted_relation
 
 
 def _report(kind: ContractionKind, pairs: Sequence[tuple], scan) -> ContractionReport:
@@ -292,26 +276,24 @@ def scan_value_pairs(
 # ---------------------------------------------------------------------------
 
 class Analysis:
-    """The derived facts of one (space, map) instance, each computed once.
+    """The facts of one map on a space, each computed once.
 
-    Classification, weak elements, preservation and contraction reports are
-    filled in on first use and reused afterwards, so the commands and the
-    audit can hand one Analysis to every check of an instance instead of
-    recomputing what an earlier check already has.  Reports are keyed by
-    (kind, symmetric, engine) and still come from `check_contraction`.
+    Preservation and contraction reports are filled in on first use and
+    reused afterwards, so the commands, the audit and the corpus can hand
+    one Analysis to every check of an instance instead of recomputing what
+    an earlier check already has.  Reports are keyed by (kind, symmetric,
+    engine) and still come from `check_contraction`.  Facts of the space
+    alone, such as its weak elements, live on the space.
 
-    The memo lives on the object only: build one per instance (`weak` may
-    pass in the weak elements of the space, shared by every map on it) and
-    drop it with the instance.
+    The memo lives on the object only: build one per instance and drop it
+    with the instance.
     """
 
-    __slots__ = ("space", "mapping", "_classification", "_weak", "_preservation", "_reports")
+    __slots__ = ("space", "mapping", "_preservation", "_reports")
 
-    def __init__(self, space: FiniteSpace, mapping: SelfMap, *, weak: frozenset[int] | None = None):
+    def __init__(self, space: FiniteSpace, mapping: SelfMap):
         self.space = space
         self.mapping = mapping
-        self._classification: OrthoClassification | None = None
-        self._weak = weak
         self._preservation: PreservationReport | None = None
         self._reports: dict[tuple, ContractionReport] = {}
 
@@ -323,21 +305,6 @@ class Analysis:
         if analysis.space is not space or analysis.mapping is not mapping:
             raise InputError("analysis was built for a different space or map")
         return analysis
-
-    @property
-    def classification(self) -> OrthoClassification:
-        if self._classification is None:
-            self._classification = classify_orthogonality(self.space)
-        return self._classification
-
-    @property
-    def weak(self) -> frozenset[int]:
-        if self._weak is None:
-            if self._classification is not None:
-                self._weak = self._classification.weak_elements
-            else:
-                self._weak = weak_orthogonal_elements(self.space)
-        return self._weak
 
     @property
     def preservation(self) -> PreservationReport:

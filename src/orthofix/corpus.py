@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .contraction import (
+    Analysis,
     ContractionKind,
-    check_contraction,
     hierarchy_check,
     m_value,
     scan_value_pairs,
@@ -26,10 +26,8 @@ from .contraction import (
 from .errors import InputError
 from .oracle import brute_force_fixed_points
 from .quadext import QuadExt, qext_compare
-from .rational import format_rational
 from .relational import (
     classify_orthogonality,
-    is_ow_preserving,
     is_ow_sequence,
     orbit,
     strong_orthogonal_elements,
@@ -134,25 +132,27 @@ def _case_five_point() -> CaseReport:
     rec = _Recorder()
     space, mapping = five_point_example()
 
+    analysis = Analysis(space, mapping)
+
     cls = classify_orthogonality(space)
     rec.check("classification", "O_w-set-only", cls.verdict, "stated")
     rec.check("weak orthogonal elements", {0}, set(cls.weak_elements), "stated")
     rec.check("strong orthogonal elements", set(), set(cls.strong_elements), "stated")
-    rec.check("map preserves orthogonal relatedness", True, is_ow_preserving(space, mapping).preserving, "stated")
+    rec.check("map preserves orthogonal relatedness", True, analysis.preservation.preserving, "stated")
 
     rec.check("M(3,4)", Fraction(4), m_value(ContractionKind.GENERALIZED_PERP, space, mapping, 3, 4), "stated")
     rec.check("M(0,4)", Fraction(4), m_value(ContractionKind.GENERALIZED_PERP, space, mapping, 0, 4), "derived")
 
-    gen = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping)
+    gen = analysis.report(ContractionKind.GENERALIZED_PERP)
     rec.check("generalized minimal k", Fraction(1, 2), gen.minimal_k, "derived")
     rec.check_true("generalized admissible", gen.admissible, "derived")
     rec.check("generalized max-ratio witness", (0, 2), gen.witness_max, "derived")
 
-    gen_sym = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
+    gen_sym = analysis.report(ContractionKind.GENERALIZED_PERP, symmetric=True)
     rec.check("orientation-complete minimal k", Fraction(2, 3), gen_sym.minimal_k, "derived")
     rec.check("orientation-complete witness", (4, 3), gen_sym.witness_max, "derived")
 
-    ban = check_contraction(ContractionKind.BANACH_PERP, space, mapping)
+    ban = analysis.report(ContractionKind.BANACH_PERP)
     rec.check("banach minimal k", Fraction(2), ban.minimal_k, "derived")
     rec.check("banach admissible", False, ban.admissible, "stated")
     rec.check("banach max-ratio witness", (3, 4), ban.witness_max, "stated")
@@ -170,19 +170,21 @@ def _case_five_point() -> CaseReport:
         info = orbit(space, mapping, start)
         rec.check(f"orbit from {start}", (prefix, cycle), (info.prefix, info.cycle), "stated")
 
-    trace0 = picard_solve(space, mapping, 0, k=Fraction(1, 2))
+    trace0 = picard_solve(space, mapping, 0, k=Fraction(1, 2), analysis=analysis)
     rec.check("iteration from 0: iterates", (0,), trace0.iterates, "stated")
     rec.check_true("iteration from 0: converged at 0", trace0.converged and trace0.fixed_point == 0, "stated")
 
-    trace4 = picard_solve(space, mapping, 4, k=Fraction(1, 2), allow_any_start=True)
+    trace4 = picard_solve(space, mapping, 4, k=Fraction(1, 2), allow_any_start=True, analysis=analysis)
     rec.check("iteration from 4: iterates", (4, 2, 1, 0), trace4.iterates, "stated")
     rec.check("iteration from 4: applications", 3, trace4.applications, "stated")
     rec.check_true("iteration from 4: converged at 0", trace4.converged and trace4.fixed_point == 0, "stated")
 
-    rec.check_true("hypotheses hold (orbital-continuity mode)", hypothesis_check(space, mapping).all_hold, "stated")
-    rec.check_true("hypotheses hold (O1 mode)", hypothesis_check(space, mapping, MODE_O1).all_hold, "derived")
+    hyp = hypothesis_check(space, mapping, analysis=analysis)
+    rec.check_true("hypotheses hold (orbital-continuity mode)", hyp.all_hold, "stated")
+    hyp_o1 = hypothesis_check(space, mapping, MODE_O1, analysis=analysis)
+    rec.check_true("hypotheses hold (O1 mode)", hyp_o1.all_hold, "derived")
 
-    bad = [v.name for v in hierarchy_check(space, mapping) if not v.holds]
+    bad = [v.name for v in hierarchy_check(space, mapping, analysis=analysis) if not v.holds]
     rec.check("hierarchy implication failures", [], bad, "derived")
 
     return CaseReport(
@@ -371,7 +373,7 @@ def _case_r2_counterexample(max_n: int = 1000) -> CaseReport:
 
 def leq_space(values: list[Fraction]) -> FiniteSpace:
     """Sample of the reals ordered by <=: (i, j) related iff v_i <= v_j."""
-    labels = [format_rational(v) for v in values]
+    labels = [str(v) for v in values]
     metric = [[abs(a - b) for b in values] for a in values]
     relation = [
         (i, j) for i in range(len(values)) for j in range(len(values)) if values[i] <= values[j]
@@ -420,7 +422,7 @@ def orbit_space_example() -> tuple[FiniteSpace, SelfMap]:
     the sample is closed under it.
     """
     values = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2)]
-    labels = [format_rational(v) for v in values]
+    labels = [str(v) for v in values]
     metric = [[abs(a - b) for b in values] for a in values]
     relation = [
         (i, j)

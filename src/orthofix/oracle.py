@@ -27,10 +27,9 @@ from fractions import Fraction
 
 from .contraction import Analysis, hierarchy_check
 from .errors import InputError
-from .rational import format_rational
-from .relational import weak_orthogonal_elements
+from .rational import as_rational
 from .solver import _hypotheses_hold, hypothesis_check, picard_solve
-from .space import FiniteSpace, SelfMap, validate_metric
+from .space import FiniteSpace, SelfMap, _is_index, validate_metric
 from .spacefile import space_to_dict
 
 
@@ -53,12 +52,15 @@ class GenParams:
     map_attempts: int = 64
 
     def __post_init__(self):
+        for name in ("seed", "trials", "max_points", "map_attempts"):
+            if not _is_index(getattr(self, name)):
+                raise InputError(f"{name} must be an int, got {getattr(self, name)!r}")
         if not (2 <= self.max_points <= 32):
             raise InputError("max_points must lie in [2, 32]")
         lo, hi = self.weight_range
-        if not (1 <= lo <= hi):
-            raise InputError("weight_range must satisfy 1 <= lo <= hi")
-        density = Fraction(self.relation_density)
+        if not (_is_index(lo) and _is_index(hi) and 1 <= lo <= hi):
+            raise InputError("weight_range must be two ints with 1 <= lo <= hi")
+        density = as_rational(self.relation_density, "relation_density")
         if not (0 <= density <= 1):
             raise InputError("relation_density must lie in [0, 1]")
         object.__setattr__(self, "relation_density", density)
@@ -73,7 +75,7 @@ class GenParams:
             "trials": self.trials,
             "max_points": self.max_points,
             "weight_range": list(self.weight_range),
-            "relation_density": format_rational(self.relation_density),
+            "relation_density": str(self.relation_density),
             "map_attempts": self.map_attempts,
         }
 
@@ -114,18 +116,17 @@ def generate_space(params: GenParams, rng: random.Random | None = None) -> Finit
     for y in range(n):
         if (x0, y) not in relation and (y, x0) not in relation:
             relation.add((x0, y) if rng.getrandbits(1) else (y, x0))
-    return FiniteSpace([str(i) for i in range(n)], metric, sorted(relation))
+    return FiniteSpace([str(i) for i in range(n)], metric, relation)
 
 
 def _sample_map(params: GenParams, space: FiniteSpace, rng: random.Random) -> tuple[Analysis | None, int]:
     """The accepted candidate's Analysis (or None) and the number of candidates tried."""
     n = space.n
-    weak = weak_orthogonal_elements(space)
     for attempt in range(params.map_attempts):
         attractor = rng.randrange(n)
         images = [attractor if rng.getrandbits(1) else rng.randrange(n) for _ in range(n)]
         candidate = SelfMap(images, n)
-        analysis = Analysis(space, candidate, weak=weak)
+        analysis = Analysis(space, candidate)
         if _hypotheses_hold(space, candidate, analysis):
             return analysis, attempt + 1
     return None, params.map_attempts
@@ -201,8 +202,8 @@ def _audit_instance(
 
     Returns (discrepancies, traces_checked).  All inequalities are
     re-evaluated here from the raw trace data, independently of the
-    solver's internal enforcement; the hypotheses, weak elements and scans
-    are read from `analysis`, which the instance filter already filled.
+    solver's internal enforcement; the hypotheses and scans are read from
+    `analysis`, which the instance filter already filled.
     """
     analysis = Analysis.of(space, mapping, analysis)
     problems: list[str] = []
@@ -217,7 +218,7 @@ def _audit_instance(
     hyp = hypothesis_check(space, mapping, analysis=analysis)
     k = hyp.minimal_k
     traces = 0
-    for w in sorted(analysis.weak):
+    for w in sorted(space.weak_elements):
         trace = picard_solve(space, mapping, w, k=k, analysis=analysis)
         traces += 1
         if not trace.converged or trace.fixed_point != z:

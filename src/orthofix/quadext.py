@@ -209,16 +209,14 @@ class QuadExt:
         return f"QuadExt({self.a!r}, {self.b!r}, {self.d})"
 
     def __str__(self):
-        from .rational import format_rational
-
         if self.b == 0:
-            return format_rational(self.a)
+            return str(self.a)
         mag = abs(self.b)
-        rad = f"sqrt({self.d})" if mag == 1 else f"({format_rational(mag)})*sqrt({self.d})"
+        rad = f"sqrt({self.d})" if mag == 1 else f"({str(mag)})*sqrt({self.d})"
         if self.a == 0:
             return rad if self.b > 0 else f"-{rad}"
         sign = "+" if self.b > 0 else "-"
-        return f"{format_rational(self.a)} {sign} {rad}"
+        return f"{str(self.a)} {sign} {rad}"
 
 
 def qext_compare(x: QuadExt, y: QuadExt) -> int:

@@ -43,8 +43,19 @@ def parse_rational(text: str | int) -> Fraction:
     return Fraction(num, den)
 
 
+def as_rational(value: Fraction | int, name: str) -> Fraction:
+    """An int or Fraction parameter as a Fraction.
+
+    Floats are binary approximations and bools are not numbers here, so
+    both raise InputError instead of being converted.
+    """
+    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
+        return Fraction(value)
+    raise InputError(f"{name} must be an int or a Fraction, got {value!r}")
+
+
 def format_rational(value: Fraction) -> str:
-    """Render a rational as "p" or "p/q" (the same syntax parse accepts)."""
+    """Render a rational as "p" or "p/q" (the same syntax parse accepts; equal to `str(value)`)."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

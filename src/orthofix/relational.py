@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InputError
-from .space import FiniteSpace, SelfMap
+from .space import FiniteSpace, SelfMap, _check_point
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,11 @@ def strong_orthogonal_elements(space: FiniteSpace) -> frozenset[int]:
 
 
 def weak_orthogonal_elements(space: FiniteSpace) -> frozenset[int]:
-    """Points related (in some direction, possibly varying) to every point."""
-    return frozenset(
-        x for x in range(space.n) if all(space.related(x, y) for y in range(space.n))
-    )
+    """Points related (in some direction, possibly varying) to every point.
+
+    The set is built once, with the space (`FiniteSpace.weak_elements`).
+    """
+    return space.weak_elements
 
 
 def classify_orthogonality(space: FiniteSpace) -> OrthoClassification:
@@ -111,8 +112,7 @@ def is_ow_sequence(space: FiniteSpace, seq: Sequence[int]) -> SequenceCheck:
     if len(seq) == 0:
         raise InputError("sequence must be non-empty")
     for idx in seq:
-        if not (0 <= idx < space.n):
-            raise InputError(f"sequence index {idx} out of range")
+        _check_point(space, idx, "sequence index")
     for n in range(len(seq) - 1):
         if not space.related(seq[n], seq[n + 1]):
             return SequenceCheck(False, n)
@@ -130,12 +130,11 @@ def is_ow_preserving(space: FiniteSpace, mapping: SelfMap) -> PreservationReport
     if len(mapping) != space.n:
         raise InputError("map size does not match the space")
     rel = space.relation
-    related = space._related
     t = mapping.images
     violations = tuple(
         (i, j)
-        for (i, j) in sorted(rel)
-        if not (i > j and (j, i) in rel) and (t[i], t[j]) not in related
+        for (i, j) in space.sorted_relation
+        if not (i > j and (j, i) in rel) and (t[i], t[j]) not in rel and (t[j], t[i]) not in rel
     )
     return PreservationReport(preserving=not violations, violations=violations)
 
@@ -147,8 +146,7 @@ def orbit(space: FiniteSpace, mapping: SelfMap, start: int) -> OrbitInfo:
     marks its entry.  Concatenating the prefix with the cycle repeated
     reproduces the full iterate sequence.
     """
-    if not (0 <= start < space.n):
-        raise InputError(f"start index {start} out of range")
+    _check_point(space, start, "start index")
     first_seen: dict[int, int] = {}
     walk: list[int] = []
     x = start

@@ -28,8 +28,9 @@ from fractions import Fraction
 
 from .contraction import Analysis, ContractionKind
 from .errors import CertificateError, InputError
+from .rational import as_rational
 from .relational import orbit
-from .space import FiniteSpace, SelfMap
+from .space import FiniteSpace, SelfMap, _check_point
 
 MODE_ORBITAL_CONTINUITY = "orbital-continuity"
 MODE_O1 = "O1"
@@ -41,7 +42,7 @@ def required_iterations(k: Fraction, d1: Fraction, eps: Fraction) -> int:
     No logarithms anywhere: the bound is evaluated as an exact rational at
     each probed n.
     """
-    k, d1, eps = Fraction(k), Fraction(d1), Fraction(eps)
+    k, d1, eps = as_rational(k, "k"), as_rational(d1, "d1"), as_rational(eps, "eps")
     if not (0 <= k < 1):
         raise InputError(f"k must lie in [0, 1), got {k}")
     if d1 < 0:
@@ -74,8 +75,7 @@ def required_iterations(k: Fraction, d1: Fraction, eps: Fraction) -> int:
 
 def certify_fixed_point(space: FiniteSpace, mapping: SelfMap, z: int) -> bool:
     """True iff z maps to itself (equivalently d(z, Tz) = 0)."""
-    if not (0 <= z < space.n):
-        raise InputError(f"index {z} out of range")
+    _check_point(space, z)
     return mapping(z) == z
 
 
@@ -96,18 +96,13 @@ class PicardTrace:
         return len(self.iterates) - 1
 
     def to_dict(self, space: FiniteSpace | None = None) -> dict:
-        from .rational import format_rational
-
-        def fmt(v):
-            return format_rational(v) if isinstance(v, Fraction) else str(v)
-
         label = (lambda i: space.points[i]) if space is not None else (lambda i: i)
         return {
             "start": label(self.start),
             "iterates": [label(i) for i in self.iterates],
-            "step_distances": [fmt(d) for d in self.step_distances],
-            "k": fmt(self.k),
-            "apriori_bounds": [fmt(b) for b in self.apriori_bounds] if self.apriori_bounds is not None else None,
+            "step_distances": [str(d) for d in self.step_distances],
+            "k": str(self.k),
+            "apriori_bounds": [str(b) for b in self.apriori_bounds] if self.apriori_bounds is not None else None,
             "converged": self.converged,
             "fixed_point": label(self.fixed_point) if self.fixed_point is not None else None,
             "certified": self.certified,
@@ -144,22 +139,22 @@ def picard_solve(
     violation raises CertificateError), but the trace is not certified.
 
     Stops on the first of: exact zero step distance (converged at a fixed
-    point), certified tail bound <= eps, or max_iter.  Weak elements,
-    preservation and the scans are read from `analysis` when one is given.
+    point), certified tail bound <= eps, or max_iter.  `k` and `eps` are
+    ints or Fractions (a float would be a binary approximation).
+    Preservation and the scans are read from `analysis` when one is given.
     """
-    if not (0 <= start < space.n):
-        raise InputError(f"start index {start} out of range")
+    _check_point(space, start, "start index")
     if max_iter < 0:
         raise InputError("max_iter must be non-negative")
     analysis = Analysis.of(space, mapping, analysis)
-    weak = analysis.weak
+    weak = space.weak_elements
     if start not in weak and not allow_any_start:
         raise InputError(
             f"start {space.points[start]!r} is not a weak orthogonal element; "
             "pass allow_any_start to iterate anyway (the trace will be uncertified)"
         )
     if k is not None:
-        k = Fraction(k)
+        k = as_rational(k, "k")
         if not (0 <= k < 1):
             raise InputError(f"k must lie in [0, 1), got {k}")
     cert = analysis.report(ContractionKind.GENERALIZED_PERP, symmetric=True)
@@ -179,7 +174,7 @@ def picard_solve(
                 f"{rep.minimal_k}; pass allow_inadmissible_k to try anyway"
             )
     if eps is not None:
-        eps = Fraction(eps)
+        eps = as_rational(eps, "eps")
         if eps <= 0:
             raise InputError("eps must be positive")
 
@@ -260,20 +255,12 @@ class HypothesisReport:
     notes: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
-        from .rational import format_rational
-
-        if self.minimal_k is None:
-            k = None
-        elif isinstance(self.minimal_k, Fraction):
-            k = format_rational(self.minimal_k)
-        else:
-            k = str(self.minimal_k)
         return {
             "mode": self.mode,
             "has_weak_element": self.has_weak_element,
             "preserving": self.preserving,
             "contraction_feasible": self.contraction_feasible,
-            "minimal_k": k,
+            "minimal_k": None if self.minimal_k is None else str(self.minimal_k),
             "o1_mode_holds": self.o1_mode_holds,
             "all_hold": self.all_hold,
             "notes": list(self.notes),
@@ -289,7 +276,7 @@ def _hypotheses_hold(space: FiniteSpace, mapping: SelfMap, analysis: Analysis | 
     """
     analysis = Analysis.of(space, mapping, analysis)
     return (
-        bool(analysis.weak)
+        bool(space.weak_elements)
         and analysis.preservation.preserving
         and analysis.report(ContractionKind.GENERALIZED_PERP, symmetric=True).admissible
     )
@@ -315,13 +302,13 @@ def hypothesis_check(
     the finite reading of the subsequence condition: whenever the orbit of a
     weak element settles at a fixed point z, the constant tail must be
     orthogonally related to its limit, i.e. z related to z; orbits that do
-    not settle impose nothing.  Weak elements, preservation and the scan are
-    read from `analysis` when one is given.
+    not settle impose nothing.  Preservation and the scan are read from
+    `analysis` when one is given.
     """
     if mode not in (MODE_ORBITAL_CONTINUITY, MODE_O1):
         raise InputError(f"unknown mode {mode!r}")
     analysis = Analysis.of(space, mapping, analysis)
-    weak = analysis.weak
+    weak = space.weak_elements
     preserving = analysis.preservation.preserving
     rep = analysis.report(ContractionKind.GENERALIZED_PERP, symmetric=True)
     contraction_ok = rep.admissible

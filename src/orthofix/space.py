@@ -4,8 +4,10 @@ A FiniteSpace is a labelled point set, an exact distance matrix and a set of
 ordered index pairs (i, j) meaning "point i is orthogonal to point j".  The
 relation is stored exactly as given: it is not assumed reflexive, symmetric
 or transitive.  Two points count as *orthogonally related* when either
-orientation is present; that symmetric view is computed at query time and
-never materialized.
+orientation is present.  That symmetric closure is built once, at
+construction, together with the other views every layer reads: the stored
+pairs and the closure in sorted order (the order scans and reports use), and
+the weak orthogonal elements.
 
 Distance entries are Fractions for ordinary spaces; analytic sample spaces
 may carry QuadExt entries (one shared radicand).  A rational metric also
@@ -57,6 +59,14 @@ def _is_index(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_point(space: FiniteSpace, value, what: str = "index") -> None:
+    """Raise InputError unless `value` is an index (see `_is_index`) of a point of `space`."""
+    if not _is_index(value):
+        raise InputError(f"{what} {value!r} is not an index")
+    if not (0 <= value < space.n):
+        raise InputError(f"{what} {value} out of range")
+
+
 def _is_exact(value) -> bool:
     """A metric entry is an int, a Fraction or a QuadExt; floats and bools are never accepted."""
     return isinstance(value, (Fraction, QuadExt)) or _is_index(value)
@@ -73,7 +83,9 @@ def _integer_form(rows: tuple[tuple[Scalar, ...], ...]) -> tuple[tuple[int, ...]
 class FiniteSpace:
     """Immutable labelled point set + exact metric + directed relation."""
 
-    __slots__ = ("points", "metric", "int_metric", "relation", "_related")
+    __slots__ = (
+        "points", "metric", "int_metric", "relation", "sorted_relation", "sorted_closure", "weak_elements", "_related"
+    )
 
     def __init__(
         self,
@@ -108,7 +120,11 @@ class FiniteSpace:
         self.metric = rows
         self.int_metric = int_metric
         self.relation = frozenset(rel)
-        self._related = self.relation | frozenset((j, i) for (i, j) in self.relation)
+        self._related = closure = self.relation | frozenset((j, i) for (i, j) in self.relation)
+        self.sorted_relation = tuple(sorted(self.relation))
+        self.sorted_closure = tuple(sorted(closure))
+        # related, in some direction that may vary with y, to every point y (itself included)
+        self.weak_elements = frozenset(x for x in range(n) if all((x, y) in closure for y in range(n)))
 
     @property
     def n(self) -> int:
@@ -124,8 +140,8 @@ class FiniteSpace:
             raise InputError(f"unknown point label {label!r}") from None
 
     def related(self, i: int, j: int) -> bool:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise InputError(f"index pair ({i}, {j}) out of range for {self.n} points")
+        _check_point(self, i)
+        _check_point(self, j)
         return (i, j) in self._related
 
     def __repr__(self):
@@ -164,14 +180,6 @@ def related(space: FiniteSpace, i: int, j: int) -> bool:
     return space.related(i, j)
 
 
-def _fmt(value: Scalar) -> str:
-    from .rational import format_rational
-
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return str(value)
-
-
 def validate_metric(space: FiniteSpace) -> ValidationReport:
     """Check every metric axiom exhaustively and report all violations.
 
@@ -198,15 +206,15 @@ def validate_metric(space: FiniteSpace) -> ValidationReport:
     violations: list[Violation] = []
     for i in range(n):
         if m[i][i] != 0:
-            violations.append(Violation("diagonal", (i,), (_fmt(exact[i][i]),)))
+            violations.append(Violation("diagonal", (i,), (str(exact[i][i]),)))
     symmetric = True
     for i in range(n):
         for j in range(n):
             if i < j and m[i][j] != m[j][i]:
                 symmetric = False
-                violations.append(Violation("symmetry", (i, j), (_fmt(exact[i][j]), _fmt(exact[j][i]))))
+                violations.append(Violation("symmetry", (i, j), (str(exact[i][j]), str(exact[j][i]))))
             if i != j and m[i][j] <= 0:
-                violations.append(Violation("positivity", (i, j), (_fmt(exact[i][j]),)))
+                violations.append(Violation("positivity", (i, j), (str(exact[i][j]),)))
     if symmetric:
         flagged = []
         for i in range(n):
@@ -226,7 +234,7 @@ def validate_metric(space: FiniteSpace) -> ValidationReport:
                     Violation(
                         "triangle",
                         (i, j, k),
-                        (_fmt(exact[i][j]), _fmt(exact[i][k]), _fmt(exact[k][j])),
+                        (str(exact[i][j]), str(exact[i][k]), str(exact[k][j])),
                     )
                 )
     return ValidationReport(ok=not violations, violations=tuple(violations))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import InputError
-from .rational import format_rational, parse_rational
+from .rational import parse_rational
 from .space import FiniteSpace, SelfMap, _is_index, validate_metric
 
 _ALLOWED_KEYS = {"points", "metric", "relation", "map"}
@@ -103,14 +103,12 @@ def load_space_file(path: str | Path) -> tuple[FiniteSpace, SelfMap | None]:
 def space_to_dict(space: FiniteSpace, mapping: SelfMap | None = None) -> dict:
     """Render an instance in the space-definition format (round-trips exactly)."""
     def entry(v):
-        if isinstance(v, Fraction):
-            return v.numerator if v.denominator == 1 else format_rational(v)
-        return str(v)
+        return v.numerator if isinstance(v, Fraction) and v.denominator == 1 else str(v)
 
     out = {
         "points": list(space.points),
         "metric": [[entry(v) for v in row] for row in space.metric],
-        "relation": [list(p) for p in sorted(space.relation)],
+        "relation": [list(p) for p in space.sorted_relation],
     }
     if mapping is not None:
         out["map"] = list(mapping.images)

@@ -2,8 +2,9 @@
 
 The scan counts below are the contract: `verify` needs 8 distinct scans
 (six oriented kinds, the certified symmetric scan and the integer-form
-rescan), and the audit reuses the filter's symmetric scan for the
-hypothesis check and for every Picard trace.
+rescan), the audit reuses the filter's symmetric scan for the hypothesis
+check and for every Picard trace, and the corpus's five-point case needs 7.
+Facts of the space alone (its weak elements) live on the space, not here.
 """
 
 from fractions import Fraction
@@ -19,7 +20,6 @@ from orthofix import (
     InputError,
     SelfMap,
     check_contraction,
-    classify_orthogonality,
     contraction,
     hierarchy_check,
     hypothesis_check,
@@ -29,6 +29,7 @@ from orthofix import (
     weak_orthogonal_elements,
 )
 from orthofix.cli import main
+from orthofix.corpus import run_case
 from orthofix.solver import MODE_O1, _hypotheses_hold
 
 FIVE_POINT = str(Path(__file__).resolve().parent.parent / "data" / "five_point.json")
@@ -60,6 +61,12 @@ def test_audit_reuses_the_filters_scan(scan_calls):
     assert len(scan_calls) == 546 - summary.trials_run - summary.trace_count == 438
 
 
+def test_corpus_five_point_shares_one_analysis(scan_calls):
+    assert run_case("five-point").ok
+    # generalized (oriented, symmetric, exact metric), banach, ciric, kannan, chatterjea; 15 without sharing
+    assert len(scan_calls) == 7
+
+
 def test_analysis_fills_each_fact_once(five_point, scan_calls):
     space, mapping = five_point
     analysis = Analysis(space, mapping)
@@ -70,18 +77,17 @@ def test_analysis_fills_each_fact_once(five_point, scan_calls):
     assert analysis.report(ContractionKind.GENERALIZED_PERP, engine="generic") is not first
     assert analysis.preservation is analysis.preservation
     assert analysis.preservation == is_ow_preserving(space, mapping)
-    assert analysis.classification == classify_orthogonality(space)
-    assert analysis.weak == weak_orthogonal_elements(space)
+    assert weak_orthogonal_elements(space) is space.weak_elements == {0}
 
 
 def test_shared_analysis_gives_the_same_results(accepted_instances):
     for space, mapping in accepted_instances[:10]:
-        analysis = Analysis(space, mapping, weak=weak_orthogonal_elements(space))
+        analysis = Analysis(space, mapping)
         assert _hypotheses_hold(space, mapping, analysis)
         for mode in ("orbital-continuity", MODE_O1):
             assert hypothesis_check(space, mapping, mode, analysis=analysis) == hypothesis_check(space, mapping, mode)
         k = hypothesis_check(space, mapping).minimal_k
-        for w in sorted(analysis.weak):
+        for w in sorted(space.weak_elements):
             assert picard_solve(space, mapping, w, k=k, analysis=analysis) == picard_solve(space, mapping, w, k=k)
         assert hierarchy_check(space, mapping, analysis=analysis) == hierarchy_check(space, mapping)
 

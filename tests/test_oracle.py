@@ -119,6 +119,31 @@ def test_params_validation():
         GenParams(trials=-1)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"relation_density": 0.3},
+        {"relation_density": True},
+        {"relation_density": "1/4"},
+        {"trials": True},
+        {"trials": 5.0},
+        {"max_points": 8.0},
+        {"seed": 1.5},
+        {"map_attempts": True},
+        {"weight_range": (1.0, 10)},
+    ],
+)
+def test_params_reject_floats_and_bools(kwargs):
+    # A float is its binary approximation: 0.3 would be stored as 5404319552844595/18014398509481984.
+    with pytest.raises(InputError):
+        GenParams(**kwargs)
+
+
+def test_params_accept_ints_and_fractions():
+    assert GenParams(relation_density=1).relation_density == Fraction(1)
+    assert GenParams(relation_density=Fraction(3, 10)).to_dict()["relation_density"] == "3/10"
+
+
 def test_failure_record_shape():
     # Force a bogus "failure" by auditing a handcrafted non-singleton case
     # through the internal instance checker.

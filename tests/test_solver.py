@@ -26,6 +26,30 @@ def naive_required(k, d1, eps, cap=10_000):
     return n
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(0.5, 1, Fraction(1, 512)), (Fraction(1, 2), 1.0, 1), (Fraction(1, 2), 1, 0.001), (Fraction(1, 2), True, 1)],
+)
+def test_required_iterations_rejects_floats_and_bools(args):
+    with pytest.raises(InputError, match="int or a Fraction"):
+        required_iterations(*args)
+
+
+@pytest.mark.parametrize("kwargs", [{"k": 0.7}, {"k": False}, {"k": "2/3"}, {"eps": 0.001}, {"eps": True}])
+def test_picard_rejects_inexact_parameters(five_point, kwargs):
+    # A float is its binary approximation: k=0.7 would certify k = 3152519739159347/4503599627370496.
+    space, mapping = five_point
+    with pytest.raises(InputError, match="int or a Fraction"):
+        picard_solve(space, mapping, 0, **kwargs)
+
+
+def test_picard_accepts_int_and_fraction_parameters(five_point):
+    space, mapping = five_point
+    trace = picard_solve(space, mapping, 0, k=Fraction(3, 4), eps=1)
+    assert trace.k == Fraction(3, 4) and trace.certified
+    assert picard_solve(space, mapping, 0, k=0, allow_inadmissible_k=True).k == 0
+
+
 def test_required_iterations_frozen_values():
     assert required_iterations(Fraction(1, 2), Fraction(1), Fraction(1, 512)) == 10
     assert required_iterations(Fraction(1, 2), Fraction(0), Fraction(1, 10)) == 0

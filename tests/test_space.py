@@ -5,7 +5,21 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from orthofix import FiniteSpace, InputError, QuadExt, SelfMap, related, validate_metric
+from orthofix import (
+    ContractionKind,
+    FiniteSpace,
+    InputError,
+    QuadExt,
+    SelfMap,
+    certify_fixed_point,
+    is_ow_sequence,
+    m_value,
+    orbit,
+    picard_solve,
+    related,
+    validate_metric,
+    weak_orthogonal_elements,
+)
 from orthofix.oracle import _shortest_path_metric
 
 
@@ -92,6 +106,27 @@ def test_related_out_of_range(five_point):
         related(space, 0, 9)
 
 
+@st.composite
+def _relations(draw):
+    """A point count n <= 8 and a list of index pairs: empty, full twice over, or random with repeats."""
+    n = draw(st.integers(1, 8))
+    full = [(i, j) for i in range(n) for j in range(n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return n, draw(st.one_of(st.just([]), st.just(full + full), st.lists(pair, max_size=2 * n * n)))
+
+
+@given(_relations())
+def test_relation_views_match_their_definitions(case):
+    n, pairs = case
+    space = _space([[abs(i - j) for j in range(n)] for i in range(n)], pairs)
+    closure = set(pairs) | {(j, i) for (i, j) in pairs}
+    assert space.sorted_relation == tuple(sorted(set(pairs)))
+    assert space.sorted_closure == tuple(sorted(closure))
+    assert {(i, j) for i in range(n) for j in range(n) if space.related(i, j)} == closure
+    weak = {x for x in range(n) if all(space.related(x, y) for y in range(n))}
+    assert space.weak_elements == weak_orthogonal_elements(space) == weak
+
+
 def test_construction_rejects_bad_inputs():
     with pytest.raises(InputError, match="unique"):
         FiniteSpace(["a", "a"], [[Fraction(0)] * 2] * 2, [])
@@ -121,6 +156,25 @@ def test_float_relation_index_rejected():
 def test_non_int_map_image_rejected(image):
     with pytest.raises(InputError, match="not an index"):
         SelfMap([0, image], 2)
+
+
+_POINT_ENTRY_POINTS = {
+    "related": lambda space, mapping, v: related(space, v, 0),
+    "orbit": lambda space, mapping, v: orbit(space, mapping, v),
+    "is_ow_sequence": lambda space, mapping, v: is_ow_sequence(space, [v, 2]),
+    "picard_solve": lambda space, mapping, v: picard_solve(space, mapping, v),
+    "m_value": lambda space, mapping, v: m_value(ContractionKind.GENERALIZED_PERP, space, mapping, v, 0),
+    "certify_fixed_point": lambda space, mapping, v: certify_fixed_point(space, mapping, v),
+}
+
+
+@pytest.mark.parametrize("value", [True, 0.0, 1.0, "0"])
+@pytest.mark.parametrize("entry", sorted(_POINT_ENTRY_POINTS))
+def test_point_index_must_be_an_int(five_point, entry, value):
+    # A bool or a float must not stand in for a point (0.0 hashes like 0), and a string must fail as input.
+    space, mapping = five_point
+    with pytest.raises(InputError, match="not an index"):
+        _POINT_ENTRY_POINTS[entry](space, mapping, value)
 
 
 def test_index_of(five_point):
