@@ -32,7 +32,7 @@ from .oracle import (
     theorem_audit,
 )
 from .quadext import QuadExt, qext_compare, qext_is_rational
-from .rational import Rat, format_rational, parse_rational
+from .rational import parse_rational
 from .relational import (
     OrbitInfo,
     OrthoClassification,
@@ -52,7 +52,7 @@ from .solver import (
     picard_solve,
     required_iterations,
 )
-from .space import FiniteSpace, SelfMap, ValidationReport, related, validate_metric
+from .space import FiniteSpace, SelfMap, ValidationReport, validate_metric
 from .spacefile import load_space_file, parse_space_data, space_to_dict
 
 __version__ = "0.1.0"
@@ -75,14 +75,12 @@ __all__ = [
     "PicardTrace",
     "PreservationReport",
     "QuadExt",
-    "Rat",
     "SelfMap",
     "ValidationReport",
     "brute_force_fixed_points",
     "certify_fixed_point",
     "check_contraction",
     "classify_orthogonality",
-    "format_rational",
     "generate_map",
     "generate_space",
     "hierarchy_check",
@@ -98,7 +96,6 @@ __all__ = [
     "picard_solve",
     "qext_compare",
     "qext_is_rational",
-    "related",
     "required_iterations",
     "run_case",
     "scan_value_pairs",

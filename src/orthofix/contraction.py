@@ -30,8 +30,8 @@ value domain it reads:
   denominators), used for every rational metric -- plain arbitrary-precision
   ints, so no size limit;
 * the exact metric itself, used for QuadExt metrics, for value-domain
-  samples (indexed into a small distance matrix), and as the reference the
-  integer form is checked against.
+  samples (indexed into a small distance matrix), and, forced by
+  `engine="generic"`, as the tests' and the benchmark's reference.
 
 The pair sets are the space's sorted stored relation and sorted closure,
 built once per space.  An `Analysis` carries the facts of one map on a
@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 from .errors import InputError
 from .relational import PreservationReport, is_ow_preserving
-from .space import FiniteSpace, Scalar, SelfMap, _check_point
+from .space import FiniteSpace, Scalar, SelfMap, _check_point, _integer_form_mismatch
 
 
 class ContractionKind(str, Enum):
@@ -281,8 +281,8 @@ class Analysis:
     Preservation and contraction reports are filled in on first use and
     reused afterwards, so the commands, the audit and the corpus can hand
     one Analysis to every check of an instance instead of recomputing what
-    an earlier check already has.  Reports are keyed by (kind, symmetric,
-    engine) and still come from `check_contraction`.  Facts of the space
+    an earlier check already has.  Reports are keyed by (kind, symmetric)
+    and still come from `check_contraction`.  Facts of the space
     alone, such as its weak elements, live on the space.
 
     The memo lives on the object only: build one per instance and drop it
@@ -312,12 +312,12 @@ class Analysis:
             self._preservation = is_ow_preserving(self.space, self.mapping)
         return self._preservation
 
-    def report(self, kind: ContractionKind, *, symmetric: bool = False, engine: str | None = None) -> ContractionReport:
-        """`check_contraction(kind, space, mapping, symmetric=..., engine=...)`, scanned once."""
-        key = (ContractionKind(kind), symmetric, engine)
+    def report(self, kind: ContractionKind, *, symmetric: bool = False) -> ContractionReport:
+        """`check_contraction(kind, space, mapping, symmetric=...)`, scanned once."""
+        key = (ContractionKind(kind), symmetric)
         rep = self._reports.get(key)
         if rep is None:
-            rep = self._reports[key] = check_contraction(kind, self.space, self.mapping, symmetric=symmetric, engine=engine)
+            rep = self._reports[key] = check_contraction(kind, self.space, self.mapping, symmetric=symmetric)
         return rep
 
 
@@ -348,11 +348,12 @@ def hierarchy_check(
 
     The chain banach -> ciric -> generalized can only lower the minimal
     constant; kannan and chatterjea constants below 1/2 bound the ciric
-    constant by doubling.  The first verdict rescans the generalized kind on
-    the exact metric and requires the same report as on the integer form.
-    Any failure here falsifies the scan implementation, so each verdict
-    carries a witness.  The oriented reports are read from `analysis` when
-    one is given.
+    constant by doubling.  The first verdict checks the integer form entry
+    by entry: when it is s * metric for one s > 0, every functional value
+    and every d(Tx, Ty) scales by s, so every scan on it agrees with the
+    exact metric; its witness is the first bad entry (i, j).  Any failure
+    falsifies the scan implementation, so each verdict carries a witness.
+    The oriented reports are read from `analysis` when one is given.
     """
     analysis = Analysis.of(space, mapping, analysis)
     reports = {
@@ -366,18 +367,12 @@ def hierarchy_check(
         )
     }
 
-    scaled = reports[ContractionKind.GENERALIZED_PERP]
     if space.int_metric is None:
         exact = HierarchyVerdict("integer-form-exact", True, None, "metric is not rational; no integer form to check")
     else:
-        generic = analysis.report(ContractionKind.GENERALIZED_PERP, engine="generic")
-        ok = generic == scaled
-        exact = HierarchyVerdict(
-            "integer-form-exact",
-            ok,
-            None if ok else (scaled.witness_max or generic.witness_max),
-            "the generalized report on the integer form equals the report on the exact metric",
-        )
+        bad = _integer_form_mismatch(space.metric, space.int_metric)
+        detail = "every integer-form entry is the exact entry times the lcm of the denominators"
+        exact = HierarchyVerdict("integer-form-exact", bad is None, bad, detail)
     verdicts = [exact]
 
     def implication(name: str, premise: ContractionReport, conclusion: ContractionReport, factor: int) -> HierarchyVerdict:

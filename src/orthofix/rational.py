@@ -5,7 +5,8 @@ All distances, contraction constants and error bounds in this package are
 only thing the standard type does not give us is a strict surface syntax:
 `Fraction("1.5")` happily parses a decimal, and we must not accept decimals
 anywhere (files, flags) because they invite silent precision loss.  The
-helpers here accept integer literals and "p/q" only.
+helpers here accept integer literals and "p/q" only.  Rendering needs no
+helper: `str()` of a Fraction is already "p" or "p/q".
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ import re
 from fractions import Fraction
 
 from .errors import InputError
-
-# Exact rational scalar used throughout the package.
-Rat = Fraction
 
 _RAT_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?$")
 
@@ -52,10 +50,3 @@ def as_rational(value: Fraction | int, name: str) -> Fraction:
     if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
         return Fraction(value)
     raise InputError(f"{name} must be an int or a Fraction, got {value!r}")
-
-
-def format_rational(value: Fraction) -> str:
-    """Render a rational as "p" or "p/q" (the same syntax parse accepts; equal to `str(value)`)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"

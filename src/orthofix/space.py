@@ -80,6 +80,18 @@ def _integer_form(rows: tuple[tuple[Scalar, ...], ...]) -> tuple[tuple[int, ...]
     return tuple(tuple(e.numerator * (scale // e.denominator) for e in row) for row in rows)
 
 
+def _integer_form_mismatch(
+    rows: tuple[tuple[Fraction, ...], ...], int_rows: tuple[tuple[int, ...], ...]
+) -> tuple[int, int] | None:
+    """The first (i, j) where `int_rows` is not `rows` times the lcm of its denominators, or None."""
+    scale = lcm(*{e.denominator for row in rows for e in row})
+    for i, (row, int_row) in enumerate(zip(rows, int_rows, strict=True)):
+        for j, (e, v) in enumerate(zip(row, int_row, strict=True)):
+            if v * e.denominator != e.numerator * scale:
+                return i, j
+    return None
+
+
 class FiniteSpace:
     """Immutable labelled point set + exact metric + directed relation."""
 
@@ -140,6 +152,7 @@ class FiniteSpace:
             raise InputError(f"unknown point label {label!r}") from None
 
     def related(self, i: int, j: int) -> bool:
+        """True iff i and j are orthogonally related (either orientation)."""
         _check_point(self, i)
         _check_point(self, j)
         return (i, j) in self._related
@@ -173,11 +186,6 @@ class SelfMap:
 
     def __repr__(self):
         return f"SelfMap({list(self.images)})"
-
-
-def related(space: FiniteSpace, i: int, j: int) -> bool:
-    """True iff i and j are orthogonally related (either orientation)."""
-    return space.related(i, j)
 
 
 def validate_metric(space: FiniteSpace) -> ValidationReport:

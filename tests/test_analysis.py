@@ -1,9 +1,10 @@
 """One Analysis per (space, map): each derived fact is computed once and reused.
 
-The scan counts below are the contract: `verify` needs 8 distinct scans
-(six oriented kinds, the certified symmetric scan and the integer-form
-rescan), the audit reuses the filter's symmetric scan for the hypothesis
-check and for every Picard trace, and the corpus's five-point case needs 7.
+The scan counts below are the contract: `verify` needs 7 distinct scans
+(six oriented kinds and the certified symmetric scan), the audit reuses the
+filter's symmetric scan for the hypothesis check and for every Picard trace,
+and the corpus's five-point case needs 6.  The integer-form check of the
+hierarchy compares entries and scans nothing.
 Facts of the space alone (its weak elements) live on the space, not here.
 """
 
@@ -51,20 +52,21 @@ def scan_calls(monkeypatch):
 def test_verify_scans_each_report_once(scan_calls):
     result = CliRunner().invoke(main, ["verify", "--json", FIVE_POINT])
     assert result.exit_code == 0, result.output
-    assert len(scan_calls) == 8  # six oriented kinds, the certified scan, the integer-form rescan
+    assert len(scan_calls) == 7  # six oriented kinds and the certified scan
 
 
 def test_audit_reuses_the_filters_scan(scan_calls):
     summary = theorem_audit(GenParams(seed=0, trials=50))
     assert (summary.trials_run, summary.trace_count) == (50, 58)
-    # Without sharing, each hypothesis check and each trace would rescan symmetrically.
-    assert len(scan_calls) == 546 - summary.trials_run - summary.trace_count == 438
+    # Without sharing, each hypothesis check and each trace would rescan symmetrically;
+    # the integer-form check of each trial's hierarchy scans nothing.
+    assert len(scan_calls) == 546 - 2 * summary.trials_run - summary.trace_count == 388
 
 
 def test_corpus_five_point_shares_one_analysis(scan_calls):
     assert run_case("five-point").ok
-    # generalized (oriented, symmetric, exact metric), banach, ciric, kannan, chatterjea; 15 without sharing
-    assert len(scan_calls) == 7
+    # generalized (oriented, symmetric), banach, ciric, kannan, chatterjea; 15 without sharing
+    assert len(scan_calls) == 6
 
 
 def test_analysis_fills_each_fact_once(five_point, scan_calls):
@@ -74,7 +76,6 @@ def test_analysis_fills_each_fact_once(five_point, scan_calls):
     assert analysis.report("generalized_perp", symmetric=True) is first
     assert first == check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
     assert len(scan_calls) == 2
-    assert analysis.report(ContractionKind.GENERALIZED_PERP, engine="generic") is not first
     assert analysis.preservation is analysis.preservation
     assert analysis.preservation == is_ow_preserving(space, mapping)
     assert weak_orthogonal_elements(space) is space.weak_elements == {0}

@@ -260,6 +260,18 @@ def test_integer_form_verdict_fails_on_corrupted_integer_form(five_point):
     assert verdict.witness is not None
 
 
+@pytest.mark.parametrize("i, j", [(i, j) for i in range(5) for j in range(5)])
+def test_integer_form_verdict_catches_every_single_entry_corruption(five_point, i, j):
+    # Any inflated entry must be caught, not only one that a scan happens to read.
+    space, mapping = five_point
+    rows = [list(row) for row in space.int_metric]
+    rows[i][j] += 100
+    space.int_metric = tuple(tuple(row) for row in rows)
+    verdict = hierarchy_check(space, mapping)[0]
+    assert verdict.name == "integer-form-exact" and not verdict.holds
+    assert verdict.witness == (i, j)
+
+
 def test_integer_form_verdict_vacuous_without_integer_form():
     zero, root = QuadExt(0, 0, 2), QuadExt(0, 1, 2)
     space = FiniteSpace(["a", "b"], [[zero, root], [root, zero]], [(0, 1)])

@@ -16,7 +16,6 @@ from orthofix import (
     m_value,
     orbit,
     picard_solve,
-    related,
     validate_metric,
     weak_orthogonal_elements,
 )
@@ -87,23 +86,23 @@ def test_validator_agrees_with_naive_oracle(matrix):
 
 def test_related_uses_symmetric_closure(five_point):
     space, _ = five_point
-    assert related(space, 4, 3)       # (3, 4) is stored
-    assert related(space, 3, 4)
-    assert not related(space, 1, 2)   # neither orientation stored
-    assert related(space, 0, 0)       # reflexive pair stored
+    assert space.related(4, 3)       # (3, 4) is stored
+    assert space.related(3, 4)
+    assert not space.related(1, 2)   # neither orientation stored
+    assert space.related(0, 0)       # reflexive pair stored
 
 
 def test_related_is_symmetric_everywhere(five_point):
     space, _ = five_point
     for i in range(space.n):
         for j in range(space.n):
-            assert related(space, i, j) == related(space, j, i)
+            assert space.related(i, j) == space.related(j, i)
 
 
 def test_related_out_of_range(five_point):
     space, _ = five_point
     with pytest.raises(InputError):
-        related(space, 0, 9)
+        space.related(0, 9)
 
 
 @st.composite
@@ -159,7 +158,7 @@ def test_non_int_map_image_rejected(image):
 
 
 _POINT_ENTRY_POINTS = {
-    "related": lambda space, mapping, v: related(space, v, 0),
+    "related": lambda space, mapping, v: space.related(v, 0),
     "orbit": lambda space, mapping, v: orbit(space, mapping, v),
     "is_ow_sequence": lambda space, mapping, v: is_ow_sequence(space, [v, 2]),
     "picard_solve": lambda space, mapping, v: picard_solve(space, mapping, v),
