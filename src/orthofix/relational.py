@@ -16,6 +16,8 @@ must in particular be related to itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import NamedTuple, Sequence
 
 from .errors import InputError
@@ -75,12 +77,10 @@ class OrbitInfo:
 
 def strong_orthogonal_elements(space: FiniteSpace) -> frozenset[int]:
     """Points related to every point uniformly in one direction."""
-    out = set()
-    rel = space.relation
-    for x in range(space.n):
-        if all((x, y) in rel for y in range(space.n)) or all((y, x) in rel for y in range(space.n)):
-            out.add(x)
-    return frozenset(out)
+    rows = space.relation_rows
+    full = (1 << space.n) - 1
+    full_columns = reduce(and_, rows)  # bit x is set iff every y has (y, x) stored
+    return frozenset(x for x in range(space.n) if rows[x] == full or full_columns >> x & 1)
 
 
 def weak_orthogonal_elements(space: FiniteSpace) -> frozenset[int]:
@@ -129,12 +129,12 @@ def is_ow_preserving(space: FiniteSpace, mapping: SelfMap) -> PreservationReport
     """
     if len(mapping) != space.n:
         raise InputError("map size does not match the space")
-    rel = space.relation
+    rows, closure = space.relation_rows, space.closure_rows
     t = mapping.images
     violations = tuple(
         (i, j)
         for (i, j) in space.sorted_relation
-        if not (i > j and (j, i) in rel) and (t[i], t[j]) not in rel and (t[j], t[i]) not in rel
+        if not (i > j and rows[j] >> i & 1) and not closure[t[i]] >> t[j] & 1
     )
     return PreservationReport(preserving=not violations, violations=violations)
 

@@ -4,27 +4,31 @@ A FiniteSpace is a labelled point set, an exact distance matrix and a set of
 ordered index pairs (i, j) meaning "point i is orthogonal to point j".  The
 relation is stored exactly as given: it is not assumed reflexive, symmetric
 or transitive.  Two points count as *orthogonally related* when either
-orientation is present.  That symmetric closure is built once, at
-construction, together with the other views every layer reads: the stored
-pairs and the closure in sorted order (the order scans and reports use), and
-the weak orthogonal elements.
+orientation is present.  The relation is held as one int bitmask per row
+(bit j of `relation_rows[i]` is set iff (i, j) is stored), and so is its
+symmetric closure (`closure_rows`); both are built once, at construction,
+together with the other views every layer reads: the stored pairs and the
+closure in sorted order (the order scans and reports use, read off the bit
+rows), and the weak orthogonal elements (the full closure rows).
 
 Distance entries are Fractions for ordinary spaces; analytic sample spaces
 may carry QuadExt entries (one shared radicand).  A rational metric also
 gets an *integer form* at construction: every entry multiplied by the lcm of
 the denominators.  Scaling by a positive constant preserves every order,
 sum and ratio comparison, so metric validation and the contraction scans
-run on plain ints; values are rendered from the exact metric.  Every value
-is immutable after construction, so spaces, maps and reports are safe to
-share between workers.
+run on plain ints; values are rendered from the exact metric.  Validation
+screens the triangle inequality with each row of the integer form packed
+into one int, one lane per entry (see `validate_metric`).  A space refuses
+attribute assignment, and every value it holds is immutable, so spaces,
+maps and reports are safe to share between workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import lcm
-from operator import add
 from typing import Sequence
 
 from .errors import InputError
@@ -73,11 +77,17 @@ def _is_exact(value) -> bool:
 
 
 def _integer_form(rows: tuple[tuple[Scalar, ...], ...]) -> tuple[tuple[int, ...], ...] | None:
-    """The metric scaled by the lcm of its denominators, or None unless every entry is a Fraction."""
-    if not all(isinstance(e, Fraction) for row in rows for e in row):
+    """The metric scaled by the lcm of its denominators, or None unless every entry is a Fraction.
+
+    Each distinct entry object is scaled once: a loaded metric shares one Fraction per value.
+    """
+    entries = list(chain.from_iterable(rows))
+    if not all(map(isinstance, entries, repeat(Fraction))):
         return None
-    scale = lcm(*{e.denominator for row in rows for e in row})
-    return tuple(tuple(e.numerator * (scale // e.denominator) for e in row) for row in rows)
+    distinct = dict(zip(map(id, entries), entries))
+    scale = lcm(*{e.denominator for e in distinct.values()})
+    scaled = {key: e.numerator * (scale // e.denominator) for key, e in distinct.items()}.__getitem__
+    return tuple(tuple(map(scaled, map(id, row))) for row in rows)
 
 
 def _integer_form_mismatch(
@@ -92,11 +102,17 @@ def _integer_form_mismatch(
     return None
 
 
+def _members(mask: int) -> list[int]:
+    """The positions of the set bits of `mask`, in increasing order."""
+    return [j for j, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
 class FiniteSpace:
     """Immutable labelled point set + exact metric + directed relation."""
 
     __slots__ = (
-        "points", "metric", "int_metric", "relation", "sorted_relation", "sorted_closure", "weak_elements", "_related"
+        "points", "metric", "int_metric", "relation", "relation_rows", "closure_rows",
+        "sorted_relation", "sorted_closure", "weak_elements",
     )
 
     def __init__(
@@ -120,23 +136,34 @@ class FiniteSpace:
                 for j, entry in enumerate(row):
                     if not _is_exact(entry):
                         raise InputError(f"metric entry {entry!r} at ({i}, {j}) is not exact (int, Fraction or QuadExt)")
-        rel = []
+        out = [0] * n  # bit j of out[i]: (i, j) is stored
+        both = [0] * n  # bit j of both[i]: (i, j) or (j, i) is stored
         for pair in relation:
-            if len(pair) != 2 or not all(_is_index(v) for v in pair):
-                raise InputError(f"relation entry {pair!r} is not an index pair")
-            i, j = pair
+            i, j = pair if len(pair) == 2 else (None, None)
+            # plain ints pass on the class test; anything else takes the full index rule
+            if (i.__class__ is not int or j.__class__ is not int) and not (_is_index(i) and _is_index(j)):
+                raise InputError(f"relation entry {pair!r} is not an index pair; expected a pair of indices")
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError(f"relation pair ({i}, {j}) out of range for {n} points")
-            rel.append((i, j))
-        self.points = points
-        self.metric = rows
-        self.int_metric = int_metric
-        self.relation = frozenset(rel)
-        self._related = closure = self.relation | frozenset((j, i) for (i, j) in self.relation)
-        self.sorted_relation = tuple(sorted(self.relation))
-        self.sorted_closure = tuple(sorted(closure))
+            out[i] |= 1 << j
+            both[i] |= 1 << j
+            both[j] |= 1 << i
+        sorted_relation = tuple([(i, j) for i in range(n) for j in _members(out[i])])
+        full = (1 << n) - 1
+        init = object.__setattr__
+        init(self, "points", points)
+        init(self, "metric", rows)
+        init(self, "int_metric", int_metric)
+        init(self, "relation", frozenset(sorted_relation))
+        init(self, "relation_rows", tuple(out))
+        init(self, "closure_rows", tuple(both))
+        init(self, "sorted_relation", sorted_relation)
+        init(self, "sorted_closure", tuple([(i, j) for i in range(n) for j in _members(both[i])]))
         # related, in some direction that may vary with y, to every point y (itself included)
-        self.weak_elements = frozenset(x for x in range(n) if all((x, y) in closure for y in range(n)))
+        init(self, "weak_elements", frozenset(i for i in range(n) if both[i] == full))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiniteSpace is immutable")
 
     @property
     def n(self) -> int:
@@ -155,7 +182,7 @@ class FiniteSpace:
         """True iff i and j are orthogonally related (either orientation)."""
         _check_point(self, i)
         _check_point(self, j)
-        return (i, j) in self._related
+        return bool(self.closure_rows[i] >> j & 1)
 
     def __repr__(self):
         return f"FiniteSpace(n={self.n}, |relation|={len(self.relation)})"
@@ -188,6 +215,33 @@ class SelfMap:
         return f"SelfMap({list(self.images)})"
 
 
+def _triangle_screen(m: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
+    """The sorted pairs (i, j), i != j, whose lane loses its guard bit in the packed test of `validate_metric`."""
+    n = len(m)
+    bits = max(map(abs, chain.from_iterable(m))).bit_length()
+    width, offset = bits + 3, 1 << bits
+    packed = []
+    for row in m:
+        lanes = 0
+        for entry in reversed(row):
+            lanes = lanes << width | entry + offset
+        packed.append(lanes)
+    ones = ((1 << width * n) - 1) // ((1 << width) - 1)
+    guards = ones << (width - 1)
+    flagged = []
+    for i, row in enumerate(m):
+        lower = guards - packed[i]
+        kept = guards
+        for lanes, entry in zip(packed, row):
+            kept &= lanes + lower + entry * ones
+        lost = guards & ~kept & ~(1 << (width * i + width - 1))
+        while lost:
+            low = lost & -lost
+            flagged.append((i, (low.bit_length() - 1) // width))
+            lost ^= low
+    return flagged
+
+
 def validate_metric(space: FiniteSpace) -> ValidationReport:
     """Check every metric axiom exhaustively and report all violations.
 
@@ -200,13 +254,22 @@ def validate_metric(space: FiniteSpace) -> ValidationReport:
     The triangle inequality is screened pair by pair before the exact loop
     over k runs, and only on the pairs the screen flags, in sorted (i, j)
     order -- so the violations and their order are those of the full loop.
-    The screen is exact: on a symmetric matrix row j equals column j, so
-    d(i, j) > d(i, k) + d(k, j) holds for some k exactly when
-    d(i, j) > min over all k of d(i, k) + d(j, k), a test that is the same
-    for (i, j) and (j, i) and runs as one C-level min per pair.  The terms
-    k = i and k = j are d(i, j) plus a diagonal entry, so they flag a pair
-    only when that entry is negative, and the exact loop then decides.
-    Without symmetry the screen does not apply and every pair is flagged.
+    On an integer form m the screen (`_triangle_screen`) packs row k into
+    one int P_k, entry j in lane j, each entry raised by offset = 2^b, where
+    b is the bit length of the largest |entry|; a lane has b + 3 bits, and
+    its top bit is its guard.  For each i it ANDs, over all k,
+    P_k + (G - P_i) + m[i][k] * ONES, where G holds every guard bit and ONES
+    a 1 in every lane.  The offsets cancel, so lane j holds
+    guard + m[i][k] + m[k][j] - m[i][j], and no lane borrows from or carries
+    into its neighbour: with every |entry| < offset and guard = 4 * offset,
+    a lane of G - P_i lies in [2 * offset, guard], adding P_k keeps it in
+    [2 * offset, 6 * offset], and adding m[i][k] in (offset, 7 * offset),
+    inside the 8 * offset values a lane holds.  Whatever the signs of the
+    entries, and with or without symmetry, lane j keeps its guard bit
+    exactly when m[i][k] + m[k][j] >= m[i][j] for every k.  The terms k = i
+    and k = j fail only on a negative diagonal entry, and lane j = i is
+    skipped, so the exact loop decides each flagged pair.  A metric with no
+    integer form (irrational QuadExt entries) has every pair flagged.
     """
     exact = space.metric
     m = exact if space.int_metric is None else space.int_metric
@@ -215,24 +278,16 @@ def validate_metric(space: FiniteSpace) -> ValidationReport:
     for i in range(n):
         if m[i][i] != 0:
             violations.append(Violation("diagonal", (i,), (str(exact[i][i]),)))
-    symmetric = True
     for i in range(n):
         for j in range(n):
             if i < j and m[i][j] != m[j][i]:
-                symmetric = False
                 violations.append(Violation("symmetry", (i, j), (str(exact[i][j]), str(exact[j][i]))))
             if i != j and m[i][j] <= 0:
                 violations.append(Violation("positivity", (i, j), (str(exact[i][j]),)))
-    if symmetric:
-        flagged = []
-        for i in range(n):
-            row = m[i]
-            for j in range(i + 1, n):
-                if row[j] > min(map(add, row, m[j])):
-                    flagged += [(i, j), (j, i)]
-        flagged.sort()
-    else:
+    if space.int_metric is None:
         flagged = [(i, j) for i in range(n) for j in range(n) if i != j]
+    else:
+        flagged = _triangle_screen(m)
     for i, j in flagged:
         for k in range(n):
             if k == i or k == j:

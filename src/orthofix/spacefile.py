@@ -44,28 +44,33 @@ def parse_space_data(data: dict) -> tuple[FiniteSpace, SelfMap | None]:
     metric_rows = data["metric"]
     if not isinstance(metric_rows, list) or len(metric_rows) != n:
         raise InputError(f"'metric' must have {n} rows")
+    # Each distinct entry is parsed once and its Fraction shared; the type is
+    # part of the key, so True and 1.0 never reuse the Fraction parsed for 1.
+    parsed: dict[tuple[type, object], Fraction] = {}
     metric: list[list[Fraction]] = []
     for i, row in enumerate(metric_rows):
         if not isinstance(row, list) or len(row) != n:
             raise InputError(f"metric row {i} must have {n} entries")
-        parsed = []
+        values = []
         for j, entry in enumerate(row):
             try:
-                parsed.append(parse_rational(entry))
-            except InputError as exc:
-                raise InputError(f"metric entry ({i}, {j}): {exc}") from None
-        metric.append(parsed)
+                value = parsed[type(entry), entry]
+            except (KeyError, TypeError):  # TypeError: unhashable, so never a rational
+                try:
+                    value = parsed[type(entry), entry] = parse_rational(entry)
+                except InputError as exc:
+                    raise InputError(f"metric entry ({i}, {j}): {exc}") from None
+            values.append(value)
+        metric.append(values)
 
     relation = data["relation"]
     if not isinstance(relation, list):
         raise InputError("'relation' must be a list of index pairs")
-    pairs = []
     for entry in relation:
-        if not isinstance(entry, list) or len(entry) != 2 or not all(_is_index(v) for v in entry):
+        if not isinstance(entry, list):
             raise InputError(f"relation entry {entry!r} must be a pair of indices")
-        pairs.append((entry[0], entry[1]))
 
-    space = FiniteSpace(points, metric, pairs)
+    space = FiniteSpace(points, metric, relation)
     report = validate_metric(space)
     if not report.ok:
         first = report.violations[0]

@@ -254,7 +254,7 @@ def test_integer_form_verdict_fails_on_corrupted_integer_form(five_point):
     # The generalized witness (0, 2) maps to (0, 1); inflate that distance.
     rows = [list(row) for row in space.int_metric]
     rows[0][1] += 100
-    space.int_metric = tuple(tuple(row) for row in rows)
+    object.__setattr__(space, "int_metric", tuple(tuple(row) for row in rows))  # bypass immutability to plant a fault
     verdict = hierarchy_check(space, mapping)[0]
     assert verdict.name == "integer-form-exact" and not verdict.holds
     assert verdict.witness is not None
@@ -266,7 +266,7 @@ def test_integer_form_verdict_catches_every_single_entry_corruption(five_point, 
     space, mapping = five_point
     rows = [list(row) for row in space.int_metric]
     rows[i][j] += 100
-    space.int_metric = tuple(tuple(row) for row in rows)
+    object.__setattr__(space, "int_metric", tuple(tuple(row) for row in rows))  # bypass immutability to plant a fault
     verdict = hierarchy_check(space, mapping)[0]
     assert verdict.name == "integer-form-exact" and not verdict.holds
     assert verdict.witness == (i, j)

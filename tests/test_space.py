@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orthofix import (
     ContractionKind,
@@ -12,14 +12,17 @@ from orthofix import (
     QuadExt,
     SelfMap,
     certify_fixed_point,
+    is_ow_preserving,
     is_ow_sequence,
     m_value,
     orbit,
     picard_solve,
+    strong_orthogonal_elements,
     validate_metric,
     weak_orthogonal_elements,
 )
 from orthofix.oracle import _shortest_path_metric
+from orthofix.space import _triangle_screen
 
 
 def _space(matrix, relation=()):
@@ -105,25 +108,69 @@ def test_related_out_of_range(five_point):
         space.related(0, 9)
 
 
+def _dense_relation(n, seed):
+    """Each ordered pair with probability 19/20: most closure rows are full, some are not."""
+    rng = random.Random(seed)
+    return [(i, j) for i in range(n) for j in range(n) if rng.randrange(20)]
+
+
 @st.composite
 def _relations(draw):
-    """A point count n <= 8 and a list of index pairs: empty, full twice over, or random with repeats."""
-    n = draw(st.integers(1, 8))
+    """A point count n and a list of index pairs: empty, full twice over, random with repeats, or dense.
+
+    n is at most 8, or between 65 and 80 so that every bit row spans more
+    than one machine word.
+    """
+    n = draw(st.one_of(st.integers(1, 8), st.integers(65, 80)))
     full = [(i, j) for i in range(n) for j in range(n)]
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    return n, draw(st.one_of(st.just([]), st.just(full + full), st.lists(pair, max_size=2 * n * n)))
+    return n, draw(
+        st.one_of(
+            st.just([]),
+            st.just(full + full),
+            st.lists(pair, max_size=min(2 * n * n, 200)),
+            st.integers(0, 2**32).map(lambda seed: _dense_relation(n, seed)),
+        )
+    )
 
 
-@given(_relations())
-def test_relation_views_match_their_definitions(case):
+@given(_relations(), st.integers(0, 2**32))
+def test_relation_views_match_their_definitions(case, seed):
     n, pairs = case
     space = _space([[abs(i - j) for j in range(n)] for i in range(n)], pairs)
-    closure = set(pairs) | {(j, i) for (i, j) in pairs}
-    assert space.sorted_relation == tuple(sorted(set(pairs)))
+    stored = set(pairs)
+    closure = stored | {(j, i) for (i, j) in pairs}
+    assert space.relation == stored
+    assert space.sorted_relation == tuple(sorted(stored))
     assert space.sorted_closure == tuple(sorted(closure))
     assert {(i, j) for i in range(n) for j in range(n) if space.related(i, j)} == closure
     weak = {x for x in range(n) if all(space.related(x, y) for y in range(n))}
     assert space.weak_elements == weak_orthogonal_elements(space) == weak
+    strong = {
+        x for x in range(n)
+        if all((x, y) in stored for y in range(n)) or all((y, x) in stored for y in range(n))
+    }
+    assert strong_orthogonal_elements(space) == strong
+    rng = random.Random(seed)
+    t = [rng.randrange(n) for _ in range(n)]
+    seen, violations = set(), []
+    for i, j in sorted(stored):
+        if frozenset((i, j)) not in seen:
+            seen.add(frozenset((i, j)))
+            if (t[i], t[j]) not in closure:
+                violations.append((i, j))
+    assert is_ow_preserving(space, SelfMap(t, n)).violations == tuple(violations)
+
+
+@pytest.mark.parametrize("name", ["int_metric", "weak_elements", "closure_rows"])
+def test_space_refuses_assignment(five_point, name):
+    # Every derived view is built from the others at construction; reassigning one would desynchronise them.
+    space, _ = five_point
+    before = getattr(space, name)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(space, name, None)
+    assert getattr(space, name) is before
+    assert space.weak_elements == {0}
 
 
 def test_construction_rejects_bad_inputs():
@@ -254,6 +301,37 @@ def _reported(matrix):
     return [(v.axiom, v.witness) for v in report.violations]
 
 
+class _CountingRows(tuple):
+    """An integer form that counts how often validate_metric indexes it by row."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def _row_reads(matrix):
+    """How many row reads of the integer form validate_metric makes on `matrix`.
+
+    The axiom loops read rows 2n^2 - n times; the exact triangle loop reads
+    3(n - 2) more for each pair the screen flags.
+    """
+    space = FiniteSpace([str(i) for i in range(len(matrix))], matrix, [])
+    rows = _CountingRows(space.int_metric)
+    object.__setattr__(space, "int_metric", rows)  # bypass immutability to count reads
+    validate_metric(space)
+    return rows.reads
+
+
+def _screened(matrix):
+    return _triangle_screen(FiniteSpace([str(i) for i in range(len(matrix))], matrix, []).int_metric)
+
+
+def _violated_pairs(matrix):
+    return sorted({witness[:2] for axiom, witness in reference_violations(matrix) if axiom == "triangle"})
+
+
 _entries = st.fractions(min_value=-2, max_value=8, max_denominator=3)
 
 
@@ -272,12 +350,47 @@ def _matrices(draw):
     return rows
 
 
-@given(_matrices(), st.sampled_from(["fraction", "int", "quadext"]))
+@st.composite
+def _extreme_matrices(draw):
+    """Entries at +-(2^b - 1) and next to 0, so d(i, k) + d(k, j) - d(i, j) nears 3 * 2^b."""
+    top = 2 ** draw(st.integers(1, 70)) - 1
+    n = draw(st.integers(1, 6))
+    values = st.sampled_from((-top, 1 - top, -1, 0, 1, top - 1, top))
+    return [[Fraction(draw(values)) for _ in range(n)] for _ in range(n)]
+
+
+@given(st.one_of(_matrices(), _extreme_matrices()), st.sampled_from(["fraction", "int", "quadext"]))
 def test_validation_matches_reference_loop(matrix, domain):
     if domain == "int":
         matrix = [[int(v * 6) for v in row] for row in matrix]
     elif domain == "quadext":
         matrix = [[QuadExt(v, 0, 2) for v in row] for row in matrix]
+    assert _reported(matrix) == reference_violations(matrix)
+
+
+@given(st.one_of(_matrices(), _extreme_matrices()))
+def test_screen_over_flags_only_at_negative_diagonals(matrix):
+    # The terms k = i and k = j fail only on a negative diagonal entry; the exact loop discards them.
+    flagged = _screened(matrix)
+    violated = _violated_pairs(matrix)
+    assert flagged == sorted(flagged) and set(violated) <= set(flagged)
+    assert all(matrix[i][i] < 0 or matrix[j][j] < 0 for i, j in set(flagged) - set(violated))
+
+
+@given(st.integers(1, 24), st.integers(0, 2**32), st.booleans(), st.booleans(), st.booleans())
+def test_validation_matches_reference_on_wide_entries(n, seed, symmetric, negative, zero_diagonal):
+    # Entries between 2**64 and 2**130 in size, so every lane is wider than a machine word; small
+    # base values plus a jitter of at most 1 make exact ties and near ties common.
+    rng = random.Random(seed)
+    scale, den = rng.randrange(2**64, 2**130), rng.randrange(1, 8)
+    lo = -2 if negative else 1
+    matrix = [[Fraction(rng.randint(lo, 8) * scale + rng.choice((-1, 0, 0, 1)), den) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        if zero_diagonal:
+            matrix[i][i] = Fraction(0)
+        if symmetric:
+            for j in range(i):
+                matrix[i][j] = matrix[j][i]
     assert _reported(matrix) == reference_violations(matrix)
 
 
@@ -293,16 +406,50 @@ def test_validation_matches_reference_on_irrational_entries(n, seed, b):
     assert _reported(matrix) == reference_violations(matrix)
 
 
+def _directed_closure(n, rng, lo=1, hi=10):
+    """Shortest-path closure of a complete digraph with independent weights per direction.
+
+    It satisfies the directed triangle inequality d(i, j) <= d(i, k) + d(k, j)
+    but, in general, not symmetry.
+    """
+    w = [[0 if i == j else rng.randint(lo, hi) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        row_k = w[k]
+        for i in range(n):
+            via_k = w[i][k]
+            w[i] = [a if a <= via_k + b else via_k + b for a, b in zip(w[i], row_k)]
+    return [[Fraction(v) for v in row] for row in w]
+
+
+def _closure(n, rng, directed, wide):
+    """A shortest-path closure, directed or not, optionally times a rational of 64 to 130 bits."""
+    metric = _directed_closure(n, rng) if directed else _shortest_path_metric(n, rng, 1, 10)
+    if wide:
+        factor = Fraction(rng.randrange(2**64, 2**130), rng.randrange(1, 8))
+        metric = [[v * factor for v in row] for row in metric]
+    return metric
+
+
 @given(st.integers(1, 12), st.integers(0, 2**32))
 def test_shortest_path_closures_are_metrics(n, seed):
     metric = _shortest_path_metric(n, random.Random(seed), 1, 10)
     assert validate_metric(FiniteSpace([str(i) for i in range(n)], metric, [])).ok
 
 
-@given(st.integers(3, 10), st.integers(0, 2**32), st.booleans(), st.booleans())
-def test_perturbed_closure_reports_planted_witness(n, seed, upward, both_orientations):
+@settings(max_examples=20)
+@given(st.integers(1, 64), st.integers(0, 2**32), st.booleans(), st.booleans())
+def test_screen_flags_no_pair_on_closures(n, seed, directed, wide):
+    # Both closures satisfy the directed triangle inequality, so the screen must flag nothing and the
+    # exact loop must not run; a screen that gave up and flagged every pair would fail on the count.
+    metric = _closure(n, random.Random(seed), directed, wide)
+    assert _screened(metric) == []
+    assert _row_reads(metric) == 2 * n * n - n
+
+
+@given(st.integers(3, 24), st.integers(0, 2**32), st.booleans(), st.booleans(), st.booleans(), st.booleans())
+def test_perturbed_closure_reports_planted_witness(n, seed, upward, both_orientations, directed, wide):
     rng = random.Random(seed)
-    metric = _shortest_path_metric(n, rng, 1, 10)
+    metric = _closure(n, rng, directed, wide)
     i, j, k = rng.sample(range(n), 3)
     if upward:
         # d(i, j) pushed past the detour through k: (i, j, k) breaks.
@@ -318,3 +465,7 @@ def test_perturbed_closure_reports_planted_witness(n, seed, upward, both_orienta
     reported = _reported(metric)
     assert ("triangle", planted) in reported
     assert reported == reference_violations(metric)
+    # With a zero diagonal the screen flags exactly the violated pairs, and the exact loop runs on those alone.
+    violated = _violated_pairs(metric)
+    assert _screened(metric) == violated
+    assert _row_reads(metric) == 2 * n * n - n + 3 * (n - 2) * len(violated)

@@ -74,6 +74,16 @@ def test_decimal_entry_rejected():
         parse_space_data(bad)
 
 
+@pytest.mark.parametrize("entry", [True, 1.0, [1], None])
+def test_entry_equal_to_a_parsed_one_is_still_checked(entry):
+    # Entries are parsed once per distinct value; (0, 1) = 1 is parsed before (1, 0), and
+    # True == 1.0 == 1, so the type must be part of what makes a value distinct.
+    rows = [list(row) for row in FIVE_POINT["metric"]]
+    rows[1][0] = entry
+    with pytest.raises(InputError, match=r"metric entry \(1, 0\)"):
+        parse_space_data(_broken(metric=rows))
+
+
 def test_map_index_out_of_range():
     with pytest.raises(InputError, match="out of range"):
         parse_space_data(_broken(map=[0, 0, 1, 0, 7]))
