@@ -189,7 +189,7 @@ def classify(file, seq, orbit_start, as_json):
 def estimate_k(file, kind, symmetric, as_json):
     """Estimate the minimal feasible contraction constant for one kind."""
     space, mapping = _load(file, need_map=True)
-    rep = check_contraction(ContractionKind.from_name(kind), space, mapping, symmetric=symmetric)
+    rep = check_contraction(kind, space, mapping, symmetric=symmetric)
     if as_json:
         _emit_json({"command": "estimate-k", "file": str(file), "symmetric": symmetric, "report": rep.to_dict()})
     else:

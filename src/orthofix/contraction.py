@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 from .errors import InputError
 from .relational import PreservationReport, is_ow_preserving
-from .space import FiniteSpace, Scalar, SelfMap, _check_point, _integer_form_mismatch
+from .space import FiniteSpace, Scalar, SelfMap, _check_map, _check_point, _integer_form_mismatch
 
 
 class ContractionKind(str, Enum):
@@ -68,12 +68,10 @@ class ContractionKind(str, Enum):
         return Fraction(1)
 
     @classmethod
-    def from_name(cls, name: str) -> "ContractionKind":
-        try:
-            return cls(name)
-        except ValueError:
-            valid = ", ".join(k.value for k in cls)
-            raise InputError(f"unknown contraction kind {name!r} (expected one of: {valid})") from None
+    def _missing_(cls, value):
+        """The kind-name rule: `ContractionKind(name)` raises InputError for an unknown name."""
+        valid = ", ".join(k.value for k in cls)
+        raise InputError(f"unknown contraction kind {value!r} (expected one of: {valid})")
 
 
 # functional ids: 0 = d(x,y) denominator, 1 = ciric, 2 = kannan, 3 = chatterjea, 4 = generalized
@@ -143,8 +141,10 @@ def _functional(kind_id: int, m, t, x: int, y: int):
 
 def m_value(kind: ContractionKind, space: FiniteSpace, mapping: SelfMap, x: int, y: int) -> Scalar:
     """Evaluate the kind's comparison functional at the ordered pair (x, y)."""
+    kind = ContractionKind(kind)
     if kind is ContractionKind.UNRESTRICTED_LIPSCHITZ:
         raise InputError("unrestricted_lipschitz has no separate functional; its denominator is d(x, y)")
+    _check_map(space, mapping)
     _check_point(space, x)
     _check_point(space, y)
     return _ratio(_functional(_KIND_ID[kind], space.metric, mapping.images, x, y), 2)
@@ -222,8 +222,7 @@ def check_contraction(
     kind = ContractionKind(kind)
     if engine not in (None, "scaled", "generic"):
         raise InputError(f"unknown engine {engine!r} (expected 'scaled' or 'generic')")
-    if len(mapping) != space.n:
-        raise InputError("map size does not match the space")
+    _check_map(space, mapping)
     m = space.int_metric if engine != "generic" else None
     if m is None:
         if engine == "scaled":

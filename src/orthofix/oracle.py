@@ -29,14 +29,13 @@ from .contraction import Analysis, hierarchy_check
 from .errors import InputError
 from .rational import as_rational
 from .solver import _hypotheses_hold, hypothesis_check, picard_solve
-from .space import FiniteSpace, SelfMap, _is_index, validate_metric
+from .space import FiniteSpace, SelfMap, _check_map, _is_index, validate_metric
 from .spacefile import space_to_dict
 
 
 def brute_force_fixed_points(space: FiniteSpace, mapping: SelfMap) -> frozenset[int]:
     """Exhaustive scan: exactly the points mapped to themselves."""
-    if len(mapping) != space.n:
-        raise InputError("map size does not match the space")
+    _check_map(space, mapping)
     return frozenset(z for z in range(space.n) if mapping(z) == z)
 
 

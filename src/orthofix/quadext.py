@@ -4,6 +4,8 @@ These cover the analytic sample spaces whose points and distances are not
 all rational (a pure radical, or a point like 1 + (1/11)*sqrt(11)).  A
 single square-free radicand is shared per space; values with b == 0 are
 radicand-agnostic rationals, everything else refuses to mix radicands.
+The coefficients follow the package's exact-rational rule
+(`rational._is_rational`): a float, bool or string raises InputError.
 
 Ordering is decided exactly by sign case analysis on a and b (comparing
 a^2 against b^2*d where the signs differ), never by floating point.
@@ -12,11 +14,9 @@ a^2 against b^2*d where the signs differ), never by floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .errors import InputError
-
-_RatLike = Union[int, Fraction]
+from .rational import _is_rational, as_rational
 
 
 def is_squarefree(n: int) -> bool:
@@ -38,9 +38,9 @@ class QuadExt:
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, a: _RatLike, b: _RatLike = 0, d: int = 2):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+    def __init__(self, a: int | Fraction, b: int | Fraction = 0, d: int = 2):
+        object.__setattr__(self, "a", as_rational(a, "QuadExt coefficient"))
+        object.__setattr__(self, "b", as_rational(b, "QuadExt coefficient"))
         if not isinstance(d, int) or d < 2 or not is_squarefree(d):
             raise InputError(f"radicand must be a square-free integer >= 2, got {d!r}")
         object.__setattr__(self, "d", d)
@@ -54,11 +54,6 @@ class QuadExt:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise InputError(f"{self} is irrational")
-        return self.a
-
     # -- coercion ------------------------------------------------------------
 
     def _coerce(self, other) -> "QuadExt":
@@ -68,7 +63,7 @@ class QuadExt:
             if self.b == 0:
                 return other
             raise InputError(f"mismatched radicands sqrt({self.d}) vs sqrt({other.d})")
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_rational(other):
             return QuadExt(other, 0, self.d)
         return NotImplemented
 
@@ -199,9 +194,6 @@ class QuadExt:
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * (self.d ** 0.5)
 
     # -- rendering -----------------------------------------------------------
 

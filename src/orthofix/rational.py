@@ -1,12 +1,13 @@
-"""Exact rational scalars and their strict text syntax.
+"""Exact rational scalars: the rule for what counts as one, and a strict text syntax.
 
 All distances, contraction constants and error bounds in this package are
-`fractions.Fraction` values (arbitrary-precision, always canonical).  The
-only thing the standard type does not give us is a strict surface syntax:
-`Fraction("1.5")` happily parses a decimal, and we must not accept decimals
-anywhere (files, flags) because they invite silent precision loss.  The
-helpers here accept integer literals and "p/q" only.  Rendering needs no
-helper: `str()` of a Fraction is already "p" or "p/q".
+exact rationals.  `_is_rational` is the one rule for them, applied to metric
+entries, parameters, QuadExt coefficients and loaded numbers: a true `int`
+or a `Fraction`.  A float is a binary approximation, and a bool, an int
+subclass or a string is not a number here, so none is ever converted.
+`Fraction("1.5")` happily parses a decimal, which invites silent precision
+loss, so `parse_rational` accepts integer literals and "p/q" only.
+Rendering needs no helper: `str()` of a Fraction is already "p" or "p/q".
 """
 
 from __future__ import annotations
@@ -19,15 +20,18 @@ from .errors import InputError
 _RAT_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?$")
 
 
-def parse_rational(text: str | int) -> Fraction:
-    """Parse an integer literal or "p/q" string into an exact rational.
+def _is_rational(value) -> bool:
+    """The exact-rational rule: `value` is a true int or a Fraction."""
+    return value.__class__ is int or isinstance(value, Fraction)
+
+
+def parse_rational(text: str | int | Fraction) -> Fraction:
+    """An exact rational (see `_is_rational`), or an integer literal or "p/q" string, as a Fraction.
 
     Decimals, whitespace-embedded junk and zero denominators are rejected
     with InputError.
     """
-    if isinstance(text, bool):
-        raise InputError(f"expected rational, got boolean {text!r}")
-    if isinstance(text, int):
+    if _is_rational(text):
         return Fraction(text)
     if not isinstance(text, str):
         raise InputError(f"expected integer or 'p/q' string, got {text!r}")
@@ -42,11 +46,7 @@ def parse_rational(text: str | int) -> Fraction:
 
 
 def as_rational(value: Fraction | int, name: str) -> Fraction:
-    """An int or Fraction parameter as a Fraction.
-
-    Floats are binary approximations and bools are not numbers here, so
-    both raise InputError instead of being converted.
-    """
-    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
+    """An exact rational parameter (see `_is_rational`) as a Fraction; anything else raises InputError."""
+    if _is_rational(value):
         return Fraction(value)
     raise InputError(f"{name} must be an int or a Fraction, got {value!r}")

@@ -21,7 +21,7 @@ from operator import and_
 from typing import NamedTuple, Sequence
 
 from .errors import InputError
-from .space import FiniteSpace, SelfMap, _check_point
+from .space import FiniteSpace, SelfMap, _check_map, _check_point
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,7 @@ def is_ow_preserving(space: FiniteSpace, mapping: SelfMap) -> PreservationReport
     exhaustively, each in the first of its stored orientations in sorted
     order.
     """
-    if len(mapping) != space.n:
-        raise InputError("map size does not match the space")
+    _check_map(space, mapping)
     rows, closure = space.relation_rows, space.closure_rows
     t = mapping.images
     violations = tuple(
@@ -146,6 +145,7 @@ def orbit(space: FiniteSpace, mapping: SelfMap, start: int) -> OrbitInfo:
     marks its entry.  Concatenating the prefix with the cycle repeated
     reproduces the full iterate sequence.
     """
+    _check_map(space, mapping)
     _check_point(space, start, "start index")
     first_seen: dict[int, int] = {}
     walk: list[int] = []

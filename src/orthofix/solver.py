@@ -30,7 +30,7 @@ from .contraction import Analysis, ContractionKind
 from .errors import CertificateError, InputError
 from .rational import as_rational
 from .relational import orbit
-from .space import FiniteSpace, SelfMap, _check_point
+from .space import FiniteSpace, SelfMap, _check_map, _check_point, _is_index
 
 MODE_ORBITAL_CONTINUITY = "orbital-continuity"
 MODE_O1 = "O1"
@@ -75,6 +75,7 @@ def required_iterations(k: Fraction, d1: Fraction, eps: Fraction) -> int:
 
 def certify_fixed_point(space: FiniteSpace, mapping: SelfMap, z: int) -> bool:
     """True iff z maps to itself (equivalently d(z, Tz) = 0)."""
+    _check_map(space, mapping)
     _check_point(space, z)
     return mapping(z) == z
 
@@ -140,12 +141,13 @@ def picard_solve(
 
     Stops on the first of: exact zero step distance (converged at a fixed
     point), certified tail bound <= eps, or max_iter.  `k` and `eps` are
-    ints or Fractions (a float would be a binary approximation).
+    ints or Fractions (a float would be a binary approximation); `max_iter`
+    is a true int.
     Preservation and the scans are read from `analysis` when one is given.
     """
     _check_point(space, start, "start index")
-    if max_iter < 0:
-        raise InputError("max_iter must be non-negative")
+    if not _is_index(max_iter) or max_iter < 0:
+        raise InputError(f"max_iter must be an int >= 0, got {max_iter!r}")
     analysis = Analysis.of(space, mapping, analysis)
     weak = space.weak_elements
     if start not in weak and not allow_any_start:

@@ -11,10 +11,13 @@ together with the other views every layer reads: the stored pairs and the
 closure in sorted order (the order scans and reports use, read off the bit
 rows), and the weak orthogonal elements (the full closure rows).
 
-Distance entries are Fractions for ordinary spaces; analytic sample spaces
-may carry QuadExt entries (one shared radicand).  A rational metric also
-gets an *integer form* at construction: every entry multiplied by the lcm of
-the denominators.  Scaling by a positive constant preserves every order,
+Each input rule has one definition: a distance entry is an exact rational
+(`rational._is_rational`: a true int or a Fraction) or a QuadExt (analytic
+samples, one shared radicand), a point index a true int (`_is_index`), and
+a map has one image per point (`_check_map`); anything else raises
+InputError.  A rational metric, of ints, Fractions or both, also gets an
+*integer form* at construction: every entry multiplied by the lcm of the
+denominators.  Scaling by a positive constant preserves every order,
 sum and ratio comparison, so metric validation and the contraction scans
 run on plain ints; values are rendered from the exact metric.  Validation
 screens the triangle inequality with each row of the integer form packed
@@ -27,12 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from math import lcm
 from typing import Sequence
 
 from .errors import InputError
 from .quadext import QuadExt
+from .rational import _is_rational
 
 Scalar = Fraction | QuadExt
 
@@ -59,8 +63,8 @@ class ValidationReport:
 
 
 def _is_index(value) -> bool:
-    """A point index is a true int; bools, floats and strings are never coerced."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """The index rule: a true int; bools, IntEnum members, floats and strings are never coerced."""
+    return value.__class__ is int
 
 
 def _check_point(space: FiniteSpace, value, what: str = "index") -> None:
@@ -71,20 +75,28 @@ def _check_point(space: FiniteSpace, value, what: str = "index") -> None:
         raise InputError(f"{what} {value} out of range")
 
 
-def _is_exact(value) -> bool:
-    """A metric entry is an int, a Fraction or a QuadExt; floats and bools are never accepted."""
-    return isinstance(value, (Fraction, QuadExt)) or _is_index(value)
+def _check_map(space: FiniteSpace, mapping: SelfMap) -> None:
+    """Raise InputError unless `mapping` has exactly one image per point of `space`."""
+    if len(mapping) != space.n:
+        raise InputError("map size does not match the space")
 
 
 def _integer_form(rows: tuple[tuple[Scalar, ...], ...]) -> tuple[tuple[int, ...], ...] | None:
-    """The metric scaled by the lcm of its denominators, or None unless every entry is a Fraction.
+    """The metric scaled by the lcm of its denominators, or None when an entry is a QuadExt.
 
-    Each distinct entry object is scaled once: a loaded metric shares one Fraction per value.
+    The one check of the metric entries: each distinct entry object (a loaded metric shares one
+    Fraction per value) is checked and scaled once.  An int's denominator is 1, so ints,
+    Fractions and any mix get the same form; an entry neither rational nor QuadExt raises InputError.
     """
     entries = list(chain.from_iterable(rows))
-    if not all(map(isinstance, entries, repeat(Fraction))):
-        return None
     distinct = dict(zip(map(id, entries), entries))
+    others = [e for e in distinct.values() if not _is_rational(e)]
+    for e in others:
+        if not isinstance(e, QuadExt):
+            i, j = divmod(next(p for p, x in enumerate(entries) if x is e), len(rows))
+            raise InputError(f"metric entry {e!r} at ({i}, {j}) is not exact (int, Fraction or QuadExt)")
+    if others:
+        return None
     scale = lcm(*{e.denominator for e in distinct.values()})
     scaled = {key: e.numerator * (scale // e.denominator) for key, e in distinct.items()}.__getitem__
     return tuple(tuple(map(scaled, map(id, row))) for row in rows)
@@ -131,17 +143,11 @@ class FiniteSpace:
         if len(rows) != n or any(len(row) != n for row in rows):
             raise InputError(f"metric must be a {n}x{n} matrix matching the point count")
         int_metric = _integer_form(rows)
-        if int_metric is None:  # an all-Fraction metric needs no entry check
-            for i, row in enumerate(rows):
-                for j, entry in enumerate(row):
-                    if not _is_exact(entry):
-                        raise InputError(f"metric entry {entry!r} at ({i}, {j}) is not exact (int, Fraction or QuadExt)")
         out = [0] * n  # bit j of out[i]: (i, j) is stored
         both = [0] * n  # bit j of both[i]: (i, j) or (j, i) is stored
         for pair in relation:
             i, j = pair if len(pair) == 2 else (None, None)
-            # plain ints pass on the class test; anything else takes the full index rule
-            if (i.__class__ is not int or j.__class__ is not int) and not (_is_index(i) and _is_index(j)):
+            if not (_is_index(i) and _is_index(j)):
                 raise InputError(f"relation entry {pair!r} is not an index pair; expected a pair of indices")
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError(f"relation pair ({i}, {j}) out of range for {n} points")

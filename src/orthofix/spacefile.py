@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import InputError
-from .rational import parse_rational
+from .rational import _is_rational, parse_rational
 from .space import FiniteSpace, SelfMap, _is_index, validate_metric
 
 _ALLOWED_KEYS = {"points", "metric", "relation", "map"}
@@ -108,7 +108,7 @@ def load_space_file(path: str | Path) -> tuple[FiniteSpace, SelfMap | None]:
 def space_to_dict(space: FiniteSpace, mapping: SelfMap | None = None) -> dict:
     """Render an instance in the space-definition format (round-trips exactly)."""
     def entry(v):
-        return v.numerator if isinstance(v, Fraction) and v.denominator == 1 else str(v)
+        return v.numerator if _is_rational(v) and v.denominator == 1 else str(v)
 
     out = {
         "points": list(space.points),

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from orthofix import (
+    Analysis,
     ContractionKind,
     FiniteSpace,
     InputError,
@@ -19,6 +20,7 @@ from orthofix import (
     check_contraction,
     hierarchy_check,
     m_value,
+    scan_value_pairs,
 )
 
 KINDS = list(ContractionKind)
@@ -279,7 +281,20 @@ def test_integer_form_verdict_vacuous_without_integer_form():
     assert verdict.holds and "not rational" in verdict.detail
 
 
-def test_kind_parsing():
-    assert ContractionKind.from_name("ciric") is ContractionKind.CIRIC
-    with pytest.raises(InputError):
-        ContractionKind.from_name("hardy-rogers")
+_KIND_ENTRY_POINTS = {
+    "ContractionKind": lambda space, mapping, kind: ContractionKind(kind),
+    "check_contraction": lambda space, mapping, kind: check_contraction(kind, space, mapping),
+    "Analysis.report": lambda space, mapping, kind: Analysis(space, mapping).report(kind),
+    "scan_value_pairs": lambda space, mapping, kind: scan_value_pairs(kind, [(0, 1)], space.d, mapping),
+    "m_value": lambda space, mapping, kind: m_value(kind, space, mapping, 0, 1),
+}
+
+
+def test_kind_parsing(five_point):
+    # Every entry point that takes a kind name parses it with ContractionKind(...), and an unknown
+    # name is out-of-contract input, not a bare ValueError.
+    space, mapping = five_point
+    for entry, call in _KIND_ENTRY_POINTS.items():
+        assert call(space, mapping, "ciric") == call(space, mapping, ContractionKind.CIRIC), entry
+        with pytest.raises(InputError, match="unknown contraction kind 'hardy-rogers'"):
+            call(space, mapping, "hardy-rogers")

@@ -42,6 +42,13 @@ def test_is_rational():
     assert (root2 * root2) == 2
 
 
+@pytest.mark.parametrize("args", [(0.1,), (1, 0.5), (True, 1), (1, False), ("1/2",), (0, "1")])
+def test_coefficients_must_be_exact_rationals(args):
+    # Fraction(0.1) is a binary approximation, a bool is not a number, and a string is not parsed here.
+    with pytest.raises(InputError, match="int or a Fraction"):
+        QuadExt(*args)
+
+
 def test_invalid_radicand():
     for d in (0, 1, -3, 4, 12, 18):
         with pytest.raises(InputError):

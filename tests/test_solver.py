@@ -43,6 +43,14 @@ def test_picard_rejects_inexact_parameters(five_point, kwargs):
         picard_solve(space, mapping, 0, **kwargs)
 
 
+@pytest.mark.parametrize("max_iter", [2.5, True, "3", -1])
+def test_picard_max_iter_is_an_index(five_point, max_iter):
+    # max_iter counts applications: a float, a bool or a string is not a count.
+    space, mapping = five_point
+    with pytest.raises(InputError, match="max_iter must be an int >= 0"):
+        picard_solve(space, mapping, 4, k=Fraction(1, 2), allow_any_start=True, max_iter=max_iter)
+
+
 def test_picard_accepts_int_and_fraction_parameters(five_point):
     space, mapping = five_point
     trace = picard_solve(space, mapping, 0, k=Fraction(3, 4), eps=1)

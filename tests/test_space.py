@@ -1,6 +1,8 @@
 import random
+from enum import IntEnum
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +14,13 @@ from orthofix import (
     QuadExt,
     SelfMap,
     certify_fixed_point,
+    check_contraction,
     is_ow_preserving,
     is_ow_sequence,
     m_value,
     orbit,
     picard_solve,
+    space_to_dict,
     strong_orthogonal_elements,
     validate_metric,
     weak_orthogonal_elements,
@@ -190,15 +194,21 @@ def test_selfmap_totality():
         SelfMap([0], 2)
 
 
+class _Point(IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
 def test_float_relation_index_rejected():
-    # int() would truncate (0.9, 1.2) to (0, 1).
+    # int() would truncate (0.9, 1.2) to (0, 1); an IntEnum member is not a plain index either.
     metric = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-    with pytest.raises(InputError, match="index pair"):
-        FiniteSpace(["a", "b"], metric, [(0.9, 1.2)])
+    for pair in [(0.9, 1.2), (_Point.ZERO, 1)]:
+        with pytest.raises(InputError, match="index pair"):
+            FiniteSpace(["a", "b"], metric, [pair])
     assert FiniteSpace(["a", "b"], metric, [(0, 1)]).relation == frozenset({(0, 1)})
 
 
-@pytest.mark.parametrize("image", [1.0, 0.5, True, "1"])
+@pytest.mark.parametrize("image", [1.0, 0.5, True, "1", pytest.param(_Point.ONE, id="IntEnum")])
 def test_non_int_map_image_rejected(image):
     with pytest.raises(InputError, match="not an index"):
         SelfMap([0, image], 2)
@@ -214,13 +224,30 @@ _POINT_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", [True, 0.0, 1.0, "0"])
+@pytest.mark.parametrize("value", [True, 0.0, 1.0, "0", pytest.param(_Point.ZERO, id="IntEnum")])
 @pytest.mark.parametrize("entry", sorted(_POINT_ENTRY_POINTS))
 def test_point_index_must_be_an_int(five_point, entry, value):
-    # A bool or a float must not stand in for a point (0.0 hashes like 0), and a string must fail as input.
+    # A bool, a float or an IntEnum member must not stand in for a point (0.0 hashes like 0), and a
+    # string must fail as input.
     space, mapping = five_point
     with pytest.raises(InputError, match="not an index"):
         _POINT_ENTRY_POINTS[entry](space, mapping, value)
+
+
+_MAP_ENTRY_POINTS = {
+    "orbit": lambda space, mapping: orbit(space, mapping, 4),
+    "certify_fixed_point": lambda space, mapping: certify_fixed_point(space, mapping, 4),
+    "m_value": lambda space, mapping: m_value(ContractionKind.GENERALIZED_PERP, space, mapping, 3, 4),
+}
+
+
+@pytest.mark.parametrize("images", [[0, 0, 0], [1, 2, 3, 4, 5, 6, 0]], ids=["short", "long"])
+@pytest.mark.parametrize("entry", sorted(_MAP_ENTRY_POINTS))
+def test_map_size_must_match_the_space(five_point, entry, images):
+    # A short map would raise IndexError; a long one would walk through points the space lacks.
+    space, _ = five_point
+    with pytest.raises(InputError, match="map size"):
+        _MAP_ENTRY_POINTS[entry](space, SelfMap(images))
 
 
 def test_index_of(five_point):
@@ -247,6 +274,28 @@ def test_integer_form_scales_by_lcm_of_denominators():
     space = FiniteSpace(["a", "b", "c", "d"], _perturbed_rational_metric(), [])
     assert space.int_metric[0] == (0, 2, 3, 14)
     assert space.int_metric[2][1] == -1
+
+
+def _as_ints(metric):
+    """The integer twin of a rational matrix: every entry times the lcm of the denominators, as an int."""
+    scale = lcm(*(v.denominator for row in metric for v in row))
+    return [[int(v * scale) for v in row] for row in metric]
+
+
+def test_int_metric_and_its_fraction_twin_agree(accepted_instances, five_point):
+    # Plain ints are exact entries: they get the same integer form, and so the same validation,
+    # the same reports and the same rendering, as the Fractions they equal.
+    perturbed = FiniteSpace(["a", "b", "c", "d"], [[v * 6 for v in row] for row in _perturbed_rational_metric()], [])
+    for space, mapping in [five_point, *accepted_instances, (perturbed, SelfMap([1, 0, 3, 2]))]:
+        twin = FiniteSpace(space.points, _as_ints(space.metric), space.sorted_relation)
+        assert twin.int_metric is not None and twin.int_metric == space.int_metric
+        assert validate_metric(twin) == validate_metric(space)
+        assert space_to_dict(twin, mapping) == space_to_dict(space, mapping)
+        for kind in ContractionKind:
+            for symmetric in (False, True):
+                expected = check_contraction(kind, space, mapping, symmetric=symmetric)
+                assert check_contraction(kind, twin, mapping, symmetric=symmetric) == expected, (kind, symmetric)
+    assert not validate_metric(perturbed).ok
 
 
 def test_integer_form_is_none_for_quadext_metric():
@@ -437,11 +486,15 @@ def test_shortest_path_closures_are_metrics(n, seed):
 
 
 @settings(max_examples=20)
-@given(st.integers(1, 64), st.integers(0, 2**32), st.booleans(), st.booleans())
-def test_screen_flags_no_pair_on_closures(n, seed, directed, wide):
+@given(st.integers(1, 64), st.integers(0, 2**32), st.booleans(), st.booleans(), st.booleans())
+def test_screen_flags_no_pair_on_closures(n, seed, directed, wide, ints):
     # Both closures satisfy the directed triangle inequality, so the screen must flag nothing and the
     # exact loop must not run; a screen that gave up and flagged every pair would fail on the count.
+    # The same holds for the closure given as plain ints, which must get an integer form of its own.
     metric = _closure(n, random.Random(seed), directed, wide)
+    if ints:
+        metric = _as_ints(metric)
+        assert FiniteSpace([str(i) for i in range(n)], metric, []).int_metric is not None
     assert _screened(metric) == []
     assert _row_reads(metric) == 2 * n * n - n
 
