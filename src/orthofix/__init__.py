@@ -12,7 +12,6 @@ metric's integer form, built once per space, and exact scalars otherwise.
 """
 
 from .contraction import (
-    Analysis,
     ContractionKind,
     ContractionReport,
     HierarchyVerdict,
@@ -58,7 +57,6 @@ from .spacefile import load_space_file, parse_space_data, space_to_dict
 __version__ = "0.1.0"
 
 __all__ = [
-    "Analysis",
     "AuditSummary",
     "CaseReport",
     "CertificateError",

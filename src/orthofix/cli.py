@@ -18,7 +18,7 @@ import click
 
 from . import __version__
 from . import corpus as corpus_mod
-from .contraction import Analysis, ContractionKind, check_contraction, hierarchy_check
+from .contraction import ContractionKind, check_contraction, hierarchy_check, preservation, report
 from .errors import CertificateError, InputError, OrthofixError
 from .oracle import GenParams, theorem_audit
 from .rational import parse_rational
@@ -90,13 +90,12 @@ def verify(file, mode, as_json):
     """Run every check on a space file: classification, preservation,
     contraction constants, hierarchy implications and theorem hypotheses."""
     space, mapping = _load(file, need_map=True)
-    analysis = Analysis(space, mapping)
     cls = classify_orthogonality(space)
-    pres = analysis.preservation
-    reports = {kind: analysis.report(kind) for kind in ContractionKind}
-    certified = analysis.report(ContractionKind.GENERALIZED_PERP, symmetric=True)
-    verdicts = hierarchy_check(space, mapping, analysis=analysis)
-    hyp = hypothesis_check(space, mapping, mode, analysis=analysis)
+    pres = preservation(space, mapping)
+    reports = {kind: report(kind, space, mapping) for kind in ContractionKind}
+    certified = report(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
+    verdicts = hierarchy_check(space, mapping)
+    hyp = hypothesis_check(space, mapping, mode)
     ok = hyp.all_hold and all(v.holds for v in verdicts)
 
     if as_json:

@@ -34,10 +34,11 @@ value domain it reads:
   `engine="generic"`, as the tests' and the benchmark's reference.
 
 The pair sets are the space's sorted stored relation and sorted closure,
-built once per space.  An `Analysis` carries the facts of one map on a
-space -- preservation and every report scanned so far -- so that `verify`,
-the hypothesis check, Picard iteration, the hierarchy check, the audit and
-the corpus scan each pair set once per instance.
+built once per space.  The facts of one map on a space -- preservation and
+every report scanned so far -- are kept on the map (`preservation`,
+`report`), so that `verify`, the hypothesis check, Picard iteration, the
+hierarchy check, the audit and the corpus scan each pair set once per
+instance, whoever calls them.  `check_contraction` itself always scans.
 """
 
 from __future__ import annotations
@@ -271,53 +272,28 @@ def scan_value_pairs(
 
 
 # ---------------------------------------------------------------------------
-# derived facts of one instance
+# the facts of one map on a space, computed once
 # ---------------------------------------------------------------------------
 
-class Analysis:
-    """The facts of one map on a space, each computed once.
+def preservation(space: FiniteSpace, mapping: SelfMap) -> PreservationReport:
+    """`is_ow_preserving(space, mapping)`, computed once per (space, map) and kept on the map."""
+    memo = mapping._memo(space)
+    rep = memo.get("preservation")
+    if rep is None:
+        rep = memo["preservation"] = is_ow_preserving(space, mapping)
+    return rep
 
-    Preservation and contraction reports are filled in on first use and
-    reused afterwards, so the commands, the audit and the corpus can hand
-    one Analysis to every check of an instance instead of recomputing what
-    an earlier check already has.  Reports are keyed by (kind, symmetric)
-    and still come from `check_contraction`.  Facts of the space
-    alone, such as its weak elements, live on the space.
 
-    The memo lives on the object only: build one per instance and drop it
-    with the instance.
-    """
-
-    __slots__ = ("space", "mapping", "_preservation", "_reports")
-
-    def __init__(self, space: FiniteSpace, mapping: SelfMap):
-        self.space = space
-        self.mapping = mapping
-        self._preservation: PreservationReport | None = None
-        self._reports: dict[tuple, ContractionReport] = {}
-
-    @classmethod
-    def of(cls, space: FiniteSpace, mapping: SelfMap, analysis: "Analysis | None") -> "Analysis":
-        """`analysis` when it was built for this space and map, else a fresh one."""
-        if analysis is None:
-            return cls(space, mapping)
-        if analysis.space is not space or analysis.mapping is not mapping:
-            raise InputError("analysis was built for a different space or map")
-        return analysis
-
-    @property
-    def preservation(self) -> PreservationReport:
-        if self._preservation is None:
-            self._preservation = is_ow_preserving(self.space, self.mapping)
-        return self._preservation
-
-    def report(self, kind: ContractionKind, *, symmetric: bool = False) -> ContractionReport:
-        """`check_contraction(kind, space, mapping, symmetric=...)`, scanned once."""
-        key = (ContractionKind(kind), symmetric)
-        rep = self._reports.get(key)
-        if rep is None:
-            rep = self._reports[key] = check_contraction(kind, self.space, self.mapping, symmetric=symmetric)
-        return rep
+def report(
+    kind: ContractionKind, space: FiniteSpace, mapping: SelfMap, *, symmetric: bool = False
+) -> ContractionReport:
+    """`check_contraction(kind, space, mapping, symmetric=...)`, scanned once per (space, map) and kept on the map."""
+    key = (ContractionKind(kind), symmetric)
+    memo = mapping._memo(space)
+    rep = memo.get(key)
+    if rep is None:
+        rep = memo[key] = check_contraction(kind, space, mapping, symmetric=symmetric)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +316,7 @@ class HierarchyVerdict:
         }
 
 
-def hierarchy_check(
-    space: FiniteSpace, mapping: SelfMap, *, analysis: Analysis | None = None
-) -> tuple[HierarchyVerdict, ...]:
+def hierarchy_check(space: FiniteSpace, mapping: SelfMap) -> tuple[HierarchyVerdict, ...]:
     """Audit the implications between contraction kinds on this instance.
 
     The chain banach -> ciric -> generalized can only lower the minimal
@@ -352,11 +326,10 @@ def hierarchy_check(
     and every d(Tx, Ty) scales by s, so every scan on it agrees with the
     exact metric; its witness is the first bad entry (i, j).  Any failure
     falsifies the scan implementation, so each verdict carries a witness.
-    The oriented reports are read from `analysis` when one is given.
+    The oriented reports are those kept on the map (see `report`).
     """
-    analysis = Analysis.of(space, mapping, analysis)
     reports = {
-        kind: analysis.report(kind)
+        kind: report(kind, space, mapping)
         for kind in (
             ContractionKind.BANACH_PERP,
             ContractionKind.CIRIC,

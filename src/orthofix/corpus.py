@@ -17,10 +17,11 @@ from fractions import Fraction
 from typing import Callable
 
 from .contraction import (
-    Analysis,
     ContractionKind,
     hierarchy_check,
     m_value,
+    preservation,
+    report,
     scan_value_pairs,
 )
 from .errors import InputError
@@ -132,27 +133,25 @@ def _case_five_point() -> CaseReport:
     rec = _Recorder()
     space, mapping = five_point_example()
 
-    analysis = Analysis(space, mapping)
-
     cls = classify_orthogonality(space)
     rec.check("classification", "O_w-set-only", cls.verdict, "stated")
     rec.check("weak orthogonal elements", {0}, set(cls.weak_elements), "stated")
     rec.check("strong orthogonal elements", set(), set(cls.strong_elements), "stated")
-    rec.check("map preserves orthogonal relatedness", True, analysis.preservation.preserving, "stated")
+    rec.check("map preserves orthogonal relatedness", True, preservation(space, mapping).preserving, "stated")
 
     rec.check("M(3,4)", Fraction(4), m_value(ContractionKind.GENERALIZED_PERP, space, mapping, 3, 4), "stated")
     rec.check("M(0,4)", Fraction(4), m_value(ContractionKind.GENERALIZED_PERP, space, mapping, 0, 4), "derived")
 
-    gen = analysis.report(ContractionKind.GENERALIZED_PERP)
+    gen = report(ContractionKind.GENERALIZED_PERP, space, mapping)
     rec.check("generalized minimal k", Fraction(1, 2), gen.minimal_k, "derived")
     rec.check_true("generalized admissible", gen.admissible, "derived")
     rec.check("generalized max-ratio witness", (0, 2), gen.witness_max, "derived")
 
-    gen_sym = analysis.report(ContractionKind.GENERALIZED_PERP, symmetric=True)
+    gen_sym = report(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
     rec.check("orientation-complete minimal k", Fraction(2, 3), gen_sym.minimal_k, "derived")
     rec.check("orientation-complete witness", (4, 3), gen_sym.witness_max, "derived")
 
-    ban = analysis.report(ContractionKind.BANACH_PERP)
+    ban = report(ContractionKind.BANACH_PERP, space, mapping)
     rec.check("banach minimal k", Fraction(2), ban.minimal_k, "derived")
     rec.check("banach admissible", False, ban.admissible, "stated")
     rec.check("banach max-ratio witness", (3, 4), ban.witness_max, "stated")
@@ -170,21 +169,21 @@ def _case_five_point() -> CaseReport:
         info = orbit(space, mapping, start)
         rec.check(f"orbit from {start}", (prefix, cycle), (info.prefix, info.cycle), "stated")
 
-    trace0 = picard_solve(space, mapping, 0, k=Fraction(1, 2), analysis=analysis)
+    trace0 = picard_solve(space, mapping, 0, k=Fraction(1, 2))
     rec.check("iteration from 0: iterates", (0,), trace0.iterates, "stated")
     rec.check_true("iteration from 0: converged at 0", trace0.converged and trace0.fixed_point == 0, "stated")
 
-    trace4 = picard_solve(space, mapping, 4, k=Fraction(1, 2), allow_any_start=True, analysis=analysis)
+    trace4 = picard_solve(space, mapping, 4, k=Fraction(1, 2), allow_any_start=True)
     rec.check("iteration from 4: iterates", (4, 2, 1, 0), trace4.iterates, "stated")
     rec.check("iteration from 4: applications", 3, trace4.applications, "stated")
     rec.check_true("iteration from 4: converged at 0", trace4.converged and trace4.fixed_point == 0, "stated")
 
-    hyp = hypothesis_check(space, mapping, analysis=analysis)
+    hyp = hypothesis_check(space, mapping)
     rec.check_true("hypotheses hold (orbital-continuity mode)", hyp.all_hold, "stated")
-    hyp_o1 = hypothesis_check(space, mapping, MODE_O1, analysis=analysis)
+    hyp_o1 = hypothesis_check(space, mapping, MODE_O1)
     rec.check_true("hypotheses hold (O1 mode)", hyp_o1.all_hold, "derived")
 
-    bad = [v.name for v in hierarchy_check(space, mapping, analysis=analysis) if not v.holds]
+    bad = [v.name for v in hierarchy_check(space, mapping) if not v.holds]
     rec.check("hierarchy implication failures", [], bad, "derived")
 
     return CaseReport(

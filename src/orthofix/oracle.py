@@ -25,11 +25,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contraction import Analysis, hierarchy_check
+from .contraction import hierarchy_check
 from .errors import InputError
-from .rational import as_rational
+from .rational import _is_index, as_rational
 from .solver import _hypotheses_hold, hypothesis_check, picard_solve
-from .space import FiniteSpace, SelfMap, _check_map, _is_index, validate_metric
+from .space import FiniteSpace, SelfMap, _check_map, validate_metric
 from .spacefile import space_to_dict
 
 
@@ -118,16 +118,15 @@ def generate_space(params: GenParams, rng: random.Random | None = None) -> Finit
     return FiniteSpace([str(i) for i in range(n)], metric, relation)
 
 
-def _sample_map(params: GenParams, space: FiniteSpace, rng: random.Random) -> tuple[Analysis | None, int]:
-    """The accepted candidate's Analysis (or None) and the number of candidates tried."""
+def _sample_map(params: GenParams, space: FiniteSpace, rng: random.Random) -> tuple[SelfMap | None, int]:
+    """The accepted candidate (or None) and the number of candidates tried."""
     n = space.n
     for attempt in range(params.map_attempts):
         attractor = rng.randrange(n)
         images = [attractor if rng.getrandbits(1) else rng.randrange(n) for _ in range(n)]
         candidate = SelfMap(images, n)
-        analysis = Analysis(space, candidate)
-        if _hypotheses_hold(space, candidate, analysis):
-            return analysis, attempt + 1
+        if _hypotheses_hold(space, candidate):
+            return candidate, attempt + 1
     return None, params.map_attempts
 
 
@@ -140,8 +139,7 @@ def generate_map(
     not an error: the caller decides whether to draw a fresh space).
     """
     rng = rng if rng is not None else random.Random(params.seed)
-    analysis, _ = _sample_map(params, space, rng)
-    return analysis.mapping if analysis is not None else None
+    return _sample_map(params, space, rng)[0]
 
 
 @dataclass(frozen=True)
@@ -194,17 +192,14 @@ class AuditSummary:
         }
 
 
-def _audit_instance(
-    space: FiniteSpace, mapping: SelfMap, analysis: Analysis | None = None
-) -> tuple[list[str], int]:
+def _audit_instance(space: FiniteSpace, mapping: SelfMap) -> tuple[list[str], int]:
     """Verify the theorem's conclusion on one accepted instance.
 
     Returns (discrepancies, traces_checked).  All inequalities are
     re-evaluated here from the raw trace data, independently of the
-    solver's internal enforcement; the hypotheses and scans are read from
-    `analysis`, which the instance filter already filled.
+    solver's internal enforcement; the hypothesis check and the traces reuse
+    the scan the instance filter kept on the map.
     """
-    analysis = Analysis.of(space, mapping, analysis)
     problems: list[str] = []
     report = validate_metric(space)
     if not report.ok:
@@ -214,11 +209,11 @@ def _audit_instance(
         problems.append(f"fixed point set {sorted(fixed)} is not a singleton")
         return problems, 0
     (z,) = fixed
-    hyp = hypothesis_check(space, mapping, analysis=analysis)
+    hyp = hypothesis_check(space, mapping)
     k = hyp.minimal_k
     traces = 0
     for w in sorted(space.weak_elements):
-        trace = picard_solve(space, mapping, w, k=k, analysis=analysis)
+        trace = picard_solve(space, mapping, w, k=k)
         traces += 1
         if not trace.converged or trace.fixed_point != z:
             problems.append(f"Picard from {w} reached {trace.fixed_point}, brute force says {z}")
@@ -254,16 +249,15 @@ def theorem_audit(params: GenParams) -> AuditSummary:
         rng = random.Random(trial_seed)
         space = generate_space(params, rng)
         spaces_generated += 1
-        analysis, tried = _sample_map(params, space, rng)
+        mapping, tried = _sample_map(params, space, rng)
         maps_tried += tried
-        if analysis is None:
+        if mapping is None:
             exhausted += 1
             continue
         trials_run += 1
-        mapping = analysis.mapping
-        problems, traces = _audit_instance(space, mapping, analysis)
+        problems, traces = _audit_instance(space, mapping)
         trace_count += traces
-        for verdict in hierarchy_check(space, mapping, analysis=analysis):
+        for verdict in hierarchy_check(space, mapping):
             if not verdict.holds:
                 hierarchy_failures += 1
                 problems.append(f"hierarchy implication {verdict.name} fails at {verdict.witness}")

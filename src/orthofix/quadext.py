@@ -5,7 +5,8 @@ all rational (a pure radical, or a point like 1 + (1/11)*sqrt(11)).  A
 single square-free radicand is shared per space; values with b == 0 are
 radicand-agnostic rationals, everything else refuses to mix radicands.
 The coefficients follow the package's exact-rational rule
-(`rational._is_rational`): a float, bool or string raises InputError.
+(`rational._is_rational`), and the radicand the index rule
+(`rational._is_index`): a float, bool or string raises InputError.
 
 Ordering is decided exactly by sign case analysis on a and b (comparing
 a^2 against b^2*d where the signs differ), never by floating point.
@@ -16,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError
-from .rational import _is_rational, as_rational
+from .rational import _is_index, _is_rational, as_rational
 
 
 def is_squarefree(n: int) -> bool:
@@ -41,12 +42,16 @@ class QuadExt:
     def __init__(self, a: int | Fraction, b: int | Fraction = 0, d: int = 2):
         object.__setattr__(self, "a", as_rational(a, "QuadExt coefficient"))
         object.__setattr__(self, "b", as_rational(b, "QuadExt coefficient"))
-        if not isinstance(d, int) or d < 2 or not is_squarefree(d):
+        if not _is_index(d) or d < 2 or not is_squarefree(d):
             raise InputError(f"radicand must be a square-free integer >= 2, got {d!r}")
         object.__setattr__(self, "d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
+
+    def __reduce__(self):
+        # pickle and copy restore slots with setattr; rebuild from the constructor instead
+        return QuadExt, (self.a, self.b, self.d)
 
     # -- classification -----------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Exact rational scalars: the rule for what counts as one, and a strict text syntax.
+"""Exact rational scalars and indices: the rule for what counts as each, and a strict text syntax.
 
 All distances, contraction constants and error bounds in this package are
 exact rationals.  `_is_rational` is the one rule for them, applied to metric
@@ -8,6 +8,9 @@ subclass or a string is not a number here, so none is ever converted.
 `Fraction("1.5")` happily parses a decimal, which invites silent precision
 loss, so `parse_rational` accepts integer literals and "p/q" only.
 Rendering needs no helper: `str()` of a Fraction is already "p" or "p/q".
+`_is_index` is the rule for point indices, sizes and counts, and for the
+QuadExt radicand: a true `int`, never a bool, an `IntEnum` member, a float
+or a string.
 """
 
 from __future__ import annotations
@@ -23,6 +26,11 @@ _RAT_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?$")
 def _is_rational(value) -> bool:
     """The exact-rational rule: `value` is a true int or a Fraction."""
     return value.__class__ is int or isinstance(value, Fraction)
+
+
+def _is_index(value) -> bool:
+    """The index rule: a true int; bools, IntEnum members, floats and strings are never coerced."""
+    return value.__class__ is int
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:

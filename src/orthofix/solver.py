@@ -19,6 +19,11 @@ On finite spaces the iteration always terminates: the orbit enters a cycle
 within n steps, and under a valid certificate the cycle must be a single
 fixed point (a longer cycle would keep step distances bounded away from
 zero while the geometric bound forces them to zero).
+
+Preservation and the certificate-grade constant are read through
+`contraction.preservation` and `contraction.report`, which keep them on the
+map: an instance filter, the hypothesis check and every Picard trace of
+one map on one space share a single symmetric scan.
 """
 
 from __future__ import annotations
@@ -26,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .contraction import Analysis, ContractionKind
+from .contraction import ContractionKind, preservation, report
 from .errors import CertificateError, InputError
-from .rational import as_rational
+from .rational import _is_index, as_rational
 from .relational import orbit
-from .space import FiniteSpace, SelfMap, _check_map, _check_point, _is_index
+from .space import FiniteSpace, SelfMap, _check_map, _check_point
 
 MODE_ORBITAL_CONTINUITY = "orbital-continuity"
 MODE_O1 = "O1"
@@ -122,7 +127,6 @@ def picard_solve(
     max_iter: int = 1000,
     allow_any_start: bool = False,
     allow_inadmissible_k: bool = False,
-    analysis: Analysis | None = None,
 ) -> PicardTrace:
     """Run Picard iteration from `start` with runtime certificates.
 
@@ -142,13 +146,12 @@ def picard_solve(
     Stops on the first of: exact zero step distance (converged at a fixed
     point), certified tail bound <= eps, or max_iter.  `k` and `eps` are
     ints or Fractions (a float would be a binary approximation); `max_iter`
-    is a true int.
-    Preservation and the scans are read from `analysis` when one is given.
+    is a true int.  Preservation and the scans are those kept on the map
+    (see `contraction.report`).
     """
     _check_point(space, start, "start index")
     if not _is_index(max_iter) or max_iter < 0:
         raise InputError(f"max_iter must be an int >= 0, got {max_iter!r}")
-    analysis = Analysis.of(space, mapping, analysis)
     weak = space.weak_elements
     if start not in weak and not allow_any_start:
         raise InputError(
@@ -159,7 +162,7 @@ def picard_solve(
         k = as_rational(k, "k")
         if not (0 <= k < 1):
             raise InputError(f"k must lie in [0, 1), got {k}")
-    cert = analysis.report(ContractionKind.GENERALIZED_PERP, symmetric=True)
+    cert = report(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
     if k is None:
         if not cert.admissible:
             raise InputError(
@@ -169,7 +172,7 @@ def picard_solve(
         k = cert.minimal_k
     certificate_grade = cert.feasible and k >= cert.minimal_k
     if not (certificate_grade or allow_inadmissible_k):
-        rep = analysis.report(ContractionKind.GENERALIZED_PERP)
+        rep = report(ContractionKind.GENERALIZED_PERP, space, mapping)
         if not rep.feasible or k < rep.minimal_k:
             raise InputError(
                 f"k={k} is below the scanned minimal generalized constant "
@@ -180,7 +183,7 @@ def picard_solve(
         if eps <= 0:
             raise InputError("eps must be positive")
 
-    hypotheses = start in weak and analysis.preservation.preserving
+    hypotheses = start in weak and preservation(space, mapping).preserving
     certified = hypotheses and certificate_grade
     enforced = hypotheses and (certificate_grade or allow_inadmissible_k)
 
@@ -269,18 +272,17 @@ class HypothesisReport:
         }
 
 
-def _hypotheses_hold(space: FiniteSpace, mapping: SelfMap, analysis: Analysis | None = None) -> bool:
+def _hypotheses_hold(space: FiniteSpace, mapping: SelfMap) -> bool:
     """Short-circuit form of ``hypothesis_check(...).all_hold`` (orbital mode).
 
     Used by instance filters that test thousands of candidate maps; checks
     the cheap conditions before the contraction scan.  Whatever it computes
-    stays in `analysis` for the checks that follow on an accepted map.
+    stays on the map for the checks that follow on an accepted map.
     """
-    analysis = Analysis.of(space, mapping, analysis)
     return (
         bool(space.weak_elements)
-        and analysis.preservation.preserving
-        and analysis.report(ContractionKind.GENERALIZED_PERP, symmetric=True).admissible
+        and preservation(space, mapping).preserving
+        and report(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True).admissible
     )
 
 
@@ -288,8 +290,6 @@ def hypothesis_check(
     space: FiniteSpace,
     mapping: SelfMap,
     mode: str = MODE_ORBITAL_CONTINUITY,
-    *,
-    analysis: Analysis | None = None,
 ) -> HypothesisReport:
     """Evaluate the fixed point theorem's hypotheses on a finite instance.
 
@@ -304,15 +304,14 @@ def hypothesis_check(
     the finite reading of the subsequence condition: whenever the orbit of a
     weak element settles at a fixed point z, the constant tail must be
     orthogonally related to its limit, i.e. z related to z; orbits that do
-    not settle impose nothing.  Preservation and the scan are read from
-    `analysis` when one is given.
+    not settle impose nothing.  Preservation and the scan are those kept on
+    the map (see `contraction.report`).
     """
     if mode not in (MODE_ORBITAL_CONTINUITY, MODE_O1):
         raise InputError(f"unknown mode {mode!r}")
-    analysis = Analysis.of(space, mapping, analysis)
     weak = space.weak_elements
-    preserving = analysis.preservation.preserving
-    rep = analysis.report(ContractionKind.GENERALIZED_PERP, symmetric=True)
+    preserving = preservation(space, mapping).preserving
+    rep = report(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
     contraction_ok = rep.admissible
     notes = ["orbital O_w-completeness: holds (finite space)"]
     if mode == MODE_ORBITAL_CONTINUITY:

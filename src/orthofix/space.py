@@ -13,17 +13,19 @@ rows), and the weak orthogonal elements (the full closure rows).
 
 Each input rule has one definition: a distance entry is an exact rational
 (`rational._is_rational`: a true int or a Fraction) or a QuadExt (analytic
-samples, one shared radicand), a point index a true int (`_is_index`), and
-a map has one image per point (`_check_map`); anything else raises
+samples, one shared radicand), a point index a true int
+(`rational._is_index`), a relation entry a tuple or list of two indices,
+and a map has one image per point (`_check_map`); anything else raises
 InputError.  A rational metric, of ints, Fractions or both, also gets an
 *integer form* at construction: every entry multiplied by the lcm of the
 denominators.  Scaling by a positive constant preserves every order,
 sum and ratio comparison, so metric validation and the contraction scans
 run on plain ints; values are rendered from the exact metric.  Validation
 screens the triangle inequality with each row of the integer form packed
-into one int, one lane per entry (see `validate_metric`).  A space refuses
-attribute assignment, and every value it holds is immutable, so spaces,
-maps and reports are safe to share between workers.
+into one int, one lane per entry (see `validate_metric`).  Spaces and maps
+refuse attribute assignment.  Pickling or copying one rebuilds it from its
+constructor arguments (a map's memo of facts is not carried over), so both
+can be sent to worker processes.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Sequence
 
 from .errors import InputError
 from .quadext import QuadExt
-from .rational import _is_rational
+from .rational import _is_index, _is_rational
 
 Scalar = Fraction | QuadExt
 
@@ -60,11 +62,6 @@ class ValidationReport:
 
     def to_dict(self) -> dict:
         return {"ok": self.ok, "violations": [v.to_dict() for v in self.violations]}
-
-
-def _is_index(value) -> bool:
-    """The index rule: a true int; bools, IntEnum members, floats and strings are never coerced."""
-    return value.__class__ is int
 
 
 def _check_point(space: FiniteSpace, value, what: str = "index") -> None:
@@ -146,7 +143,7 @@ class FiniteSpace:
         out = [0] * n  # bit j of out[i]: (i, j) is stored
         both = [0] * n  # bit j of both[i]: (i, j) or (j, i) is stored
         for pair in relation:
-            i, j = pair if len(pair) == 2 else (None, None)
+            i, j = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
             if not (_is_index(i) and _is_index(j)):
                 raise InputError(f"relation entry {pair!r} is not an index pair; expected a pair of indices")
             if not (0 <= i < n and 0 <= j < n):
@@ -170,6 +167,10 @@ class FiniteSpace:
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteSpace is immutable")
+
+    def __reduce__(self):
+        # pickle and copy restore slots with setattr; rebuild from the constructor instead
+        return FiniteSpace, (self.points, self.metric, self.sorted_relation)
 
     @property
     def n(self) -> int:
@@ -195,21 +196,43 @@ class FiniteSpace:
 
 
 class SelfMap:
-    """Total map on a space's points, stored as an image table."""
+    """Immutable total map on a space's points, stored as an image table.
 
-    __slots__ = ("images",)
+    A map also keeps the facts computed about it on one space (preservation
+    and the contraction reports, see `contraction.report`): one slot holds
+    (space, memo), and using the map with another space starts a fresh memo.
+    """
+
+    __slots__ = ("images", "_facts")
 
     def __init__(self, images: Sequence[int], n: int | None = None):
         imgs = tuple(images)
-        bound = len(imgs) if n is None else n
+        if n is not None and not _is_index(n):
+            raise InputError(f"map size {n!r} is not an index")
         if n is not None and len(imgs) != n:
             raise InputError(f"map must list exactly {n} images, got {len(imgs)}")
         for idx, img in enumerate(imgs):
             if not _is_index(img):
                 raise InputError(f"map image {img!r} of point {idx} is not an index")
-            if not (0 <= img < bound):
+            if not (0 <= img < len(imgs)):
                 raise InputError(f"map image {img} of point {idx} out of range")
-        self.images = imgs
+        object.__setattr__(self, "images", imgs)
+        object.__setattr__(self, "_facts", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SelfMap is immutable")
+
+    def __reduce__(self):
+        # the memo is not carried over: the copy starts with none
+        return SelfMap, (self.images,)
+
+    def _memo(self, space: FiniteSpace) -> dict:
+        """The facts of this map on `space`; a fresh memo when the map was last used with another space."""
+        facts = self._facts
+        if facts is None or facts[0] is not space:
+            facts = (space, {})
+            object.__setattr__(self, "_facts", facts)
+        return facts[1]
 
     def __call__(self, i: int) -> int:
         return self.images[i]

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .errors import InputError
 from .rational import _is_rational, parse_rational
-from .space import FiniteSpace, SelfMap, _is_index, validate_metric
+from .space import FiniteSpace, SelfMap, validate_metric
 
 _ALLOWED_KEYS = {"points", "metric", "relation", "map"}
 
@@ -82,7 +82,7 @@ def parse_space_data(data: dict) -> tuple[FiniteSpace, SelfMap | None]:
     mapping = None
     if "map" in data:
         images = data["map"]
-        if not isinstance(images, list) or not all(_is_index(v) for v in images):
+        if not isinstance(images, list):
             raise InputError("'map' must be a list of point indices")
         try:
             mapping = SelfMap(images, n)

@@ -1,10 +1,12 @@
-"""One Analysis per (space, map): each derived fact is computed once and reused.
+"""A map keeps its facts on a space: each derived fact is computed once and reused.
 
 The scan counts below are the contract: `verify` needs 7 distinct scans
 (six oriented kinds and the certified symmetric scan), the audit reuses the
 filter's symmetric scan for the hypothesis check and for every Picard trace,
 and the corpus's five-point case needs 6.  The integer-form check of the
-hierarchy compares entries and scans nothing.
+hierarchy compares entries and scans nothing.  No caller passes anything
+extra: `contraction.report` and `contraction.preservation` keep each fact on
+the map, for the space it was computed on.
 Facts of the space alone (its weak elements) live on the space, not here.
 """
 
@@ -15,10 +17,9 @@ import pytest
 from click.testing import CliRunner
 
 from orthofix import (
-    Analysis,
     ContractionKind,
+    FiniteSpace,
     GenParams,
-    InputError,
     SelfMap,
     check_contraction,
     contraction,
@@ -31,7 +32,7 @@ from orthofix import (
 )
 from orthofix.cli import main
 from orthofix.corpus import run_case
-from orthofix.solver import MODE_O1, _hypotheses_hold
+from orthofix.solver import MODE_O1
 
 FIVE_POINT = str(Path(__file__).resolve().parent.parent / "data" / "five_point.json")
 
@@ -69,47 +70,67 @@ def test_corpus_five_point_shares_one_analysis(scan_calls):
     assert len(scan_calls) == 6
 
 
+def test_hypotheses_solve_and_hierarchy_share_the_maps_scans(five_point, scan_calls):
+    space, mapping = five_point
+    assert hypothesis_check(space, mapping).all_hold  # the symmetric scan
+    assert picard_solve(space, mapping, 0).certified  # reuses it: k = 2/3 needs no oriented scan
+    assert all(v.holds for v in hierarchy_check(space, mapping))  # five oriented kinds
+    assert len(scan_calls) == 6
+
+
 def test_analysis_fills_each_fact_once(five_point, scan_calls):
     space, mapping = five_point
-    analysis = Analysis(space, mapping)
-    first = analysis.report(ContractionKind.GENERALIZED_PERP, symmetric=True)
-    assert analysis.report("generalized_perp", symmetric=True) is first
+    first = contraction.report(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
+    assert contraction.report("generalized_perp", space, mapping, symmetric=True) is first
     assert first == check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
     assert len(scan_calls) == 2
-    assert analysis.preservation is analysis.preservation
-    assert analysis.preservation == is_ow_preserving(space, mapping)
+    assert contraction.preservation(space, mapping) is contraction.preservation(space, mapping)
+    assert contraction.preservation(space, mapping) == is_ow_preserving(space, mapping)
     assert weak_orthogonal_elements(space) is space.weak_elements == {0}
 
 
-def test_shared_analysis_gives_the_same_results(accepted_instances):
+def test_shared_analysis_gives_the_same_results(accepted_instances, scan_calls):
+    # A fresh SelfMap with equal images keeps no facts of its own yet: it scans again,
+    # and every result equals the one read from the filled map.
     for space, mapping in accepted_instances[:10]:
-        analysis = Analysis(space, mapping)
-        assert _hypotheses_hold(space, mapping, analysis)
-        for mode in ("orbital-continuity", MODE_O1):
-            assert hypothesis_check(space, mapping, mode, analysis=analysis) == hypothesis_check(space, mapping, mode)
-        k = hypothesis_check(space, mapping).minimal_k
+        fresh = SelfMap(mapping.images, space.n)
+        shared = hypothesis_check(space, mapping)
+        before = len(scan_calls)
+        assert hypothesis_check(space, mapping) == shared  # read from the map
+        assert len(scan_calls) == before
+        assert hypothesis_check(space, fresh) == shared  # scanned again
+        assert len(scan_calls) == before + 1
+        assert hypothesis_check(space, fresh, MODE_O1) == hypothesis_check(space, mapping, MODE_O1)
+        k = shared.minimal_k
         for w in sorted(space.weak_elements):
-            assert picard_solve(space, mapping, w, k=k, analysis=analysis) == picard_solve(space, mapping, w, k=k)
-        assert hierarchy_check(space, mapping, analysis=analysis) == hierarchy_check(space, mapping)
+            assert picard_solve(space, mapping, w, k=k) == picard_solve(space, fresh, w, k=k)
+        assert hierarchy_check(space, mapping) == hierarchy_check(space, fresh)
+
+
+def test_each_space_gets_its_own_reports(five_point, scan_calls):
+    space, mapping = five_point
+    doubled = FiniteSpace(space.points, [[2 * v for v in row] for row in space.metric], space.sorted_relation)
+    # (0, 2) and (4, 0) gone: the generalized constants change
+    sparser = FiniteSpace(space.points, space.metric, [(0, 0), (1, 0), (3, 4), (3, 0)])
+    kinds = [(kind, symmetric) for kind in ContractionKind for symmetric in (False, True)]
+    for other in (doubled, sparser, space):
+        for kind, symmetric in kinds:
+            expected = check_contraction(kind, other, mapping, symmetric=symmetric)
+            assert contraction.report(kind, other, mapping, symmetric=symmetric) == expected, (kind, symmetric)
+        assert contraction.preservation(other, mapping) == is_ow_preserving(other, mapping)
+    assert len(scan_calls) == 2 * 3 * len(kinds)  # each switch of space starts a fresh memo
+    assert (
+        contraction.report(ContractionKind.GENERALIZED_PERP, sparser, mapping)
+        != contraction.report(ContractionKind.GENERALIZED_PERP, space, mapping)
+    )
 
 
 def test_explicit_k_below_the_constant_reuses_the_oriented_scan(five_point, scan_calls):
     space, mapping = five_point
-    analysis = Analysis(space, mapping)
-    analysis.report(ContractionKind.GENERALIZED_PERP)
-    analysis.report(ContractionKind.GENERALIZED_PERP, symmetric=True)
+    contraction.report(ContractionKind.GENERALIZED_PERP, space, mapping)
+    contraction.report(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
     before = len(scan_calls)
-    trace = picard_solve(space, mapping, 0, k=Fraction(1, 2), analysis=analysis)
+    trace = picard_solve(space, mapping, 0, k=Fraction(1, 2))
     assert len(scan_calls) == before
-    assert trace == picard_solve(space, mapping, 0, k=Fraction(1, 2))
+    assert trace == picard_solve(space, SelfMap(mapping.images, space.n), 0, k=Fraction(1, 2))
     assert not trace.certified
-
-
-def test_analysis_of_another_instance_is_rejected(five_point):
-    space, mapping = five_point
-    other = SelfMap(list(mapping.images), space.n)
-    with pytest.raises(InputError, match="different space or map"):
-        hypothesis_check(space, other, analysis=Analysis(space, mapping))
-    with pytest.raises(InputError, match="different space or map"):
-        hierarchy_check(space, other, analysis=Analysis(space, mapping))
-

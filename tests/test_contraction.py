@@ -11,13 +11,13 @@ from fractions import Fraction
 import pytest
 
 from orthofix import (
-    Analysis,
     ContractionKind,
     FiniteSpace,
     InputError,
     QuadExt,
     SelfMap,
     check_contraction,
+    contraction,
     hierarchy_check,
     m_value,
     scan_value_pairs,
@@ -284,7 +284,7 @@ def test_integer_form_verdict_vacuous_without_integer_form():
 _KIND_ENTRY_POINTS = {
     "ContractionKind": lambda space, mapping, kind: ContractionKind(kind),
     "check_contraction": lambda space, mapping, kind: check_contraction(kind, space, mapping),
-    "Analysis.report": lambda space, mapping, kind: Analysis(space, mapping).report(kind),
+    "report": lambda space, mapping, kind: contraction.report(kind, space, mapping),
     "scan_value_pairs": lambda space, mapping, kind: scan_value_pairs(kind, [(0, 1)], space.d, mapping),
     "m_value": lambda space, mapping, kind: m_value(kind, space, mapping, 0, 1),
 }

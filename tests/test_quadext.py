@@ -1,4 +1,5 @@
 import math
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -49,8 +50,13 @@ def test_coefficients_must_be_exact_rationals(args):
         QuadExt(*args)
 
 
+class _Radicand(IntEnum):
+    TWO = 2
+
+
 def test_invalid_radicand():
-    for d in (0, 1, -3, 4, 12, 18):
+    # The radicand follows the index rule: an IntEnum member is not stored as d.
+    for d in (0, 1, -3, 4, 12, 18, _Radicand.TWO):
         with pytest.raises(InputError):
             QuadExt(1, 1, d)
 

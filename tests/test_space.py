@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from enum import IntEnum
 from fractions import Fraction
@@ -15,6 +17,7 @@ from orthofix import (
     SelfMap,
     certify_fixed_point,
     check_contraction,
+    hypothesis_check,
     is_ow_preserving,
     is_ow_sequence,
     m_value,
@@ -166,14 +169,16 @@ def test_relation_views_match_their_definitions(case, seed):
     assert is_ow_preserving(space, SelfMap(t, n)).violations == tuple(violations)
 
 
-@pytest.mark.parametrize("name", ["int_metric", "weak_elements", "closure_rows"])
+@pytest.mark.parametrize("name", ["int_metric", "weak_elements", "closure_rows", "images"])
 def test_space_refuses_assignment(five_point, name):
     # Every derived view is built from the others at construction; reassigning one would desynchronise them.
-    space, _ = five_point
-    before = getattr(space, name)
+    # A map's images are checked at construction, and the facts kept on the map were computed from them.
+    space, mapping = five_point
+    target = mapping if name == "images" else space
+    before = getattr(target, name)
     with pytest.raises(AttributeError, match="immutable"):
-        setattr(space, name, None)
-    assert getattr(space, name) is before
+        setattr(target, name, None)
+    assert getattr(target, name) is before
     assert space.weak_elements == {0}
 
 
@@ -192,6 +197,9 @@ def test_selfmap_totality():
         SelfMap([0, 5], 2)
     with pytest.raises(InputError, match="exactly"):
         SelfMap([0], 2)
+    for n in (2.0, True):
+        with pytest.raises(InputError, match="not an index"):
+            SelfMap([0, 0], n)
 
 
 class _Point(IntEnum):
@@ -202,7 +210,8 @@ class _Point(IntEnum):
 def test_float_relation_index_rejected():
     # int() would truncate (0.9, 1.2) to (0, 1); an IntEnum member is not a plain index either.
     metric = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-    for pair in [(0.9, 1.2), (_Point.ZERO, 1)]:
+    # An entry must be a tuple or list of two: a bare int is no pair, and a dict would be read as its keys.
+    for pair in [(0.9, 1.2), (_Point.ZERO, 1), 5, {0: 1, 1: 0}]:
         with pytest.raises(InputError, match="index pair"):
             FiniteSpace(["a", "b"], metric, [pair])
     assert FiniteSpace(["a", "b"], metric, [(0, 1)]).relation == frozenset({(0, 1)})
@@ -522,3 +531,30 @@ def test_perturbed_closure_reports_planted_witness(n, seed, upward, both_orienta
     violated = _violated_pairs(metric)
     assert _screened(metric) == violated
     assert _row_reads(metric) == 2 * n * n - n + 3 * (n - 2) * len(violated)
+
+
+def _line_with_root_two():
+    zero, one, root = QuadExt(0, 0, 2), QuadExt(1, 0, 2), QuadExt(0, 1, 2)
+    metric = [[zero, root, root + one], [root, zero, one], [root + one, one, zero]]
+    return FiniteSpace(["a", "b", "c"], metric, [(0, 1), (0, 2), (1, 2)]), SelfMap([0, 0, 1], 3)
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
+)
+def test_spaces_maps_and_numbers_round_trip(five_point, clone):
+    # A worker pool pickles its arguments; slots are rebuilt from the constructor, not set one by one.
+    for space, mapping in [five_point, _line_with_root_two()]:
+        expected = [check_contraction(kind, space, mapping, symmetric=s) for kind in ContractionKind for s in (False, True)]
+        hypothesis_check(space, mapping)  # fills the memo kept on the map
+        space2, mapping2 = clone(space), clone(mapping)
+        assert [getattr(space2, name) for name in FiniteSpace.__slots__] == [
+            getattr(space, name) for name in FiniteSpace.__slots__
+        ]
+        assert mapping2.images == mapping.images and mapping2._facts is None  # the memo is not carried over
+        reports = [check_contraction(kind, space2, mapping2, symmetric=s) for kind in ContractionKind for s in (False, True)]
+        assert reports == expected
+        assert hypothesis_check(space2, mapping2) == hypothesis_check(space, mapping)
+    value = QuadExt(Fraction(1, 3), -2, 11)
+    copied = clone(value)
+    assert copied == value and (copied.a, copied.b, copied.d) == (value.a, value.b, value.d)

@@ -131,7 +131,7 @@ def test_boolean_relation_entry_rejected():
 
 
 def test_boolean_map_entry_rejected():
-    with pytest.raises(InputError, match="indices"):
+    with pytest.raises(InputError, match="not an index"):
         parse_space_data(_broken(map=[0, 0, True, 0, 2]))
 
 
