@@ -5,7 +5,10 @@ the all-pairs shortest-path closure of random positive integer edge
 weights (which constructively guarantees the triangle inequality), the
 relation is sampled pairwise and then augmented so one randomly chosen
 point is a weak orthogonal element, and candidate maps are biased toward a
-random attractor and kept only when every theorem hypothesis holds.
+random attractor and kept only when every theorem hypothesis holds.  A
+candidate is first tested on its raw image list and dropped at its first
+preservation violation, so a candidate rejected there never becomes a map;
+only a preserving one is built as a `SelfMap` and checked against the rest.
 
 For each accepted instance the audit verifies the theorem's conclusion
 against exhaustive enumeration: exactly one fixed point, reached by Picard
@@ -24,10 +27,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .contraction import hierarchy_check
 from .errors import InputError
 from .rational import _is_index, as_rational
+from .relational import _violations
 from .solver import _hypotheses_hold, hypothesis_check, picard_solve
 from .space import FiniteSpace, SelfMap, _check_map, validate_metric
 from .spacefile import space_to_dict
@@ -90,7 +95,10 @@ def _shortest_path_metric(n: int, rng: random.Random, lo: int, hi: int) -> list[
                 via = w[i][k] + w[k][j]
                 if via < w[i][j]:
                     w[i][j] = via
-    return [[Fraction(w[i][j]) for j in range(n)] for i in range(n)]
+    # one Fraction per distinct distance, shared as the loader shares them, so that
+    # `FiniteSpace` checks and scales each distinct value once
+    shared = {v: Fraction(v) for v in set(chain.from_iterable(w))}
+    return [[shared[v] for v in row] for row in w]
 
 
 def generate_space(params: GenParams, rng: random.Random | None = None) -> FiniteSpace:
@@ -119,11 +127,20 @@ def generate_space(params: GenParams, rng: random.Random | None = None) -> Finit
 
 
 def _sample_map(params: GenParams, space: FiniteSpace, rng: random.Random) -> tuple[SelfMap | None, int]:
-    """The accepted candidate (or None) and the number of candidates tried."""
+    """The accepted candidate (or None) and the number of candidates tried.
+
+    All n images are drawn first, so the stream does not depend on the
+    outcome.  The raw image list is then tested for preservation up to its
+    first violation, where most candidates fail; such a candidate never
+    becomes a map.  Only a preserving one is built as a `SelfMap` and judged
+    by `_hypotheses_hold`, which keeps its facts on the map it accepts.
+    """
     n = space.n
     for attempt in range(params.map_attempts):
         attractor = rng.randrange(n)
         images = [attractor if rng.getrandbits(1) else rng.randrange(n) for _ in range(n)]
+        if next(_violations(space, images), None) is not None:
+            continue
         candidate = SelfMap(images, n)
         if _hypotheses_hold(space, candidate):
             return candidate, attempt + 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError
 from .space import FiniteSpace, SelfMap, _check_map, _check_point
@@ -128,14 +128,22 @@ def is_ow_preserving(space: FiniteSpace, mapping: SelfMap) -> PreservationReport
     order.
     """
     _check_map(space, mapping)
+    violations = tuple(_violations(space, mapping.images))
+    return PreservationReport(preserving=not violations, violations=violations)
+
+
+def _violations(space: FiniteSpace, images: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The related pairs whose images are unrelated, lazily, in the order of `is_ow_preserving`.
+
+    `images` is a raw image list of length n with entries in range, unchecked:
+    the audit's sampler asks for the first item of a candidate it has just drawn.
+    """
     rows, closure = space.relation_rows, space.closure_rows
-    t = mapping.images
-    violations = tuple(
+    return (
         (i, j)
         for (i, j) in space.sorted_relation
-        if not (i > j and rows[j] >> i & 1) and not closure[t[i]] >> t[j] & 1
+        if not (i > j and rows[j] >> i & 1) and not closure[images[i]] >> images[j] & 1
     )
-    return PreservationReport(preserving=not violations, violations=violations)
 
 
 def orbit(space: FiniteSpace, mapping: SelfMap, start: int) -> OrbitInfo:

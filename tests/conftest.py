@@ -5,9 +5,8 @@ import random
 import pytest
 from hypothesis import settings
 
-from orthofix import GenParams, SelfMap, generate_space
+from orthofix import GenParams, generate_map, generate_space
 from orthofix.corpus import five_point_example
-from orthofix.solver import _hypotheses_hold
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -22,8 +21,8 @@ def five_point():
 def accepted_instances():
     """A batch of generated (space, map) instances satisfying every hypothesis.
 
-    Shared across property tests; generation mirrors the audit's
-    generate-and-filter loop at a smaller trial count.
+    Shared across property tests; drawn by the audit's own generators, seed
+    stream and sampler at a smaller trial count.
     """
     instances = []
     params = GenParams(seed=2024, trials=25)
@@ -31,11 +30,7 @@ def accepted_instances():
     while len(instances) < params.trials:
         rng = random.Random(master.getrandbits(64))
         space = generate_space(params, rng)
-        for _ in range(params.map_attempts):
-            attractor = rng.randrange(space.n)
-            images = [attractor if rng.getrandbits(1) else rng.randrange(space.n) for _ in range(space.n)]
-            mapping = SelfMap(images, space.n)
-            if _hypotheses_hold(space, mapping):
-                instances.append((space, mapping))
-                break
+        mapping = generate_map(params, space, rng)
+        if mapping is not None:
+            instances.append((space, mapping))
     return instances

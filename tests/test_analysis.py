@@ -26,6 +26,7 @@ from orthofix import (
     hierarchy_check,
     hypothesis_check,
     is_ow_preserving,
+    oracle,
     picard_solve,
     theorem_audit,
     weak_orthogonal_elements,
@@ -62,6 +63,28 @@ def test_audit_reuses_the_filters_scan(scan_calls):
     # Without sharing, each hypothesis check and each trace would rescan symmetrically;
     # the integer-form check of each trial's hierarchy scans nothing.
     assert len(scan_calls) == 546 - 2 * summary.trials_run - summary.trace_count == 388
+
+
+def test_audit_builds_only_preserving_candidates(monkeypatch):
+    # The sampler drops a candidate at its first preservation violation, before it is a map:
+    # only preserving candidates become a SelfMap, and each gets one full preservation report.
+    built, reports = [], []
+    build, check = oracle.SelfMap, contraction.is_ow_preserving
+
+    def counted_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def counted_check(space, mapping):
+        reports.append(check(space, mapping))
+        return reports[-1]
+
+    monkeypatch.setattr(oracle, "SelfMap", counted_build)
+    monkeypatch.setattr(contraction, "is_ow_preserving", counted_check)
+    summary = theorem_audit(GenParams(seed=0, trials=50))
+    assert summary.maps_tried == 1178
+    assert all(rep.preserving for rep in reports)
+    assert len(built) == len(reports) == 138  # the preserving candidates among the 1,178 drawn
 
 
 def test_corpus_five_point_shares_one_analysis(scan_calls):

@@ -4,7 +4,9 @@ Each case runs one CLI command from the repository root and compares its
 exit code and standard output with a committed file under tests/golden/.
 `data/preservation_violations.json` breaks preservation on a pair stored in
 both orientations and on a pair stored only as (j, i) with j > i, so its
-report pins the order and orientation of preservation violations.  A change that
+report pins the order and orientation of preservation violations.  The
+500-trial audit pins the sampler's whole candidate stream at seed 42 (13,751
+candidate maps, ten times the 50-trial case's).  A change that
 alters a default report on purpose regenerates the file, for example
 
     PYTHONPATH=src python -m orthofix.cli corpus --json > tests/golden/corpus.json
@@ -27,6 +29,7 @@ CASES = [
     ("verify_preservation_violations.json", ["verify", "--json", "data/preservation_violations.json"], 1),
     ("corpus.json", ["corpus", "--json"], 0),
     ("audit_50_seed0.json", ["audit", "--trials", "50", "--seed", "0", "--json"], 0),
+    ("audit_500_seed42.json", ["audit", "--trials", "500", "--seed", "42", "--json"], 0),
 ]
 
 

@@ -17,6 +17,8 @@ from orthofix import (
     validate_metric,
     weak_orthogonal_elements,
 )
+from orthofix.oracle import _sample_map
+from orthofix.solver import _hypotheses_hold
 from orthofix.spacefile import space_to_dict
 
 
@@ -79,6 +81,32 @@ def test_generate_map_returns_accepted_candidate():
     mapping = generate_map(params, space, random.Random(9))
     assert mapping is not None
     assert hypothesis_check(space, mapping).all_hold
+
+
+def _sample_map_reference(params, space, rng):
+    """The sampler as it was before its preservation prescreen: every candidate built and judged as a map."""
+    for attempt in range(params.map_attempts):
+        attractor = rng.randrange(space.n)
+        images = [attractor if rng.getrandbits(1) else rng.randrange(space.n) for _ in range(space.n)]
+        candidate = SelfMap(images, space.n)
+        if _hypotheses_hold(space, candidate):
+            return candidate, attempt + 1
+    return None, params.map_attempts
+
+
+@pytest.mark.parametrize("max_points", [2, 8, 32])
+@pytest.mark.parametrize("density", [Fraction(0), Fraction(1, 4), Fraction(1)], ids=str)
+def test_sampler_draws_the_reference_stream(max_points, density):
+    # Same accepted images, same attempt count, and the stream left at the same state.
+    for seed in range(33):
+        params = GenParams(seed=seed, max_points=max_points, relation_density=density)
+        space = generate_space(params)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        mapping, tried = _sample_map(params, space, ours)
+        expected, expected_tried = _sample_map_reference(params, space, theirs)
+        assert tried == expected_tried, seed
+        assert getattr(mapping, "images", None) == getattr(expected, "images", None), seed
+        assert ours.getstate() == theirs.getstate(), seed
 
 
 def test_audit_zero_trials_is_empty():

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from orthofix import (
     InputError,
     FiniteSpace,
+    GenParams,
     SelfMap,
     classify_orthogonality,
+    generate_space,
     is_ow_preserving,
     is_ow_sequence,
     orbit,
@@ -14,6 +17,7 @@ from orthofix import (
     weak_orthogonal_elements,
 )
 from orthofix.corpus import leq_space, orbit_space_example
+from orthofix.relational import _violations
 
 
 def _unit_space(n, relation):
@@ -119,6 +123,30 @@ def test_preserving_reports_first_sorted_orientation():
     assert report.violations == ((1, 2), (3, 1), (3, 3))
     with pytest.raises(InputError, match="map size"):
         is_ow_preserving(space, SelfMap([0, 0, 0], 3))
+
+
+@st.composite
+def _spaces_with_images(draw):
+    """A space of at most 10 points, hand-made or generated, and an arbitrary image list on it."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 10))
+        index = st.integers(0, n - 1)
+        space = _unit_space(n, draw(st.lists(st.tuples(index, index), max_size=n * n)))
+    else:
+        seed, density = draw(st.integers(0, 2**32)), draw(st.sampled_from([0, Fraction(1, 4), 1]))
+        space = generate_space(GenParams(seed=seed, max_points=10, relation_density=density))
+    return space, draw(st.lists(st.integers(0, space.n - 1), min_size=space.n, max_size=space.n))
+
+
+@given(_spaces_with_images())
+def test_first_violation_is_the_reports_first(case):
+    # The audit's sampler rejects a candidate on the first item of `_violations`; the report lists them all.
+    space, images = case
+    report = is_ow_preserving(space, SelfMap(images, space.n))
+    first = next(_violations(space, images), None)
+    assert (first is None) == report.preserving
+    if first is not None:
+        assert first == report.violations[0]
 
 
 def test_orbits_five_point(five_point):
