@@ -9,97 +9,76 @@ theorem audit, and a corpus of desk-checkable worked examples.
 
 Metric validation and the one contraction scan loop read a rational
 metric's integer form, built once per space, and exact scalars otherwise.
+
+`import orthofix` loads no submodule.  A public name is resolved on first
+use (PEP 562) through `_EXPORTS`, which imports only the name's home
+module, so a command or a script compiles only the code it runs.
 """
 
-from .contraction import (
-    ContractionKind,
-    ContractionReport,
-    HierarchyVerdict,
-    check_contraction,
-    hierarchy_check,
-    m_value,
-    scan_value_pairs,
-)
-from .corpus import CaseReport, list_cases, run_case
-from .errors import CertificateError, InputError, OrthofixError
-from .oracle import (
-    AuditSummary,
-    GenParams,
-    brute_force_fixed_points,
-    generate_map,
-    generate_space,
-    theorem_audit,
-)
-from .quadext import QuadExt, qext_compare, qext_is_rational
-from .rational import parse_rational
-from .relational import (
-    OrbitInfo,
-    OrthoClassification,
-    PreservationReport,
-    classify_orthogonality,
-    is_ow_preserving,
-    is_ow_sequence,
-    orbit,
-    strong_orthogonal_elements,
-    weak_orthogonal_elements,
-)
-from .solver import (
-    HypothesisReport,
-    PicardTrace,
-    certify_fixed_point,
-    hypothesis_check,
-    picard_solve,
-    required_iterations,
-)
-from .space import FiniteSpace, SelfMap, ValidationReport, validate_metric
-from .spacefile import load_space_file, parse_space_data, space_to_dict
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditSummary",
-    "CaseReport",
-    "CertificateError",
-    "ContractionKind",
-    "ContractionReport",
-    "FiniteSpace",
-    "GenParams",
-    "HierarchyVerdict",
-    "HypothesisReport",
-    "InputError",
-    "OrbitInfo",
-    "OrthoClassification",
-    "OrthofixError",
-    "PicardTrace",
-    "PreservationReport",
-    "QuadExt",
-    "SelfMap",
-    "ValidationReport",
-    "brute_force_fixed_points",
-    "certify_fixed_point",
-    "check_contraction",
-    "classify_orthogonality",
-    "generate_map",
-    "generate_space",
-    "hierarchy_check",
-    "hypothesis_check",
-    "is_ow_preserving",
-    "is_ow_sequence",
-    "list_cases",
-    "load_space_file",
-    "m_value",
-    "orbit",
-    "parse_rational",
-    "parse_space_data",
-    "picard_solve",
-    "qext_compare",
-    "qext_is_rational",
-    "required_iterations",
-    "run_case",
-    "scan_value_pairs",
-    "space_to_dict",
-    "strong_orthogonal_elements",
-    "theorem_audit",
-    "validate_metric",
-    "weak_orthogonal_elements",
-]
+# public name -> home submodule
+_EXPORTS = {
+    "AuditSummary": "oracle",
+    "CaseReport": "corpus",
+    "CertificateError": "errors",
+    "ContractionKind": "contraction",
+    "ContractionReport": "contraction",
+    "FiniteSpace": "space",
+    "GenParams": "oracle",
+    "HierarchyVerdict": "contraction",
+    "HypothesisReport": "solver",
+    "InputError": "errors",
+    "OrbitInfo": "relational",
+    "OrthoClassification": "relational",
+    "OrthofixError": "errors",
+    "PicardTrace": "solver",
+    "PreservationReport": "relational",
+    "QuadExt": "quadext",
+    "SelfMap": "space",
+    "ValidationReport": "space",
+    "brute_force_fixed_points": "relational",
+    "certify_fixed_point": "solver",
+    "check_contraction": "contraction",
+    "classify_orthogonality": "relational",
+    "generate_map": "oracle",
+    "generate_space": "oracle",
+    "hierarchy_check": "contraction",
+    "hypothesis_check": "solver",
+    "is_ow_preserving": "relational",
+    "is_ow_sequence": "relational",
+    "list_cases": "cases",
+    "load_space_file": "spacefile",
+    "m_value": "contraction",
+    "orbit": "relational",
+    "parse_rational": "rational",
+    "parse_space_data": "spacefile",
+    "picard_solve": "solver",
+    "qext_compare": "quadext",
+    "qext_is_rational": "quadext",
+    "required_iterations": "solver",
+    "run_case": "corpus",
+    "scan_value_pairs": "contraction",
+    "space_to_dict": "spacefile",
+    "strong_orthogonal_elements": "relational",
+    "theorem_audit": "oracle",
+    "validate_metric": "space",
+    "weak_orthogonal_elements": "relational",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

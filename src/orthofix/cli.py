@@ -4,7 +4,9 @@ Exit codes: 0 all checks passed / solve converged; 1 a verification failed
 or the iteration did not converge; 2 input error (bad file, bad flag, bad
 index).  Reports are deterministic: identical invocations on identical
 files produce byte-identical output, and JSON reports carry "schema": 1.
-Rationals are written and read as integers or "p/q" only.
+Rationals are written and read as integers or "p/q" only.  The case code
+(`corpus`) and the audit (`oracle`) are imported by the commands that run
+them, so no other command compiles them at start-up.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from pathlib import Path
 import click
 
 from . import __version__
-from . import corpus as corpus_mod
+from .cases import list_cases
 from .contraction import ContractionKind, check_contraction, hierarchy_check, preservation, report
 from .errors import CertificateError, InputError, OrthofixError
-from .oracle import GenParams, theorem_audit
 from .rational import parse_rational
 from .relational import classify_orthogonality, is_ow_sequence, orbit
 from .solver import MODE_O1, MODE_ORBITAL_CONTINUITY, hypothesis_check, picard_solve
@@ -239,18 +240,20 @@ def solve(file, start, eps, max_iter, k_raw, allow_any_start, allow_inadmissible
 
 
 @main.command()
-@click.option("--case", "case_name", default=None, type=click.Choice([name for name, _ in corpus_mod.list_cases()]))
+@click.option("--case", "case_name", default=None, type=click.Choice([name for name, _ in list_cases()]))
 @click.option("--list", "list_only", is_flag=True, help="list registered cases")
 @click.option("--json", "as_json", is_flag=True)
 def corpus(case_name, list_only, as_json):
     """Run the registered desk-checkable cases and report every assertion."""
     if list_only:
         if as_json:
-            _emit_json({"command": "corpus", "cases": [{"name": n, "summary": s} for n, s in corpus_mod.list_cases()]})
+            _emit_json({"command": "corpus", "cases": [{"name": n, "summary": s} for n, s in list_cases()]})
         else:
-            for name, summary in corpus_mod.list_cases():
+            for name, summary in list_cases():
                 click.echo(f"{name}: {summary}")
         sys.exit(0)
+    from . import corpus as corpus_mod
+
     reports = [corpus_mod.run_case(case_name)] if case_name else corpus_mod.run_all()
     ok = all(r.ok for r in reports)
     if as_json:
@@ -277,6 +280,8 @@ def corpus(case_name, list_only, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def audit(trials, seed, max_points, density, map_attempts, dump_dir, as_json):
     """Randomized theorem audit against the brute-force oracle."""
+    from .oracle import GenParams, theorem_audit
+
     params = GenParams(
         seed=seed,
         trials=trials,

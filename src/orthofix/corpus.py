@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .cases import list_cases  # re-exported: the names and summaries of `_RUNNERS`
 from .contraction import (
     ContractionKind,
     hierarchy_check,
@@ -25,9 +26,9 @@ from .contraction import (
     scan_value_pairs,
 )
 from .errors import InputError
-from .oracle import brute_force_fixed_points
 from .quadext import QuadExt, qext_compare
 from .relational import (
+    brute_force_fixed_points,
     classify_orthogonality,
     is_ow_sequence,
     orbit,
@@ -489,30 +490,25 @@ def _case_orbit_space() -> CaseReport:
 
 
 # ---------------------------------------------------------------------------
-# registry
+# registry (names and summaries live in `cases`, in the same order)
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict[str, tuple[str, Callable[[], CaseReport]]] = {
-    "five-point": ("five-point weak orthogonal space with a generalized contraction", _case_five_point),
-    "rational-product": ("real line with rationality-of-products orthogonality", _case_rational_product),
-    "r2-counterexample": ("orthogonally continuous but discontinuous plane map", _case_r2_counterexample),
-    "leq-relation": ("total order sample under <=", _case_leq_relation),
-    "orbit-space": ("positive-reals sample with a two-cycle orbit", _case_orbit_space),
+_RUNNERS: dict[str, Callable[[], CaseReport]] = {
+    "five-point": _case_five_point,
+    "rational-product": _case_rational_product,
+    "r2-counterexample": _case_r2_counterexample,
+    "leq-relation": _case_leq_relation,
+    "orbit-space": _case_orbit_space,
 }
-
-
-def list_cases() -> list[tuple[str, str]]:
-    """Registered case names with one-line summaries, in stable order."""
-    return [(name, summary) for name, (summary, _) in _REGISTRY.items()]
 
 
 def run_case(name: str) -> CaseReport:
     """Build and check one registered case."""
-    if name not in _REGISTRY:
-        known = ", ".join(_REGISTRY)
+    if name not in _RUNNERS:
+        known = ", ".join(_RUNNERS)
         raise InputError(f"unknown case {name!r} (known cases: {known})")
-    return _REGISTRY[name][1]()
+    return _RUNNERS[name]()
 
 
 def run_all() -> list[CaseReport]:
-    return [run_case(name) for name in _REGISTRY]
+    return [run_case(name) for name in _RUNNERS]

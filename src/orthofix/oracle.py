@@ -32,16 +32,10 @@ from itertools import chain
 from .contraction import hierarchy_check
 from .errors import InputError
 from .rational import _is_index, as_rational
-from .relational import _violations
+from .relational import _violations, brute_force_fixed_points
 from .solver import _hypotheses_hold, hypothesis_check, picard_solve
-from .space import FiniteSpace, SelfMap, _check_map, validate_metric
+from .space import FiniteSpace, SelfMap, validate_metric
 from .spacefile import space_to_dict
-
-
-def brute_force_fixed_points(space: FiniteSpace, mapping: SelfMap) -> frozenset[int]:
-    """Exhaustive scan: exactly the points mapped to themselves."""
-    _check_map(space, mapping)
-    return frozenset(z for z in range(space.n) if mapping(z) == z)
 
 
 @dataclass(frozen=True)

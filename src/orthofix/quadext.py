@@ -6,7 +6,10 @@ single square-free radicand is shared per space; values with b == 0 are
 radicand-agnostic rationals, everything else refuses to mix radicands.
 The coefficients follow the package's exact-rational rule
 (`rational._is_rational`), and the radicand the index rule
-(`rational._is_index`): a float, bool or string raises InputError.
+(`rational._is_index`): a float, bool or string raises InputError.  The
+public constructor applies those checks; arithmetic does not repeat them on
+its own results (`QuadExt._make`), whose coefficients are Fraction
+arithmetic on checked Fractions and whose radicand is an operand's.
 
 Ordering is decided exactly by sign case analysis on a and b (comparing
 a^2 against b^2*d where the signs differ), never by floating point.
@@ -18,6 +21,10 @@ from fractions import Fraction
 
 from .errors import InputError
 from .rational import _is_index, _is_rational, as_rational
+
+
+_set = object.__setattr__
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def is_squarefree(n: int) -> bool:
@@ -46,6 +53,15 @@ class QuadExt:
             raise InputError(f"radicand must be a square-free integer >= 2, got {d!r}")
         object.__setattr__(self, "d", d)
 
+    @classmethod
+    def _make(cls, a: Fraction, b: Fraction, d: int) -> "QuadExt":
+        """A value from already checked parts: Fractions a and b and a valid radicand d."""
+        new = object.__new__(cls)
+        _set(new, "a", a)
+        _set(new, "b", b)
+        _set(new, "d", d)
+        return new
+
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
 
@@ -63,13 +79,15 @@ class QuadExt:
 
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
-            if other.d == self.d or other.b == 0:
-                return QuadExt(other.a, other.b, self.d)
+            if other.d == self.d:
+                return other
+            if other.b == 0:
+                return QuadExt._make(other.a, other.b, self.d)
             if self.b == 0:
                 return other
             raise InputError(f"mismatched radicands sqrt({self.d}) vs sqrt({other.d})")
         if _is_rational(other):
-            return QuadExt(other, 0, self.d)
+            return QuadExt._make(Fraction(other), _ZERO, self.d)
         return NotImplemented
 
     # -- arithmetic ----------------------------------------------------------
@@ -79,18 +97,19 @@ class QuadExt:
         if o is NotImplemented:
             return NotImplemented
         d = o.d if self.b == 0 else self.d
-        return QuadExt(self.a + o.a, self.b + o.b, d)
+        return QuadExt._make(self.a + o.a, self.b + o.b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return QuadExt._make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        d = o.d if self.b == 0 else self.d
+        return QuadExt._make(self.a - o.a, self.b - o.b, d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -104,7 +123,7 @@ class QuadExt:
             return NotImplemented
         d = o.d if self.b == 0 else self.d
         # (a + b sqrt(d)) (a' + b' sqrt(d)) = (aa' + bb'd) + (ab' + a'b) sqrt(d)
-        return QuadExt(self.a * o.a + self.b * o.b * d, self.a * o.b + o.a * self.b, d)
+        return QuadExt._make(self.a * o.a + self.b * o.b * d, self.a * o.b + o.a * self.b, d)
 
     __rmul__ = __mul__
 
@@ -112,7 +131,7 @@ class QuadExt:
         norm = self.a * self.a - self.b * self.b * self.d
         if norm == 0:
             raise ZeroDivisionError("division by zero QuadExt")
-        return QuadExt(self.a / norm, -self.b / norm, self.d)
+        return QuadExt._make(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -129,7 +148,7 @@ class QuadExt:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = QuadExt(1, 0, self.d)
+        out = QuadExt._make(_ONE, _ZERO, self.d)
         base = self
         while n:
             if n & 1:

@@ -1,4 +1,4 @@
-"""Orthogonality structure of a space: elements, sequences, preservation, orbits.
+"""Orthogonality structure of a space: elements, sequences, preservation, orbits, fixed points.
 
 Terminology used below:
 
@@ -164,3 +164,9 @@ def orbit(space: FiniteSpace, mapping: SelfMap, start: int) -> OrbitInfo:
         x = mapping(x)
     entry = first_seen[x]
     return OrbitInfo(prefix=tuple(walk[:entry]), cycle=tuple(walk[entry:]))
+
+
+def brute_force_fixed_points(space: FiniteSpace, mapping: SelfMap) -> frozenset[int]:
+    """Exhaustive scan: exactly the points mapped to themselves."""
+    _check_map(space, mapping)
+    return frozenset(z for z in range(space.n) if mapping(z) == z)

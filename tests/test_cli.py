@@ -251,8 +251,8 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 
 def test_cli_start_up_imports_only_stdlib_and_click():
     # Start-up time is part of every command; a heavy import would show in all of them.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run(
         [sys.executable, "-c", _IMPORTED_AT_START], env=env, capture_output=True, text=True, check=True, timeout=60
     ).stdout
@@ -262,3 +262,20 @@ def test_cli_start_up_imports_only_stdlib_and_click():
     outside = sorted(name for name in loaded if name.split(".")[0] not in allowed)
     assert outside == []
     assert not any(name == "numpy" or name.startswith("numpy.") for name in loaded)
+
+    def imported_by(*args):
+        # `-X importtime` writes one stderr line per module the command imports, the name last.
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "orthofix.cli", *args],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+
+    # A command imports only the code it runs: no case code and no audit outside their commands.
+    verify = imported_by("verify", "data/five_point.json")
+    assert "orthofix.spacefile" in verify
+    assert not verify & {"orthofix.corpus", "orthofix.oracle"}
+    listed = imported_by("corpus", "--list")
+    assert "orthofix.cases" in listed
+    assert not listed & {"orthofix.corpus", "orthofix.oracle"}

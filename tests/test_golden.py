@@ -4,7 +4,10 @@ Each case runs one CLI command from the repository root and compares its
 exit code and standard output with a committed file under tests/golden/.
 `data/preservation_violations.json` breaks preservation on a pair stored in
 both orientations and on a pair stored only as (j, i) with j > i, so its
-report pins the order and orientation of preservation violations.  The
+report pins the order and orientation of preservation violations.
+`data/infeasible.json` (identity map on three points) makes kannan
+infeasible with three moving zero-denominator pairs, so its reports pin the
+first of them, (a, b), as `infeasible_witness` in JSON and in text.  The
 500-trial audit pins the sampler's whole candidate stream at seed 42 (13,751
 candidate maps, ten times the 50-trial case's).  A change that
 alters a default report on purpose regenerates the file, for example
@@ -27,6 +30,10 @@ GOLDEN = ROOT / "tests" / "golden"
 CASES = [
     ("verify_five_point.json", ["verify", "--json", "data/five_point.json"], 0),
     ("verify_preservation_violations.json", ["verify", "--json", "data/preservation_violations.json"], 1),
+    ("verify_infeasible.json", ["verify", "--json", "data/infeasible.json"], 1),
+    ("verify_infeasible.txt", ["verify", "data/infeasible.json"], 1),
+    ("estimate_k_kannan_infeasible.json", ["estimate-k", "--kind", "kannan", "--json", "data/infeasible.json"], 1),
+    ("estimate_k_kannan_infeasible.txt", ["estimate-k", "--kind", "kannan", "data/infeasible.json"], 1),
     ("corpus.json", ["corpus", "--json"], 0),
     ("audit_50_seed0.json", ["audit", "--trials", "50", "--seed", "0", "--json"], 0),
     ("audit_500_seed42.json", ["audit", "--trials", "500", "--seed", "42", "--json"], 0),

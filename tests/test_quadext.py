@@ -1,4 +1,7 @@
+import copy
 import math
+import operator
+import pickle
 from enum import IntEnum
 from fractions import Fraction
 
@@ -56,7 +59,7 @@ class _Radicand(IntEnum):
 
 def test_invalid_radicand():
     # The radicand follows the index rule: an IntEnum member is not stored as d.
-    for d in (0, 1, -3, 4, 12, 18, _Radicand.TWO):
+    for d in (0, 1, -3, 4, 12, 18, _Radicand.TWO, True, 2.0):
         with pytest.raises(InputError):
             QuadExt(1, 1, d)
 
@@ -114,3 +117,49 @@ def test_str_rendering():
     assert str(QuadExt(0, 1, 11)) == "sqrt(11)"
     assert str(QuadExt(Fraction(1, 3), 0, 11)) == "1/3"
     assert str(QuadExt(1, -1, 2)) == "1 - sqrt(2)"
+
+
+def test_mixing_radicands_still_raises():
+    root2, root3 = QuadExt(0, 1, 2), QuadExt(1, 1, 3)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.lt):
+        with pytest.raises(InputError, match="radicand"):
+            op(root2, root3)
+    assert root2 != root3
+
+
+def _checked(result, expected):
+    # `expected` goes through the public constructor: same value, radicand, hash and rendering.
+    assert type(result.a) is type(result.b) is Fraction
+    assert (result.a, result.b, result.d) == (expected.a, expected.b, expected.d)
+    assert hash(result) == hash(expected) and str(result) == str(expected) and repr(result) == repr(expected)
+    for clone in (pickle.loads(pickle.dumps(result)), copy.copy(result), copy.deepcopy(result)):
+        assert type(clone.a) is type(clone.b) is Fraction
+        assert repr(clone) == repr(result) and hash(clone) == hash(result)
+
+
+@given(small, small, small, small, st.integers(-5, 5))
+def test_arithmetic_results_are_well_formed(a, b, a2, b2, m):
+    x, y = QuadExt(a, b, 11), QuadExt(a2, b2, 11)
+    _checked(x + y, QuadExt(a + a2, b + b2, 11))
+    _checked(x - y, QuadExt(a - a2, b - b2, 11))
+    _checked(x * y, QuadExt(a * a2 + 11 * b * b2, a * b2 + a2 * b, 11))
+    _checked(-x, QuadExt(-a, -b, 11))
+    _checked(x + m, QuadExt(a + m, b, 11))
+    _checked(m - x, QuadExt(m - a, -b, 11))
+    _checked(x * m, QuadExt(a * m, b * m, 11))
+    _checked(x**2, QuadExt(a * a + 11 * b * b, 2 * a * b, 11))
+    _checked(x**0, QuadExt(1, 0, 11))
+    _checked(abs(x), x if x.sign() >= 0 else QuadExt(-a, -b, 11))
+    if y:
+        norm = a2 * a2 - 11 * b2 * b2
+        _checked(x / y, QuadExt((a * a2 - 11 * b * b2) / norm, (a2 * b - a * b2) / norm, 11))
+    if x:
+        norm = a * a - 11 * b * b
+        _checked(m / x, QuadExt(m * a / norm, -m * b / norm, 11))
+
+
+def test_rational_operand_of_another_radicand_is_relabelled():
+    # A rational value of another radicand is relabelled, as the public constructor would.
+    _checked(QuadExt(0, 1, 11) + QuadExt(2, 0, 7), QuadExt(2, 1, 11))
+    _checked(QuadExt(2, 0, 7) + QuadExt(0, 1, 11), QuadExt(2, 1, 11))
+    _checked(QuadExt(2, 0, 7) * QuadExt(3, 0, 11), QuadExt(6, 0, 7))
