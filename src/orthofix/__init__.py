@@ -7,8 +7,11 @@ classification, contraction-constant estimation, Picard iteration with
 runtime-enforced error certificates, a brute-force oracle with a randomized
 theorem audit, and a corpus of desk-checkable worked examples.
 
-Metric validation and the one contraction scan loop read a rational
-metric's integer form, built once per space, and exact scalars otherwise.
+The relation facts (labels, the relation, its closure, the weak elements)
+live on a `PointRelation`; a `FiniteSpace` is one with an exact rational
+metric.  Metric validation and the one contraction scan loop read that
+metric's integer form, built once per space; only the analytic samples'
+value-domain scans read exact scalars.
 
 `import orthofix` loads no submodule.  A public name is resolved on first
 use (PEP 562) through `_EXPORTS`, which imports only the name's home
@@ -35,6 +38,7 @@ _EXPORTS = {
     "OrthoClassification": "relational",
     "OrthofixError": "errors",
     "PicardTrace": "solver",
+    "PointRelation": "space",
     "PreservationReport": "relational",
     "QuadExt": "quadext",
     "SelfMap": "space",

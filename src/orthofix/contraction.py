@@ -27,11 +27,10 @@ evaluated doubled, 2 * M(x, y), so the half-sum terms stay exact in each
 value domain it reads:
 
 * the space's integer form (the metric scaled by the lcm of its
-  denominators), used for every rational metric -- plain arbitrary-precision
-  ints, so no size limit;
-* the exact metric itself, used for QuadExt metrics, for value-domain
-  samples (indexed into a small distance matrix), and, forced by
-  `engine="generic"`, as the tests' and the benchmark's reference.
+  denominators) -- plain arbitrary-precision ints, so no size limit;
+* exact scalars, for value-domain samples (indexed into a small distance
+  matrix, possibly of QuadExt numbers) and, forced by `engine="generic"`,
+  the space's Fraction metric itself.
 
 The pair sets are the space's sorted stored relation and sorted closure,
 built once per space.  The facts of one map on a space -- preservation and
@@ -46,11 +45,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import InputError
 from .relational import PreservationReport, is_ow_preserving
-from .space import FiniteSpace, Scalar, SelfMap, _check_map, _check_point, _integer_form_mismatch
+from .space import FiniteSpace, SelfMap, _check_map, _check_point, _integer_form_mismatch
+
+if TYPE_CHECKING:
+    from .quadext import QuadExt
+
+    Scalar = Fraction | QuadExt
 
 
 class ContractionKind(str, Enum):
@@ -140,7 +144,7 @@ def _functional(kind_id: int, m, t, x: int, y: int):
     return best
 
 
-def m_value(kind: ContractionKind, space: FiniteSpace, mapping: SelfMap, x: int, y: int) -> Scalar:
+def m_value(kind: ContractionKind, space: FiniteSpace, mapping: SelfMap, x: int, y: int) -> Fraction:
     """Evaluate the kind's comparison functional at the ordered pair (x, y)."""
     kind = ContractionKind(kind)
     if kind is ContractionKind.UNRESTRICTED_LIPSCHITZ:
@@ -215,20 +219,15 @@ def check_contraction(
 ) -> ContractionReport:
     """Scan the pair set of `kind` and report feasibility and the minimal constant.
 
-    The scan reads the space's integer form whenever the metric is rational,
-    and the exact metric otherwise.  `engine` forces one of them: "scaled"
-    (the integer form) or "generic" (the exact metric), which lets the two
-    value domains be cross-checked.
+    The scan reads the space's integer form.  `engine` forces the value
+    domain: "scaled" (the integer form, the default) or "generic" (the exact
+    Fraction metric), which lets the two be cross-checked.
     """
     kind = ContractionKind(kind)
     if engine not in (None, "scaled", "generic"):
         raise InputError(f"unknown engine {engine!r} (expected 'scaled' or 'generic')")
     _check_map(space, mapping)
-    m = space.int_metric if engine != "generic" else None
-    if m is None:
-        if engine == "scaled":
-            raise InputError("scaled engine requires a rational metric")
-        m = space.metric
+    m = space.metric if engine == "generic" else space.int_metric
     pairs = _pair_list(space, kind, symmetric)
     return _report(kind, pairs, _scan(_KIND_ID[kind], pairs, m, mapping.images))
 
@@ -339,13 +338,9 @@ def hierarchy_check(space: FiniteSpace, mapping: SelfMap) -> tuple[HierarchyVerd
         )
     }
 
-    if space.int_metric is None:
-        exact = HierarchyVerdict("integer-form-exact", True, None, "metric is not rational; no integer form to check")
-    else:
-        bad = _integer_form_mismatch(space.metric, space.int_metric)
-        detail = "every integer-form entry is the exact entry times the lcm of the denominators"
-        exact = HierarchyVerdict("integer-form-exact", bad is None, bad, detail)
-    verdicts = [exact]
+    bad = _integer_form_mismatch(space.metric, space.int_metric)
+    detail = "every integer-form entry is the exact entry times the lcm of the denominators"
+    verdicts = [HierarchyVerdict("integer-form-exact", bad is None, bad, detail)]
 
     def implication(name: str, premise: ContractionReport, conclusion: ContractionReport, factor: int) -> HierarchyVerdict:
         if not premise.admissible:

@@ -36,7 +36,7 @@ from .relational import (
     weak_orthogonal_elements,
 )
 from .solver import MODE_O1, hypothesis_check, picard_solve
-from .space import FiniteSpace, SelfMap
+from .space import FiniteSpace, PointRelation, SelfMap
 
 
 @dataclass(frozen=True)
@@ -235,14 +235,13 @@ def _case_rational_product() -> CaseReport:
     idx = {v: i for i, v in enumerate(values)}
 
     relation = [(i, j) for i in range(n) for j in range(n) if rel(values[i], values[j])]
-    metric = [[dist(values[i], values[j]) for j in range(n)] for i in range(n)]
-    space = FiniteSpace(labels, metric, relation)
+    space = PointRelation(labels, relation)
 
     strong = strong_orthogonal_elements(space)
     rec.check_true("0 is a strong orthogonal element", 0 in strong, "stated")
     rec.check("classification", "O-set", classify_orthogonality(space).verdict, "derived")
 
-    related_pairs = [(values[i], values[j]) for (i, j) in sorted(relation)]
+    related_pairs = [(values[i], values[j]) for (i, j) in space.sorted_relation]
     ban = scan_value_pairs(ContractionKind.BANACH_PERP, related_pairs, dist, apply_map)
     rec.check("restricted Lipschitz minimal k", Fraction(1, 3), ban.minimal_k, "stated")
     rec.check_true("restricted Lipschitz admissible", ban.admissible, "stated")

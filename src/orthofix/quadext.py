@@ -2,7 +2,7 @@
 
 These cover the analytic sample spaces whose points and distances are not
 all rational (a pure radical, or a point like 1 + (1/11)*sqrt(11)).  A
-single square-free radicand is shared per space; values with b == 0 are
+single square-free radicand is shared per sample; values with b == 0 are
 radicand-agnostic rationals, everything else refuses to mix radicands.
 The coefficients follow the package's exact-rational rule
 (`rational._is_rational`), and the radicand the index rule

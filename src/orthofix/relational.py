@@ -10,7 +10,8 @@ Terminology used below:
   orthogonal set, one with only weak elements is a weak orthogonal set.
 
 Quantifiers range over all points including x0 itself, so a weak element
-must in particular be related to itself.
+must in particular be related to itself.  Nothing here reads a distance:
+every function takes a `PointRelation`, and a `FiniteSpace` is one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from operator import and_
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError
-from .space import FiniteSpace, SelfMap, _check_map, _check_point
+from .space import PointRelation, SelfMap, _check_map, _check_point
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class OrbitInfo:
         }
 
 
-def strong_orthogonal_elements(space: FiniteSpace) -> frozenset[int]:
+def strong_orthogonal_elements(space: PointRelation) -> frozenset[int]:
     """Points related to every point uniformly in one direction."""
     rows = space.relation_rows
     full = (1 << space.n) - 1
@@ -83,15 +84,15 @@ def strong_orthogonal_elements(space: FiniteSpace) -> frozenset[int]:
     return frozenset(x for x in range(space.n) if rows[x] == full or full_columns >> x & 1)
 
 
-def weak_orthogonal_elements(space: FiniteSpace) -> frozenset[int]:
+def weak_orthogonal_elements(space: PointRelation) -> frozenset[int]:
     """Points related (in some direction, possibly varying) to every point.
 
-    The set is built once, with the space (`FiniteSpace.weak_elements`).
+    The set is built once, with the space (`PointRelation.weak_elements`).
     """
     return space.weak_elements
 
 
-def classify_orthogonality(space: FiniteSpace) -> OrthoClassification:
+def classify_orthogonality(space: PointRelation) -> OrthoClassification:
     strong = strong_orthogonal_elements(space)
     weak = weak_orthogonal_elements(space)
     if strong:
@@ -103,7 +104,7 @@ def classify_orthogonality(space: FiniteSpace) -> OrthoClassification:
     return OrthoClassification(strong, weak, verdict)
 
 
-def is_ow_sequence(space: FiniteSpace, seq: Sequence[int]) -> SequenceCheck:
+def is_ow_sequence(space: PointRelation, seq: Sequence[int]) -> SequenceCheck:
     """Check a finite window: every adjacent pair must be orthogonally related.
 
     Returns (True, None), or (False, n) for the least n whose pair
@@ -119,7 +120,7 @@ def is_ow_sequence(space: FiniteSpace, seq: Sequence[int]) -> SequenceCheck:
     return SequenceCheck(True, None)
 
 
-def is_ow_preserving(space: FiniteSpace, mapping: SelfMap) -> PreservationReport:
+def is_ow_preserving(space: PointRelation, mapping: SelfMap) -> PreservationReport:
     """Does the map send orthogonally related pairs to orthogonally related pairs?
 
     Every related pair is scanned once (the premise is the symmetric view:
@@ -132,7 +133,7 @@ def is_ow_preserving(space: FiniteSpace, mapping: SelfMap) -> PreservationReport
     return PreservationReport(preserving=not violations, violations=violations)
 
 
-def _violations(space: FiniteSpace, images: Sequence[int]) -> Iterator[tuple[int, int]]:
+def _violations(space: PointRelation, images: Sequence[int]) -> Iterator[tuple[int, int]]:
     """The related pairs whose images are unrelated, lazily, in the order of `is_ow_preserving`.
 
     `images` is a raw image list of length n with entries in range, unchecked:
@@ -146,7 +147,7 @@ def _violations(space: FiniteSpace, images: Sequence[int]) -> Iterator[tuple[int
     )
 
 
-def orbit(space: FiniteSpace, mapping: SelfMap, start: int) -> OrbitInfo:
+def orbit(space: PointRelation, mapping: SelfMap, start: int) -> OrbitInfo:
     """Iterate the map from `start` and split the orbit into prefix + cycle.
 
     Finite spaces guarantee an eventual cycle; the first revisited point
@@ -166,7 +167,7 @@ def orbit(space: FiniteSpace, mapping: SelfMap, start: int) -> OrbitInfo:
     return OrbitInfo(prefix=tuple(walk[:entry]), cycle=tuple(walk[entry:]))
 
 
-def brute_force_fixed_points(space: FiniteSpace, mapping: SelfMap) -> frozenset[int]:
+def brute_force_fixed_points(space: PointRelation, mapping: SelfMap) -> frozenset[int]:
     """Exhaustive scan: exactly the points mapped to themselves."""
     _check_map(space, mapping)
     return frozenset(z for z in range(space.n) if mapping(z) == z)

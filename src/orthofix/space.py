@@ -1,31 +1,31 @@
-"""Finite metric spaces with a directed orthogonality relation, and self maps.
+"""Point sets with a directed orthogonality relation, finite metric spaces, and self maps.
 
-A FiniteSpace is a labelled point set, an exact distance matrix and a set of
-ordered index pairs (i, j) meaning "point i is orthogonal to point j".  The
-relation is stored exactly as given: it is not assumed reflexive, symmetric
-or transitive.  Two points count as *orthogonally related* when either
-orientation is present.  The relation is held as one int bitmask per row
-(bit j of `relation_rows[i]` is set iff (i, j) is stored), and so is its
-symmetric closure (`closure_rows`); both are built once, at construction,
-together with the other views every layer reads: the stored pairs and the
-closure in sorted order (the order scans and reports use, read off the bit
-rows), and the weak orthogonal elements (the full closure rows).
+A PointRelation is a labelled point set and a set of ordered index pairs
+(i, j) meaning "point i is orthogonal to point j": the facts of the paper's
+(weak) orthogonal sets, which need no metric.  The relation is stored
+exactly as given: it is not assumed reflexive, symmetric or transitive.
+Two points count as *orthogonally related* when either orientation is
+present.  The relation is held as one int bitmask per row (bit j of
+`relation_rows[i]` is set iff (i, j) is stored), and so is its symmetric
+closure (`closure_rows`); both are built once, at construction, together
+with the other views every layer reads: the stored pairs and the closure in
+sorted order (the order scans and reports use, read off the bit rows), and
+the weak orthogonal elements (the full closure rows).
 
+A FiniteSpace is a PointRelation with an exact rational distance matrix.
 Each input rule has one definition: a distance entry is an exact rational
-(`rational._is_rational`: a true int or a Fraction) or a QuadExt (analytic
-samples, one shared radicand), a point index a true int
-(`rational._is_index`), a relation entry a tuple or list of two indices,
+(`rational._is_rational`: a true int or a Fraction), a point index a true
+int (`rational._is_index`), a relation entry a tuple or list of two indices,
 and a map has one image per point (`_check_map`); anything else raises
-InputError.  A rational metric, of ints, Fractions or both, also gets an
-*integer form* at construction: every entry multiplied by the lcm of the
-denominators.  Scaling by a positive constant preserves every order,
-sum and ratio comparison, so metric validation and the contraction scans
-run on plain ints; values are rendered from the exact metric.  Validation
-screens the triangle inequality with each row of the integer form packed
-into one int, one lane per entry (see `validate_metric`).  Spaces and maps
-refuse attribute assignment.  Pickling or copying one rebuilds it from its
-constructor arguments (a map's memo of facts is not carried over), so both
-can be sent to worker processes.
+InputError.  The metric also gets an *integer form* at construction: every
+entry multiplied by the lcm of the denominators.  Scaling by a positive
+constant preserves every order, sum and ratio comparison, so metric
+validation and the contraction scans run on plain ints; values are rendered
+from the exact metric.  Validation screens the triangle inequality with each
+row of the integer form packed into one int, one lane per entry (see
+`validate_metric`).  Relations, spaces and maps refuse attribute assignment.
+Pickling or copying one rebuilds it from its constructor arguments (a map's
+memo of facts is not carried over), so each can be sent to worker processes.
 """
 
 from __future__ import annotations
@@ -37,10 +37,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import InputError
-from .quadext import QuadExt
 from .rational import _is_index, _is_rational
-
-Scalar = Fraction | QuadExt
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,7 @@ class ValidationReport:
         return {"ok": self.ok, "violations": [v.to_dict() for v in self.violations]}
 
 
-def _check_point(space: FiniteSpace, value, what: str = "index") -> None:
+def _check_point(space: PointRelation, value, what: str = "index") -> None:
     """Raise InputError unless `value` is an index (see `_is_index`) of a point of `space`."""
     if not _is_index(value):
         raise InputError(f"{what} {value!r} is not an index")
@@ -72,28 +69,25 @@ def _check_point(space: FiniteSpace, value, what: str = "index") -> None:
         raise InputError(f"{what} {value} out of range")
 
 
-def _check_map(space: FiniteSpace, mapping: SelfMap) -> None:
+def _check_map(space: PointRelation, mapping: SelfMap) -> None:
     """Raise InputError unless `mapping` has exactly one image per point of `space`."""
     if len(mapping) != space.n:
         raise InputError("map size does not match the space")
 
 
-def _integer_form(rows: tuple[tuple[Scalar, ...], ...]) -> tuple[tuple[int, ...], ...] | None:
-    """The metric scaled by the lcm of its denominators, or None when an entry is a QuadExt.
+def _integer_form(rows: tuple[tuple[int | Fraction, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The metric scaled by the lcm of its denominators.
 
     The one check of the metric entries: each distinct entry object (a loaded metric shares one
     Fraction per value) is checked and scaled once.  An int's denominator is 1, so ints,
-    Fractions and any mix get the same form; an entry neither rational nor QuadExt raises InputError.
+    Fractions and any mix get the same form; any other entry raises InputError.
     """
     entries = list(chain.from_iterable(rows))
     distinct = dict(zip(map(id, entries), entries))
-    others = [e for e in distinct.values() if not _is_rational(e)]
-    for e in others:
-        if not isinstance(e, QuadExt):
+    for e in distinct.values():
+        if not _is_rational(e):
             i, j = divmod(next(p for p, x in enumerate(entries) if x is e), len(rows))
-            raise InputError(f"metric entry {e!r} at ({i}, {j}) is not exact (int, Fraction or QuadExt)")
-    if others:
-        return None
+            raise InputError(f"metric entry {e!r} at ({i}, {j}) is not an exact rational (int or Fraction)")
     scale = lcm(*{e.denominator for e in distinct.values()})
     scaled = {key: e.numerator * (scale // e.denominator) for key, e in distinct.items()}.__getitem__
     return tuple(tuple(map(scaled, map(id, row))) for row in rows)
@@ -116,30 +110,20 @@ def _members(mask: int) -> list[int]:
     return [j for j, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
-class FiniteSpace:
-    """Immutable labelled point set + exact metric + directed relation."""
+class PointRelation:
+    """Immutable labelled point set + directed relation."""
 
     __slots__ = (
-        "points", "metric", "int_metric", "relation", "relation_rows", "closure_rows",
-        "sorted_relation", "sorted_closure", "weak_elements",
+        "points", "relation", "relation_rows", "closure_rows", "sorted_relation", "sorted_closure", "weak_elements",
     )
 
-    def __init__(
-        self,
-        points: Sequence[str],
-        metric: Sequence[Sequence[Scalar]],
-        relation: Sequence[tuple[int, int]],
-    ):
+    def __init__(self, points: Sequence[str], relation: Sequence[tuple[int, int]]):
         points = tuple(points)
         if len(set(points)) != len(points):
             raise InputError("point labels must be unique")
         n = len(points)
         if n == 0:
             raise InputError("space needs at least one point")
-        rows = tuple(tuple(row) for row in metric)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise InputError(f"metric must be a {n}x{n} matrix matching the point count")
-        int_metric = _integer_form(rows)
         out = [0] * n  # bit j of out[i]: (i, j) is stored
         both = [0] * n  # bit j of both[i]: (i, j) or (j, i) is stored
         for pair in relation:
@@ -155,8 +139,6 @@ class FiniteSpace:
         full = (1 << n) - 1
         init = object.__setattr__
         init(self, "points", points)
-        init(self, "metric", rows)
-        init(self, "int_metric", int_metric)
         init(self, "relation", frozenset(sorted_relation))
         init(self, "relation_rows", tuple(out))
         init(self, "closure_rows", tuple(both))
@@ -166,18 +148,15 @@ class FiniteSpace:
         init(self, "weak_elements", frozenset(i for i in range(n) if both[i] == full))
 
     def __setattr__(self, name, value):
-        raise AttributeError("FiniteSpace is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         # pickle and copy restore slots with setattr; rebuild from the constructor instead
-        return FiniteSpace, (self.points, self.metric, self.sorted_relation)
+        return PointRelation, (self.points, self.sorted_relation)
 
     @property
     def n(self) -> int:
         return len(self.points)
-
-    def d(self, i: int, j: int) -> Scalar:
-        return self.metric[i][j]
 
     def index_of(self, label: str) -> int:
         try:
@@ -192,7 +171,33 @@ class FiniteSpace:
         return bool(self.closure_rows[i] >> j & 1)
 
     def __repr__(self):
-        return f"FiniteSpace(n={self.n}, |relation|={len(self.relation)})"
+        return f"{type(self).__name__}(n={self.n}, |relation|={len(self.relation)})"
+
+
+class FiniteSpace(PointRelation):
+    """Immutable PointRelation + exact rational metric and its integer form."""
+
+    __slots__ = ("metric", "int_metric")
+
+    def __init__(
+        self,
+        points: Sequence[str],
+        metric: Sequence[Sequence[int | Fraction]],
+        relation: Sequence[tuple[int, int]],
+    ):
+        super().__init__(points, relation)
+        n = self.n
+        rows = tuple(tuple(row) for row in metric)
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise InputError(f"metric must be a {n}x{n} matrix matching the point count")
+        object.__setattr__(self, "int_metric", _integer_form(rows))
+        object.__setattr__(self, "metric", rows)
+
+    def __reduce__(self):
+        return FiniteSpace, (self.points, self.metric, self.sorted_relation)
+
+    def d(self, i: int, j: int) -> int | Fraction:
+        return self.metric[i][j]
 
 
 class SelfMap:
@@ -277,8 +282,8 @@ def validate_metric(space: FiniteSpace) -> ValidationReport:
     Axioms: zero diagonal, symmetry, strict positivity off the diagonal,
     and the triangle inequality over all ordered triples.  Each violation
     carries a concrete witness so failures are actionable.  The comparisons
-    run on the integer form when there is one; witness values are rendered
-    from the exact metric.
+    run on the integer form; witness values are rendered from the exact
+    metric.
 
     The triangle inequality is screened pair by pair before the exact loop
     over k runs, and only on the pairs the screen flags, in sorted (i, j)
@@ -297,11 +302,9 @@ def validate_metric(space: FiniteSpace) -> ValidationReport:
     entries, and with or without symmetry, lane j keeps its guard bit
     exactly when m[i][k] + m[k][j] >= m[i][j] for every k.  The terms k = i
     and k = j fail only on a negative diagonal entry, and lane j = i is
-    skipped, so the exact loop decides each flagged pair.  A metric with no
-    integer form (irrational QuadExt entries) has every pair flagged.
+    skipped, so the exact loop decides each flagged pair.
     """
-    exact = space.metric
-    m = exact if space.int_metric is None else space.int_metric
+    exact, m = space.metric, space.int_metric
     n = space.n
     violations: list[Violation] = []
     for i in range(n):
@@ -313,11 +316,7 @@ def validate_metric(space: FiniteSpace) -> ValidationReport:
                 violations.append(Violation("symmetry", (i, j), (str(exact[i][j]), str(exact[j][i]))))
             if i != j and m[i][j] <= 0:
                 violations.append(Violation("positivity", (i, j), (str(exact[i][j]),)))
-    if space.int_metric is None:
-        flagged = [(i, j) for i in range(n) for j in range(n) if i != j]
-    else:
-        flagged = _triangle_screen(m)
-    for i, j in flagged:
+    for i, j in _triangle_screen(m):
         for k in range(n):
             if k == i or k == j:
                 continue

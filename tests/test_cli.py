@@ -276,6 +276,7 @@ def test_cli_start_up_imports_only_stdlib_and_click():
     verify = imported_by("verify", "data/five_point.json")
     assert "orthofix.spacefile" in verify
     assert not verify & {"orthofix.corpus", "orthofix.oracle"}
+    assert "orthofix.quadext" not in verify  # a space's metric is rational; only the corpus samples use QuadExt
     listed = imported_by("corpus", "--list")
     assert "orthofix.cases" in listed
     assert not listed & {"orthofix.corpus", "orthofix.oracle"}

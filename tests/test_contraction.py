@@ -1,9 +1,9 @@
 """Contraction scans checked against an independent brute-force oracle.
 
-The oracle below recomputes every functional from its definition with
-plain Fraction arithmetic, max() and division; the library path uses the
-space's integer form, doubled functionals and cross-multiplied comparisons,
-so agreement is a real two-implementation check.
+The oracle (`reference.oracle_report`) recomputes every functional from its
+definition with plain Fraction arithmetic, max() and division; the library
+path uses the space's integer form, doubled functionals and cross-multiplied
+comparisons, so agreement is a real two-implementation check.
 """
 
 from fractions import Fraction
@@ -14,7 +14,6 @@ from orthofix import (
     ContractionKind,
     FiniteSpace,
     InputError,
-    QuadExt,
     SelfMap,
     check_contraction,
     contraction,
@@ -22,63 +21,10 @@ from orthofix import (
     m_value,
     scan_value_pairs,
 )
+from reference import oracle_report
 
 KINDS = list(ContractionKind)
 RESTRICTED = [k for k in KINDS if k is not ContractionKind.UNRESTRICTED_LIPSCHITZ]
-
-
-def oracle_functional(kind, d, t, x, y):
-    tx, ty = t(x), t(y)
-    ttx = t(tx)
-    terms = {
-        ContractionKind.BANACH_PERP: [d(x, y)],
-        ContractionKind.KANNAN: None,
-        ContractionKind.CHATTERJEA: None,
-        ContractionKind.CIRIC: [d(x, y), d(x, tx), d(y, ty), (d(x, ty) + d(tx, y)) / 2],
-        ContractionKind.GENERALIZED_PERP: [
-            d(x, y),
-            d(x, tx),
-            d(y, ty),
-            (d(x, ty) + d(tx, y)) / 2,
-            (d(ttx, x) + d(ttx, ty)) / 2,
-            d(ttx, tx),
-            d(ttx, y),
-            d(ttx, ty),
-        ],
-    }
-    if kind is ContractionKind.KANNAN:
-        return d(x, tx) + d(y, ty)
-    if kind is ContractionKind.CHATTERJEA:
-        return d(x, ty) + d(y, tx)
-    if kind is ContractionKind.UNRESTRICTED_LIPSCHITZ:
-        return d(x, y)
-    return max(terms[kind])
-
-
-def oracle_report(kind, space, mapping, symmetric=False):
-    """(feasible, minimal_k, witness, infeasible_witness) by definition."""
-    if kind is ContractionKind.UNRESTRICTED_LIPSCHITZ:
-        pairs = [(i, j) for i in range(space.n) for j in range(space.n)]
-    elif symmetric:
-        pairs = sorted(set(space.relation) | {(j, i) for (i, j) in space.relation})
-    else:
-        pairs = sorted(space.relation)
-    best = None
-    witness = None
-    infeasible = None
-    for (x, y) in pairs:
-        num = space.d(mapping(x), mapping(y))
-        den = oracle_functional(kind, space.d, mapping, x, y)
-        if den == 0:
-            if num > 0 and infeasible is None:
-                infeasible = (x, y)
-            continue
-        ratio = num / den
-        if best is None or ratio > best:
-            best, witness = ratio, (x, y)
-    feasible = infeasible is None
-    minimal = (best if best is not None else Fraction(0)) if feasible else None
-    return feasible, minimal, witness, infeasible
 
 
 def test_m_value_five_point_worst_pair(five_point):
@@ -177,6 +123,21 @@ def test_reports_match_oracle_on_generated_instances(accepted_instances):
             )
 
 
+def test_half_sum_term_decides_the_generalized_constant():
+    # At (2, 3) the generalized functional is 6, and only [d(T2x,x)+d(T2x,Ty)]/2 = (8+4)/2 reaches it;
+    # every other term is at most 5, so a scan without that term reports 5/5 = 1 there.
+    metric = [[0, 4, 8, 4], [4, 0, 5, 5], [8, 5, 0, 4], [4, 5, 4, 0]]
+    relation = [(0, 2), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 3)]
+    space = FiniteSpace(["a", "b", "c", "d"], metric, relation)
+    mapping = SelfMap([2, 0, 1, 3])
+    kind = ContractionKind.GENERALIZED_PERP
+    assert m_value(kind, space, mapping, 2, 3) == 6 and m_value(ContractionKind.CIRIC, space, mapping, 2, 3) == 5
+    for symmetric, expected in ((False, (True, Fraction(5, 6), (2, 3), None)), (True, (True, Fraction(1), (3, 2), None))):
+        assert oracle_report(kind, space, mapping, symmetric) == expected
+        rep = check_contraction(kind, space, mapping, symmetric=symmetric)
+        assert (rep.feasible, rep.minimal_k, rep.witness_max, rep.infeasible_witness) == expected
+
+
 def _unit_space(relation):
     metric = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
     return FiniteSpace(["0", "1"], metric, relation)
@@ -272,13 +233,6 @@ def test_integer_form_verdict_catches_every_single_entry_corruption(five_point, 
     verdict = hierarchy_check(space, mapping)[0]
     assert verdict.name == "integer-form-exact" and not verdict.holds
     assert verdict.witness == (i, j)
-
-
-def test_integer_form_verdict_vacuous_without_integer_form():
-    zero, root = QuadExt(0, 0, 2), QuadExt(0, 1, 2)
-    space = FiniteSpace(["a", "b"], [[zero, root], [root, zero]], [(0, 1)])
-    verdict = hierarchy_check(space, SelfMap([0, 0], 2))[0]
-    assert verdict.holds and "not rational" in verdict.detail
 
 
 _KIND_ENTRY_POINTS = {

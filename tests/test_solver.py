@@ -1,14 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthofix import (
     CertificateError,
+    ContractionKind,
     FiniteSpace,
+    GenParams,
     InputError,
     SelfMap,
     brute_force_fixed_points,
     certify_fixed_point,
+    check_contraction,
+    generate_space,
     hypothesis_check,
     picard_solve,
     required_iterations,
@@ -257,3 +263,30 @@ def test_traces_reach_brute_force_fixed_point(accepted_instances):
             d0 = steps[0] if steps else Fraction(0)
             for n in range(len(trace.iterates)):
                 assert trace.apriori_bounds[n] == k**n / (1 - k) * d0
+
+
+@st.composite
+def _small_instances(draw):
+    """A generated space of at most 6 points and a map on it, drawn image by image, biased to one attractor."""
+    seed = draw(st.integers(0, 2**32))
+    density = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]))
+    space = generate_space(GenParams(seed=seed, max_points=6, relation_density=density), random.Random(seed))
+    point = st.integers(0, space.n - 1)
+    attractor = draw(point)
+    images = draw(st.lists(st.one_of(st.just(attractor), point), min_size=space.n, max_size=space.n))
+    return space, SelfMap(images)
+
+
+@settings(max_examples=300)
+@given(_small_instances())
+def test_certificate_holds_at_the_symmetric_constant(instance):
+    # Whenever every hypothesis holds, the scanned both-orientation constant is a valid certificate:
+    # Picard iteration from each weak element at that k never raises CertificateError.
+    space, mapping = instance
+    if not hypothesis_check(space, mapping).all_hold:
+        return
+    k = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True).minimal_k
+    (z,) = brute_force_fixed_points(space, mapping)
+    for w in sorted(space.weak_elements):
+        trace = picard_solve(space, mapping, w, k=k)
+        assert trace.certified and trace.converged and trace.fixed_point == z

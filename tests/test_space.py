@@ -13,10 +13,12 @@ from orthofix import (
     ContractionKind,
     FiniteSpace,
     InputError,
+    PointRelation,
     QuadExt,
     SelfMap,
     certify_fixed_point,
     check_contraction,
+    classify_orthogonality,
     hypothesis_check,
     is_ow_preserving,
     is_ow_sequence,
@@ -145,6 +147,11 @@ def _relations(draw):
 def test_relation_views_match_their_definitions(case, seed):
     n, pairs = case
     space = _space([[abs(i - j) for j in range(n)] for i in range(n)], pairs)
+    # a space's relation facts are those of the point set and relation alone
+    alone = PointRelation(space.points, pairs)
+    assert [getattr(alone, name) for name in PointRelation.__slots__] == [
+        getattr(space, name) for name in PointRelation.__slots__
+    ]
     stored = set(pairs)
     closure = stored | {(j, i) for (i, j) in pairs}
     assert space.relation == stored
@@ -307,31 +314,20 @@ def test_int_metric_and_its_fraction_twin_agree(accepted_instances, five_point):
     assert not validate_metric(perturbed).ok
 
 
-def test_integer_form_is_none_for_quadext_metric():
-    zero, root = QuadExt(0, 0, 2), QuadExt(0, 1, 2)
-    space = FiniteSpace(["a", "b"], [[zero, root], [root, zero]], [(0, 1)])
-    assert space.int_metric is None
-    rational = [[QuadExt(v, 0, 2) for v in row] for row in _perturbed_rational_metric()]
-    assert FiniteSpace(["a", "b", "c", "d"], rational, []).int_metric is None
-
-
 def test_validation_identical_on_fraction_and_quadext_entries():
-    fractions = _perturbed_rational_metric()
-    quads = [[QuadExt(v, 0, 3) for v in row] for row in fractions]
-    labels = ["a", "b", "c", "d"]
-    on_ints = validate_metric(FiniteSpace(labels, fractions, []))
-    on_quads = validate_metric(FiniteSpace(labels, quads, []))
-    assert not on_ints.ok
-    assert on_ints.violations == on_quads.violations
-    assert {"symmetry", "positivity", "triangle"} <= {v.axiom for v in on_ints.violations}
-    assert ("7/3", "1/3", "1/2") in [v.values for v in on_ints.violations]
+    # A space's metric is rational, so its QuadExt twin is refused (see test_inexact_metric_entry_rejected);
+    # the Fraction side still reports every axiom it breaks, rendered exactly.
+    on_fractions = validate_metric(FiniteSpace(["a", "b", "c", "d"], _perturbed_rational_metric(), []))
+    assert not on_fractions.ok
+    assert {"symmetry", "positivity", "triangle"} <= {v.axiom for v in on_fractions.violations}
+    assert ("7/3", "1/3", "1/2") in [v.values for v in on_fractions.violations]
 
 
-@pytest.mark.parametrize("entry", [0.5, True])
+@pytest.mark.parametrize("entry", [0.5, True, QuadExt(0, 1, 2)])
 def test_inexact_metric_entry_rejected(entry):
     # A float would flow into exact decisions and report inexact constants;
-    # a bool is not a distance.
-    with pytest.raises(InputError, match=r"metric entry .* at \(0, 1\) is not exact"):
+    # a bool is not a distance; a QuadExt has no integer form to scan.
+    with pytest.raises(InputError, match=r"metric entry .* at \(0, 1\) is not an exact rational"):
         FiniteSpace(["a", "b"], [[0, entry], [Fraction(1, 2), 0]], [(0, 1)])
 
 
@@ -417,12 +413,10 @@ def _extreme_matrices(draw):
     return [[Fraction(draw(values)) for _ in range(n)] for _ in range(n)]
 
 
-@given(st.one_of(_matrices(), _extreme_matrices()), st.sampled_from(["fraction", "int", "quadext"]))
+@given(st.one_of(_matrices(), _extreme_matrices()), st.sampled_from(["fraction", "int"]))
 def test_validation_matches_reference_loop(matrix, domain):
     if domain == "int":
         matrix = [[int(v * 6) for v in row] for row in matrix]
-    elif domain == "quadext":
-        matrix = [[QuadExt(v, 0, 2) for v in row] for row in matrix]
     assert _reported(matrix) == reference_violations(matrix)
 
 
@@ -449,18 +443,6 @@ def test_validation_matches_reference_on_wide_entries(n, seed, symmetric, negati
         if symmetric:
             for j in range(i):
                 matrix[i][j] = matrix[j][i]
-    assert _reported(matrix) == reference_violations(matrix)
-
-
-@given(st.integers(2, 6), st.integers(0, 2**32), st.integers(1, 2))
-def test_validation_matches_reference_on_irrational_entries(n, seed, b):
-    # Symmetric QuadExt metrics with irrational entries; the screen's sums mix radicand parts.
-    rng = random.Random(seed)
-    matrix = [[QuadExt(0, 0, 2)] * n for _ in range(n)]
-    matrix = [list(row) for row in matrix]
-    for i in range(n):
-        for j in range(i + 1, n):
-            matrix[i][j] = matrix[j][i] = QuadExt(rng.randrange(0, 6), rng.randrange(-b, b + 1), 2)
     assert _reported(matrix) == reference_violations(matrix)
 
 
@@ -533,28 +515,30 @@ def test_perturbed_closure_reports_planted_witness(n, seed, upward, both_orienta
     assert _row_reads(metric) == 2 * n * n - n + 3 * (n - 2) * len(violated)
 
 
-def _line_with_root_two():
-    zero, one, root = QuadExt(0, 0, 2), QuadExt(1, 0, 2), QuadExt(0, 1, 2)
-    metric = [[zero, root, root + one], [root, zero, one], [root + one, one, zero]]
-    return FiniteSpace(["a", "b", "c"], metric, [(0, 1), (0, 2), (1, 2)]), SelfMap([0, 0, 1], 3)
-
-
 @pytest.mark.parametrize(
     "clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
 )
 def test_spaces_maps_and_numbers_round_trip(five_point, clone):
     # A worker pool pickles its arguments; slots are rebuilt from the constructor, not set one by one.
-    for space, mapping in [five_point, _line_with_root_two()]:
-        expected = [check_contraction(kind, space, mapping, symmetric=s) for kind in ContractionKind for s in (False, True)]
-        hypothesis_check(space, mapping)  # fills the memo kept on the map
-        space2, mapping2 = clone(space), clone(mapping)
-        assert [getattr(space2, name) for name in FiniteSpace.__slots__] == [
-            getattr(space, name) for name in FiniteSpace.__slots__
-        ]
-        assert mapping2.images == mapping.images and mapping2._facts is None  # the memo is not carried over
-        reports = [check_contraction(kind, space2, mapping2, symmetric=s) for kind in ContractionKind for s in (False, True)]
-        assert reports == expected
-        assert hypothesis_check(space2, mapping2) == hypothesis_check(space, mapping)
+    space, mapping = five_point
+    slots = PointRelation.__slots__ + FiniteSpace.__slots__
+    expected = [check_contraction(kind, space, mapping, symmetric=s) for kind in ContractionKind for s in (False, True)]
+    hypothesis_check(space, mapping)  # fills the memo kept on the map
+    space2, mapping2 = clone(space), clone(mapping)
+    assert type(space2) is FiniteSpace
+    assert [getattr(space2, name) for name in slots] == [getattr(space, name) for name in slots]
+    assert mapping2.images == mapping.images and mapping2._facts is None  # the memo is not carried over
+    reports = [check_contraction(kind, space2, mapping2, symmetric=s) for kind in ContractionKind for s in (False, True)]
+    assert reports == expected
+    assert hypothesis_check(space2, mapping2) == hypothesis_check(space, mapping)
+    # The relation facts alone round-trip as a PointRelation, not as a space.
+    relation = PointRelation(space.points, space.sorted_relation)
+    relation2 = clone(relation)
+    assert type(relation2) is PointRelation
+    assert [getattr(relation2, name) for name in PointRelation.__slots__] == [
+        getattr(space, name) for name in PointRelation.__slots__
+    ]
+    assert classify_orthogonality(relation2) == classify_orthogonality(space)
     value = QuadExt(Fraction(1, 3), -2, 11)
     copied = clone(value)
     assert copied == value and (copied.a, copied.b, copied.d) == (value.a, value.b, value.d)
