@@ -27,7 +27,7 @@ _EXPORTS = {
     "AuditSummary": "oracle",
     "CaseReport": "corpus",
     "CertificateError": "errors",
-    "ContractionKind": "contraction",
+    "ContractionKind": "kinds",
     "ContractionReport": "contraction",
     "FiniteSpace": "space",
     "GenParams": "oracle",

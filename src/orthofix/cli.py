@@ -4,9 +4,10 @@ Exit codes: 0 all checks passed / solve converged; 1 a verification failed
 or the iteration did not converge; 2 input error (bad file, bad flag, bad
 index).  Reports are deterministic: identical invocations on identical
 files produce byte-identical output, and JSON reports carry "schema": 1.
-Rationals are written and read as integers or "p/q" only.  The case code
-(`corpus`) and the audit (`oracle`) are imported by the commands that run
-them, so no other command compiles them at start-up.
+Rationals are written and read as integers or "p/q" only.  The choices the
+options offer come from `kinds` and `cases`; every other module is imported
+by the commands that run it, so `--help`, `--version` and `corpus --list`
+compile none of them, and no command compiles code it does not run.
 """
 
 from __future__ import annotations
@@ -20,12 +21,9 @@ import click
 
 from . import __version__
 from .cases import list_cases
-from .contraction import ContractionKind, check_contraction, hierarchy_check, preservation, report
 from .errors import CertificateError, InputError, OrthofixError
+from .kinds import MODE_O1, MODE_ORBITAL_CONTINUITY, ContractionKind
 from .rational import parse_rational
-from .relational import classify_orthogonality, is_ow_sequence, orbit
-from .solver import MODE_O1, MODE_ORBITAL_CONTINUITY, hypothesis_check, picard_solve
-from .spacefile import load_space_file
 
 SCHEMA = 1
 
@@ -43,6 +41,8 @@ def _labels(space, pair) -> str:
 
 
 def _load(path: str, need_map: bool):
+    from .spacefile import load_space_file
+
     space, mapping = load_space_file(path)
     if need_map and mapping is None:
         raise InputError(f"{path} has no 'map' entry, required by this command")
@@ -90,6 +90,10 @@ _KINDS = [k.value for k in ContractionKind]
 def verify(file, mode, as_json):
     """Run every check on a space file: classification, preservation,
     contraction constants, hierarchy implications and theorem hypotheses."""
+    from .contraction import hierarchy_check, preservation, report
+    from .relational import classify_orthogonality
+    from .solver import hypothesis_check
+
     space, mapping = _load(file, need_map=True)
     cls = classify_orthogonality(space)
     pres = preservation(space, mapping)
@@ -146,6 +150,8 @@ def verify(file, mode, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def classify(file, seq, orbit_start, as_json):
     """Classify a space file (orthogonal set / weak orthogonal set / neither)."""
+    from .relational import classify_orthogonality, is_ow_sequence, orbit
+
     space, mapping = _load(file, need_map=orbit_start is not None)
     cls = classify_orthogonality(space)
     payload: dict = {"command": "classify", "file": str(file), "classification": cls.to_dict()}
@@ -188,6 +194,8 @@ def classify(file, seq, orbit_start, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def estimate_k(file, kind, symmetric, as_json):
     """Estimate the minimal feasible contraction constant for one kind."""
+    from .contraction import check_contraction
+
     space, mapping = _load(file, need_map=True)
     rep = check_contraction(kind, space, mapping, symmetric=symmetric)
     if as_json:
@@ -213,6 +221,8 @@ def estimate_k(file, kind, symmetric, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def solve(file, start, eps, max_iter, k_raw, allow_any_start, allow_inadmissible_k, as_json):
     """Run certified Picard iteration on a space file."""
+    from .solver import picard_solve
+
     space, mapping = _load(file, need_map=True)
     trace = picard_solve(
         space,

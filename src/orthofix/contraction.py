@@ -43,11 +43,11 @@ instance, whoever calls them.  `check_contraction` itself always scans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import InputError
+from .kinds import ContractionKind  # re-exported: its home is `kinds`
 from .relational import PreservationReport, is_ow_preserving
 from .space import FiniteSpace, SelfMap, _check_map, _check_point, _integer_form_mismatch
 
@@ -55,28 +55,6 @@ if TYPE_CHECKING:
     from .quadext import QuadExt
 
     Scalar = Fraction | QuadExt
-
-
-class ContractionKind(str, Enum):
-    BANACH_PERP = "banach_perp"
-    CIRIC = "ciric"
-    KANNAN = "kannan"
-    CHATTERJEA = "chatterjea"
-    GENERALIZED_PERP = "generalized_perp"
-    UNRESTRICTED_LIPSCHITZ = "unrestricted_lipschitz"
-
-    @property
-    def k_bound(self) -> Fraction:
-        """Upper end of the admissible constant range for this kind."""
-        if self in (ContractionKind.KANNAN, ContractionKind.CHATTERJEA):
-            return Fraction(1, 2)
-        return Fraction(1)
-
-    @classmethod
-    def _missing_(cls, value):
-        """The kind-name rule: `ContractionKind(name)` raises InputError for an unknown name."""
-        valid = ", ".join(k.value for k in cls)
-        raise InputError(f"unknown contraction kind {value!r} (expected one of: {valid})")
 
 
 # functional ids: 0 = d(x,y) denominator, 1 = ciric, 2 = kannan, 3 = chatterjea, 4 = generalized

@@ -20,17 +20,28 @@ reproduction data.
 Randomness comes from ``random.Random`` (MT19937) using only getrandbits
 and randrange, so instance streams are stable across platforms and runs
 for a given seed.
+
+Each trial is a pure function of its seed, drawn from the master stream.
+The audit draws its seeds in batches, splits each batch across the usable
+CPUs in forked processes (one process when there is no ``os.fork``, one
+CPU, a small batch or a second live thread), and folds the results in
+seed order, so its output does not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import signal
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import BinaryIO
 
 from .contraction import hierarchy_check
-from .errors import InputError
+from .errors import InputError, OrthofixError
 from .rational import _is_index, as_rational
 from .relational import _violations, brute_force_fixed_points
 from .solver import _hypotheses_hold, hypothesis_check, picard_solve
@@ -243,8 +254,142 @@ def _audit_instance(space: FiniteSpace, mapping: SelfMap) -> tuple[list[str], in
     return problems, traces
 
 
+def _trial(params: GenParams, trial_seed: int) -> tuple[int, tuple[int, int, AuditFailure | None] | None]:
+    """One trial, a pure function of its seed: (maps tried, outcome).
+
+    The outcome is None when the space ran out of map attempts; otherwise it
+    is (traces checked, hierarchy failures, the failure record or None).
+    """
+    rng = random.Random(trial_seed)
+    space = generate_space(params, rng)
+    mapping, tried = _sample_map(params, space, rng)
+    if mapping is None:
+        return tried, None
+    problems, traces = _audit_instance(space, mapping)
+    hierarchy_failures = 0
+    for verdict in hierarchy_check(space, mapping):
+        if not verdict.holds:
+            hierarchy_failures += 1
+            problems.append(f"hierarchy implication {verdict.name} fails at {verdict.witness}")
+    failure = None
+    if problems:
+        failure = AuditFailure(
+            seed=trial_seed,
+            space=space_to_dict(space),
+            map=list(mapping.images),
+            discrepancy="; ".join(problems),
+        )
+    return tried, (traces, hierarchy_failures, failure)
+
+
+_SEEDS_PER_PROCESS = 32  # below this a forked process costs more than it saves
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _single_threaded() -> bool:
+    """Whether this process runs one thread: a fork with more may deadlock the child."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no procfs: count the threads Python knows of
+        return threading.active_count() == 1
+
+
+def _processes(batch: int) -> int:
+    """How many processes share a batch of `batch` seeds; 1 runs it in this process."""
+    if not hasattr(os, "fork") or not _single_threaded():
+        return 1
+    return max(1, min(_usable_cpus(), batch // _SEEDS_PER_PROCESS))
+
+
+def _run_child(params: GenParams, seeds: list[int], write_fd: int) -> None:
+    """A forked process's share: pickle its trials, or its exception, to the pipe and exit."""
+    status = 1
+    try:
+        try:
+            payload = (True, [_trial(params, seed) for seed in seeds])
+        except BaseException as exc:
+            import traceback
+
+            try:  # an exception that would not unpickle still reports its type and message
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = OrthofixError(f"{type(exc).__name__}: {exc}")
+            payload = (False, (exc, traceback.format_exc()))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_trials(params: GenParams, seeds: list[int]) -> list:
+    """`_trial` of every seed, in seed order.
+
+    With W processes the caller takes positions 0::W and forked child i
+    takes i::W, returning its results pickled over a pipe; W = 1 runs the
+    same code with no child.  A child's exception is raised here with its
+    type and message.  Any exception kills and reaps every child still
+    running.  When several seeds raise, the one raised may not be the first
+    in seed order.
+    """
+    workers = _processes(len(seeds))
+    children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe, in stride order
+    try:
+        for i in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _run_child(params, seeds[i::workers], write_fd)
+            os.close(write_fd)
+            children[pid] = os.fdopen(read_fd, "rb")
+        results: list = [None] * len(seeds)
+        results[0::workers] = [_trial(params, seed) for seed in seeds[0::workers]]
+        for i, (pid, pipe) in enumerate(list(children.items()), start=1):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if not data:
+                code = os.waitstatus_to_exitcode(status)
+                raise OrthofixError(f"audit process {pid} ended without results (exit code {code})")
+            done, value = pickle.loads(data)
+            if not done:
+                exc, child_traceback = value
+                raise exc from OrthofixError(f"raised in audit process {pid}:\n{child_traceback}")
+            results[i::workers] = value
+        return results
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
+
 def theorem_audit(params: GenParams) -> AuditSummary:
-    """Generate, filter and audit instances until `params.trials` are verified."""
+    """Generate, filter and audit instances until `params.trials` are verified.
+
+    A trial is a pure function of its seed (`_trial`).  The master stream's
+    seeds are drawn in batches of the trials still missing; a seed yields at
+    most one trial, so no batch overshoots and the seeds drawn are the ones a
+    one-at-a-time loop would draw.  A batch is split across the usable CPUs
+    in forked processes, and its results are folded here in seed order, so
+    the summary, byte for byte, does not depend on the number of CPUs.
+    """
     master = random.Random(params.seed)
     trials_run = 0
     verified = 0
@@ -256,33 +401,21 @@ def theorem_audit(params: GenParams) -> AuditSummary:
     trace_count = 0
 
     while trials_run < params.trials:
-        trial_seed = master.getrandbits(64)
-        rng = random.Random(trial_seed)
-        space = generate_space(params, rng)
-        spaces_generated += 1
-        mapping, tried = _sample_map(params, space, rng)
-        maps_tried += tried
-        if mapping is None:
-            exhausted += 1
-            continue
-        trials_run += 1
-        problems, traces = _audit_instance(space, mapping)
-        trace_count += traces
-        for verdict in hierarchy_check(space, mapping):
-            if not verdict.holds:
-                hierarchy_failures += 1
-                problems.append(f"hierarchy implication {verdict.name} fails at {verdict.witness}")
-        if problems:
-            failures.append(
-                AuditFailure(
-                    seed=trial_seed,
-                    space=space_to_dict(space),
-                    map=list(mapping.images),
-                    discrepancy="; ".join(problems),
-                )
-            )
-        else:
-            verified += 1
+        seeds = [master.getrandbits(64) for _ in range(params.trials - trials_run)]
+        for tried, outcome in _run_trials(params, seeds):
+            spaces_generated += 1
+            maps_tried += tried
+            if outcome is None:
+                exhausted += 1
+                continue
+            trials_run += 1
+            traces, failed_verdicts, failure = outcome
+            trace_count += traces
+            hierarchy_failures += failed_verdicts
+            if failure is not None:
+                failures.append(failure)
+            else:
+                verified += 1
 
     return AuditSummary(
         params=params,

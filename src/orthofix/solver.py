@@ -31,14 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .contraction import ContractionKind, preservation, report
+from .contraction import preservation, report
 from .errors import CertificateError, InputError
+from .kinds import MODE_O1, MODE_ORBITAL_CONTINUITY, ContractionKind  # the mode names are re-exported
 from .rational import _is_index, as_rational
 from .relational import orbit
 from .space import FiniteSpace, SelfMap, _check_map, _check_point
-
-MODE_ORBITAL_CONTINUITY = "orbital-continuity"
-MODE_O1 = "O1"
 
 
 def required_iterations(k: Fraction, d1: Fraction, eps: Fraction) -> int:

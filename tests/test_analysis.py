@@ -57,7 +57,8 @@ def test_verify_scans_each_report_once(scan_calls):
     assert len(scan_calls) == 7  # six oriented kinds and the certified scan
 
 
-def test_audit_reuses_the_filters_scan(scan_calls):
+def test_audit_reuses_the_filters_scan(scan_calls, monkeypatch):
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)  # a forked process's calls would not be counted here
     summary = theorem_audit(GenParams(seed=0, trials=50))
     assert (summary.trials_run, summary.trace_count) == (50, 58)
     # Without sharing, each hypothesis check and each trace would rescan symmetrically;
@@ -81,6 +82,7 @@ def test_audit_builds_only_preserving_candidates(monkeypatch):
 
     monkeypatch.setattr(oracle, "SelfMap", counted_build)
     monkeypatch.setattr(contraction, "is_ow_preserving", counted_check)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)  # a forked process's calls would not be counted here
     summary = theorem_audit(GenParams(seed=0, trials=50))
     assert summary.maps_tried == 1178
     assert all(rep.preserving for rep in reports)

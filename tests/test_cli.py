@@ -280,3 +280,7 @@ def test_cli_start_up_imports_only_stdlib_and_click():
     listed = imported_by("corpus", "--list")
     assert "orthofix.cases" in listed
     assert not listed & {"orthofix.corpus", "orthofix.oracle"}
+    # The option choices come from `kinds`: listing, like --version and --help, loads none of the analysis code.
+    assert not listed & {
+        "orthofix.contraction", "orthofix.solver", "orthofix.relational", "orthofix.space", "orthofix.spacefile"
+    }
