@@ -90,15 +90,18 @@ _KINDS = [k.value for k in ContractionKind]
 def verify(file, mode, as_json):
     """Run every check on a space file: classification, preservation,
     contraction constants, hierarchy implications and theorem hypotheses."""
-    from .contraction import hierarchy_check, preservation, report
+    from .contraction import hierarchy_check, preservation, reports
     from .relational import classify_orthogonality
     from .solver import hypothesis_check
 
     space, mapping = _load(file, need_map=True)
     cls = classify_orthogonality(space)
     pres = preservation(space, mapping)
-    reports = {kind: report(kind, space, mapping) for kind in ContractionKind}
-    certified = report(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
+    # every report verify prints, in one pass; the checks below read them from the map
+    *oriented, certified = reports(
+        space, mapping, [(kind, False) for kind in ContractionKind] + [(ContractionKind.GENERALIZED_PERP, True)]
+    )
+    contractions = dict(zip(ContractionKind, oriented))
     verdicts = hierarchy_check(space, mapping)
     hyp = hypothesis_check(space, mapping, mode)
     ok = hyp.all_hold and all(v.holds for v in verdicts)
@@ -110,7 +113,7 @@ def verify(file, mode, as_json):
                 "file": str(file),
                 "classification": cls.to_dict(),
                 "preservation": pres.to_dict(),
-                "contractions": {k.value: r.to_dict() for k, r in reports.items()},
+                "contractions": {k.value: r.to_dict() for k, r in contractions.items()},
                 "certified_generalized": certified.to_dict(),
                 "hierarchy": [v.to_dict() for v in verdicts],
                 "hypotheses": hyp.to_dict(),
@@ -125,7 +128,7 @@ def verify(file, mode, as_json):
         click.echo(f"preserving: {str(pres.preserving).lower()}")
         for (i, j) in pres.violations:
             click.echo(f"  preservation violated at {_labels(space, (i, j))}")
-        for kind, rep in reports.items():
+        for kind, rep in contractions.items():
             name = "generalized" if kind is ContractionKind.GENERALIZED_PERP else kind.value
             if not rep.feasible:
                 click.echo(f"{name}: infeasible, witness {_labels(space, rep.infeasible_witness)}")

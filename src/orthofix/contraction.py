@@ -12,8 +12,8 @@ For a self map T the comparison functional per kind is
 
 Every kind except unrestricted_lipschitz quantifies only over orthogonally
 related pairs.  The scan computes the exact supremum of
-d(Tx,Ty) / functional over pairs with a positive denominator (the minimal
-feasible constant), plus the pair attaining it; a pair with zero
+d(Tx,Ty) / functional over pairs with a nonzero denominator (the minimal
+feasible constant), plus the first pair attaining it; a pair with zero
 denominator but d(Tx,Ty) > 0 makes the kind infeasible.
 
 By default each stored relation pair is scanned once, oriented exactly as
@@ -22,9 +22,12 @@ the condition.  `symmetric=True` scans both orientations of every related
 pair, which is the stronger reading the convergence certificates in the
 solver rely on; it can only raise the constant.
 
-One functional and one scan loop serve every caller.  The functional is
-evaluated doubled, 2 * M(x, y), so the half-sum terms stay exact in each
-value domain it reads:
+One loop (`_walk`) serves every caller, in one pass per request.  It walks
+one ordered pair sequence and, for each pair, writes the term table once --
+d(Tx,Ty), d(x,y), d(x,Tx), d(y,Ty), d(x,Ty), d(Tx,y), d(y,Tx) and the T2x
+terms -- and from it every functional.  Ciric and generalized are held
+doubled (2 * M(x, y)), so that their half-sum terms stay exact in each value
+domain the loop reads:
 
 * the space's integer form (the metric scaled by the lcm of its
   denominators) -- plain arbitrary-precision ints, so no size limit;
@@ -32,19 +35,36 @@ value domain it reads:
   matrix, possibly of QuadExt numbers) and, forced by `engine="generic"`,
   the space's Fraction metric itself.
 
-The pair sets are the space's sorted stored relation and sorted closure,
-built once per space.  The facts of one map on a space -- preservation and
-every report scanned so far -- are kept on the map (`preservation`,
-`report`), so that `verify`, the hypothesis check, Picard iteration, the
-hierarchy check, the audit and the corpus scan each pair set once per
-instance, whoever calls them.  `check_contraction` itself always scans.
+Each requested report is a *slot* of the pass; the reports come back in
+the order requested.  The pair sets are nested: the stored relation
+(sorted) is a subsequence of the sorted closure, which is a subsequence of
+every ordered pair in lexicographic order.  A pass walks the largest set
+its slots need -- every ordered pair (generated, never a list of n^2
+pairs), the closure, or the relation -- and when its slots need more than
+one set it tests each pair's membership in the smaller ones with the
+space's bit rows (`closure_rows`, `relation_rows`).  A slot keeps the walk
+position of its best pair and of its first infeasible pair, and the report
+reads the pair back at that position (`divmod(pos, n)` on every pair).  The
+walk order restricted to a slot's set is that set's own sorted order, so
+the first pair, each witness and the count are those of a scan of the set
+alone.  Ratios are compared by cross-multiplication with the denominator
+made positive, so a negative entry of an out-of-contract matrix is ranked
+by its true ratio.
+
+The facts of one map on a space -- preservation and every report scanned so
+far -- are kept on the map (`preservation`, `report`, `reports`), so that
+`verify`, the hypothesis check, Picard iteration, the hierarchy check, the
+audit and the corpus fill each report once per instance, whoever calls
+them: `verify` fills its seven reports in one pass, the hierarchy check its
+five oriented kinds in one.  `check_contraction` itself always scans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from itertools import product
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import InputError
 from .kinds import ContractionKind  # re-exported: its home is `kinds`
@@ -57,7 +77,8 @@ if TYPE_CHECKING:
     Scalar = Fraction | QuadExt
 
 
-# functional ids: 0 = d(x,y) denominator, 1 = ciric, 2 = kannan, 3 = chatterjea, 4 = generalized
+# functional ids, the index of a kind's functional in the term table:
+# 0 = d(x,y), 1 = ciric, 2 = kannan, 3 = chatterjea, 4 = generalized
 _KIND_ID = {
     ContractionKind.BANACH_PERP: 0,
     ContractionKind.UNRESTRICTED_LIPSCHITZ: 0,
@@ -65,6 +86,34 @@ _KIND_ID = {
     ContractionKind.KANNAN: 2,
     ContractionKind.CHATTERJEA: 3,
     ContractionKind.GENERALIZED_PERP: 4,
+}
+
+# the kinds that quantify over related pairs, in hierarchy order
+_ORIENTED = (
+    ContractionKind.BANACH_PERP,
+    ContractionKind.CIRIC,
+    ContractionKind.KANNAN,
+    ContractionKind.CHATTERJEA,
+    ContractionKind.GENERALIZED_PERP,
+)
+
+# the factor each functional is held at in the term table: ciric and generalized
+# are doubled, so that their half-sum terms stay exact
+_SCALE = (1, 2, 1, 1, 2)
+
+# the pair sets, largest first: every ordered pair, the symmetric closure, the stored relation
+_EVERY, _CLOSURE, _RELATION = 0, 1, 2
+
+# (kind, symmetric) -> the initial slot of its report (see `_walk`), with the kind at the end
+_SLOT = {
+    (kind, symmetric): (
+        _KIND_ID[kind],
+        _EVERY if kind is ContractionKind.UNRESTRICTED_LIPSCHITZ else _CLOSURE if symmetric else _RELATION,
+        0, 0, -1, -1,
+        kind,
+    )
+    for kind in ContractionKind
+    for symmetric in (False, True)
 }
 
 
@@ -91,35 +140,121 @@ class ContractionReport:
 
 
 # ---------------------------------------------------------------------------
-# the comparison functionals and the scan
+# the scan loop
 # ---------------------------------------------------------------------------
 
-def _functional(kind_id: int, m, t, x: int, y: int):
-    """Twice the comparison functional at (x, y), read from matrix `m` and image table `t`.
+def _walk(pairs: Iterable[tuple[int, int]], m, t, slots: list[list], closure_rows=None, relation_rows=None) -> tuple:
+    """One pass over `pairs`, read from matrix `m` and image table `t`, filling every slot.
 
-    Doubling keeps the half-sum terms exact on ints, Fractions and QuadExt.
+    A slot is [functional id, pair set, num, den, best_pos, inf_pos, kind]
+    (see `_SLOT`): the best ratio num / den so far (den > 0, the functional
+    at its `_SCALE`), the walk position of its pair (-1 while no pair has a
+    nonzero denominator) and of the first pair with zero denominator that
+    moves (-1 if none).  Without bit rows every slot takes every walked
+    pair; with them a slot takes the pairs of its own set.  Returns the last
+    pair's functionals, at their `_SCALE`, indexed by functional id.
     """
-    tx, ty = t[x], t[y]
-    mx, my = m[x], m[y]
-    if kind_id == 0:
-        return 2 * mx[y]
-    if kind_id == 2:
-        return 2 * (mx[tx] + my[ty])
-    if kind_id == 3:
-        return 2 * (mx[ty] + my[tx])
-    best = 2 * max(mx[y], mx[tx], my[ty])
-    term = mx[ty] + m[tx][y]
-    if term > best:
-        best = term
-    if kind_id == 4:
-        mt = m[t[tx]]
-        term = mt[x] + mt[ty]
-        if term > best:
-            best = term
-        term = 2 * max(mt[tx], mt[y], mt[ty])
-        if term > best:
-            best = term
-    return best
+    active, full = slots, any([s[0] for s in slots])
+    if closure_rows is not None:
+        on_every = [s for s in slots if s[1] == _EVERY]
+        on_closure = [s for s in slots if s[1] <= _CLOSURE]
+        wide = [any(s[0] for s in group) for group in (on_every, on_closure, slots)]
+    dens: tuple = ()
+    for pos, (x, y) in enumerate(pairs):
+        if closure_rows is not None:
+            if not closure_rows[x] >> y & 1:
+                active, full = on_every, wide[0]
+            elif relation_rows[x] >> y & 1:  # the relation lies inside the closure: every slot
+                active, full = slots, wide[2]
+            else:
+                active, full = on_closure, wide[1]
+        tx, ty = t[x], t[y]
+        mx, mtx = m[x], m[tx]
+        num = mtx[ty]
+        dxy = mx[y]
+        if full:
+            my = m[y]
+            dxtx, dyty, dxty, dytx = mx[tx], my[ty], mx[ty], my[tx]
+            ciric = dxy
+            if dxtx > ciric:
+                ciric = dxtx
+            if dyty > ciric:
+                ciric = dyty
+            ciric *= 2
+            half = dxty + mtx[y]
+            if half > ciric:
+                ciric = half
+            mt = m[t[tx]]
+            gen = mt[tx]
+            if mt[y] > gen:
+                gen = mt[y]
+            if mt[ty] > gen:
+                gen = mt[ty]
+            gen *= 2
+            if ciric > gen:
+                gen = ciric
+            half = mt[x] + mt[ty]
+            if half > gen:
+                gen = half
+            dens = (dxy, ciric, dxtx + dyty, dxty + dytx, gen)
+        else:
+            dens = (dxy,)
+        for s in active:
+            den = dens[s[0]]
+            if den > 0:
+                if num * s[3] > s[2] * den or s[4] < 0:
+                    s[2], s[3], s[4] = num, den, pos
+            elif den == 0:
+                if num > 0 and s[5] < 0:
+                    s[5] = pos
+            elif s[3] * num < s[2] * den or s[4] < 0:  # -num / -den, with -den > 0
+                s[2], s[3], s[4] = -num, -den, pos
+    return dens
+
+
+def _ratio(num, den) -> Scalar:
+    """Exact num / den, also when both are ints."""
+    return Fraction(num, den) if isinstance(num, int) else num / den
+
+
+def _report(slot: list, pair_at: Callable[[int], tuple], count: int) -> ContractionReport:
+    """Build the report from a slot filled by `_walk`; `pair_at` maps a walk position to its pair."""
+    _, _, num, den, best_pos, inf_pos, kind = slot
+    feasible = inf_pos < 0
+    if not feasible:
+        minimal_k = None
+    elif best_pos < 0:
+        minimal_k = Fraction(0)
+    else:
+        minimal_k = _ratio(_SCALE[slot[0]] * num, den)
+    return ContractionReport(
+        kind=kind,
+        feasible=feasible,
+        minimal_k=minimal_k,
+        witness_max=tuple(pair_at(best_pos)) if best_pos >= 0 else None,
+        infeasible_witness=tuple(pair_at(inf_pos)) if inf_pos >= 0 else None,
+        admissible=feasible and minimal_k < kind.k_bound,
+        pairs_scanned=count,
+    )
+
+
+def _pass(space: FiniteSpace, m, images, keys: Sequence[tuple[ContractionKind, bool]]) -> list[ContractionReport]:
+    """The reports of `keys` ((kind, symmetric) pairs) from one `_walk` over the smallest set holding them all."""
+    slots = [list(_SLOT[key]) for key in keys]
+    sets = [slot[1] for slot in slots]
+    n, walked = space.n, min(sets)
+    if walked == _EVERY:
+        pairs: Iterable = product(range(n), repeat=2)
+        pair_at = lambda pos: divmod(pos, n)  # noqa: E731
+    else:
+        pairs = space.sorted_closure if walked == _CLOSURE else space.sorted_relation
+        pair_at = pairs.__getitem__
+    if max(sets) == walked:
+        _walk(pairs, m, images, slots)
+    else:
+        _walk(pairs, m, images, slots, space.closure_rows, space.relation_rows)
+    sizes = (n * n, len(space.sorted_closure), len(space.sorted_relation))
+    return [_report(slot, pair_at, sizes[slot[1]]) for slot in slots]
 
 
 def m_value(kind: ContractionKind, space: FiniteSpace, mapping: SelfMap, x: int, y: int) -> Fraction:
@@ -130,61 +265,8 @@ def m_value(kind: ContractionKind, space: FiniteSpace, mapping: SelfMap, x: int,
     _check_map(space, mapping)
     _check_point(space, x)
     _check_point(space, y)
-    return _ratio(_functional(_KIND_ID[kind], space.metric, mapping.images, x, y), 2)
-
-
-def _ratio(num, den) -> Scalar:
-    """Exact num / den, also when both are ints."""
-    return Fraction(num, den) if isinstance(num, int) else num / den
-
-
-def _scan(kind_id: int, pairs: Sequence[tuple[int, int]], m, t):
-    """Exact supremum of d(Tx,Ty) / functional over `pairs`.
-
-    Returns (num, den, best_pos, inf_pos): the attaining ratio as two
-    doubled values, the position of its pair (-1 when no pair has a positive
-    denominator) and the first pair with zero denominator that moves (-1 if
-    none).
-    """
-    best_num = best_den = None
-    best_pos = inf_pos = -1
-    for pos, (x, y) in enumerate(pairs):
-        num = 2 * m[t[x]][t[y]]
-        den = _functional(kind_id, m, t, x, y)
-        if den == 0:
-            if num > 0 and inf_pos < 0:
-                inf_pos = pos
-            continue
-        if best_pos < 0 or num * best_den > best_num * den:
-            best_num, best_den, best_pos = num, den, pos
-    return best_num, best_den, best_pos, inf_pos
-
-
-def _pair_list(space: FiniteSpace, kind: ContractionKind, symmetric: bool) -> Sequence[tuple[int, int]]:
-    if kind is ContractionKind.UNRESTRICTED_LIPSCHITZ:
-        return [(i, j) for i in range(space.n) for j in range(space.n)]
-    return space.sorted_closure if symmetric else space.sorted_relation
-
-
-def _report(kind: ContractionKind, pairs: Sequence[tuple], scan) -> ContractionReport:
-    """Build the report from a `_scan` result over `pairs`."""
-    num, den, best_pos, inf_pos = scan
-    feasible = inf_pos < 0
-    if not feasible:
-        minimal_k = None
-    elif best_pos < 0:
-        minimal_k = Fraction(0)
-    else:
-        minimal_k = _ratio(num, den)
-    return ContractionReport(
-        kind=kind,
-        feasible=feasible,
-        minimal_k=minimal_k,
-        witness_max=tuple(pairs[best_pos]) if best_pos >= 0 else None,
-        infeasible_witness=tuple(pairs[inf_pos]) if inf_pos >= 0 else None,
-        admissible=feasible and minimal_k < kind.k_bound,
-        pairs_scanned=len(pairs),
-    )
+    fid = _KIND_ID[kind]
+    return _ratio(_walk([(x, y)], space.metric, mapping.images, [list(_SLOT[kind, False])])[fid], _SCALE[fid])
 
 
 def check_contraction(
@@ -206,8 +288,7 @@ def check_contraction(
         raise InputError(f"unknown engine {engine!r} (expected 'scaled' or 'generic')")
     _check_map(space, mapping)
     m = space.metric if engine == "generic" else space.int_metric
-    pairs = _pair_list(space, kind, symmetric)
-    return _report(kind, pairs, _scan(_KIND_ID[kind], pairs, m, mapping.images))
+    return _pass(space, m, mapping.images, [(kind, bool(symmetric))])[0]
 
 
 def scan_value_pairs(
@@ -221,8 +302,9 @@ def scan_value_pairs(
     `pairs` are ordered pairs of hashable point values, `dist` an exact
     metric on values and `apply_map` the map evaluator; images need not
     belong to the scanned sample.  The values, their images and their
-    images' images are indexed, and the same scan runs on their distance
-    matrix.  Same report semantics as check_contraction.
+    images' images are indexed, and the same loop walks their distance
+    matrix, in the order of `pairs`.  Same report semantics as
+    check_contraction.
     """
     kind = ContractionKind(kind)
     values: list = []
@@ -245,7 +327,9 @@ def scan_value_pairs(
         image(image(x))
         image(y)
     m = [[dist(a, b) for b in values] for a in values]
-    return _report(kind, pairs, _scan(_KIND_ID[kind], index_pairs, m, images))
+    slot = list(_SLOT[kind, False])
+    _walk(index_pairs, m, images, [slot])
+    return _report(slot, pairs.__getitem__, len(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +348,33 @@ def preservation(space: FiniteSpace, mapping: SelfMap) -> PreservationReport:
 def report(
     kind: ContractionKind, space: FiniteSpace, mapping: SelfMap, *, symmetric: bool = False
 ) -> ContractionReport:
-    """`check_contraction(kind, space, mapping, symmetric=...)`, scanned once per (space, map) and kept on the map."""
-    key = (ContractionKind(kind), symmetric)
+    """`check_contraction(kind, space, mapping, symmetric=...)`, scanned once per (space, map) and kept on the map.
+
+    A miss walks only the pair set of this one report (see `reports` for several).
+    """
+    key = (ContractionKind(kind), bool(symmetric))
     memo = mapping._memo(space)
     rep = memo.get(key)
     if rep is None:
         rep = memo[key] = check_contraction(kind, space, mapping, symmetric=symmetric)
     return rep
+
+
+def reports(
+    space: FiniteSpace, mapping: SelfMap, keys: Sequence[tuple[ContractionKind, bool]]
+) -> tuple[ContractionReport, ...]:
+    """`report(kind, space, mapping, symmetric=symmetric)` for each (kind, symmetric) of `keys`, in order.
+
+    The reports not yet kept on the map are filled together, in one pass over
+    the smallest pair set that holds them all, and kept like `report`'s.
+    """
+    keys = [(ContractionKind(kind), bool(symmetric)) for kind, symmetric in keys]
+    memo = mapping._memo(space)
+    missing = [key for key in dict.fromkeys(keys) if key not in memo]
+    if missing:
+        _check_map(space, mapping)
+        memo.update(zip(missing, _pass(space, space.int_metric, mapping.images, missing)))
+    return tuple(memo[key] for key in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +407,11 @@ def hierarchy_check(space: FiniteSpace, mapping: SelfMap) -> tuple[HierarchyVerd
     and every d(Tx, Ty) scales by s, so every scan on it agrees with the
     exact metric; its witness is the first bad entry (i, j).  Any failure
     falsifies the scan implementation, so each verdict carries a witness.
-    The oriented reports are those kept on the map (see `report`).
+    The reports are those kept on the map: the five oriented kinds the
+    implications read, filled together in one pass over the stored relation
+    when none is kept yet (see `reports`).
     """
-    reports = {
-        kind: report(kind, space, mapping)
-        for kind in (
-            ContractionKind.BANACH_PERP,
-            ContractionKind.CIRIC,
-            ContractionKind.KANNAN,
-            ContractionKind.CHATTERJEA,
-            ContractionKind.GENERALIZED_PERP,
-        )
-    }
+    ban, cir, kan, cha, gen = reports(space, mapping, [(kind, False) for kind in _ORIENTED])
 
     bad = _integer_form_mismatch(space.metric, space.int_metric)
     detail = "every integer-form entry is the exact entry times the lcm of the denominators"
@@ -335,8 +432,8 @@ def hierarchy_check(space: FiniteSpace, mapping: SelfMap) -> tuple[HierarchyVerd
             f"admissible at k implies the conclusion admissible at {factor}k" if factor != 1 else "admissible at k implies the conclusion admissible at k",
         )
 
-    verdicts.append(implication("banach-implies-ciric", reports[ContractionKind.BANACH_PERP], reports[ContractionKind.CIRIC], 1))
-    verdicts.append(implication("ciric-implies-generalized", reports[ContractionKind.CIRIC], reports[ContractionKind.GENERALIZED_PERP], 1))
-    verdicts.append(implication("kannan-implies-ciric", reports[ContractionKind.KANNAN], reports[ContractionKind.CIRIC], 2))
-    verdicts.append(implication("chatterjea-implies-ciric", reports[ContractionKind.CHATTERJEA], reports[ContractionKind.CIRIC], 2))
+    verdicts.append(implication("banach-implies-ciric", ban, cir, 1))
+    verdicts.append(implication("ciric-implies-generalized", cir, gen, 1))
+    verdicts.append(implication("kannan-implies-ciric", kan, cir, 2))
+    verdicts.append(implication("chatterjea-implies-ciric", cha, cir, 2))
     return tuple(verdicts)

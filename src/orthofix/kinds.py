@@ -11,6 +11,8 @@ from fractions import Fraction
 
 from .errors import InputError
 
+_HALF, _ONE = Fraction(1, 2), Fraction(1)
+
 MODE_ORBITAL_CONTINUITY = "orbital-continuity"
 MODE_O1 = "O1"
 
@@ -27,8 +29,8 @@ class ContractionKind(str, Enum):
     def k_bound(self) -> Fraction:
         """Upper end of the admissible constant range for this kind."""
         if self in (ContractionKind.KANNAN, ContractionKind.CHATTERJEA):
-            return Fraction(1, 2)
-        return Fraction(1)
+            return _HALF
+        return _ONE
 
     @classmethod
     def _missing_(cls, value):

@@ -1,12 +1,15 @@
 """A map keeps its facts on a space: each derived fact is computed once and reused.
 
-The scan counts below are the contract: `verify` needs 7 distinct scans
-(six oriented kinds and the certified symmetric scan), the audit reuses the
-filter's symmetric scan for the hypothesis check and for every Picard trace,
-and the corpus's five-point case needs 6.  The integer-form check of the
-hierarchy compares entries and scans nothing.  No caller passes anything
-extra: `contraction.report` and `contraction.preservation` keep each fact on
-the map, for the space it was computed on.
+The counts below are the contract.  `scan_calls` lists, for each pass of the
+scan loop (`contraction._walk`), the number of reports it fills.  `verify`
+fills its 7 reports (six oriented kinds and the certified symmetric one) in
+1 pass; the hierarchy check fills its five oriented kinds in 1 pass; the
+audit reuses the filter's symmetric scan for the hypothesis check and for
+every Picard trace; the corpus's five-point case needs 6 passes.  The
+integer-form check of the hierarchy compares entries and scans nothing.  No
+caller passes anything extra: `contraction.report`, `contraction.reports`
+and `contraction.preservation` keep each fact on the map, for the space it
+was computed on.
 Facts of the space alone (its weak elements) live on the space, not here.
 """
 
@@ -40,21 +43,21 @@ FIVE_POINT = str(Path(__file__).resolve().parent.parent / "data" / "five_point.j
 
 @pytest.fixture
 def scan_calls(monkeypatch):
-    calls = []
-    scan = contraction._scan
+    calls = []  # the number of reports each pass of the scan loop fills
+    walk = contraction._walk
 
-    def counted(*args):
-        calls.append(args[0])
-        return scan(*args)
+    def counted(pairs, m, t, slots, *rows):
+        calls.append(len(slots))
+        return walk(pairs, m, t, slots, *rows)
 
-    monkeypatch.setattr(contraction, "_scan", counted)
+    monkeypatch.setattr(contraction, "_walk", counted)
     return calls
 
 
 def test_verify_scans_each_report_once(scan_calls):
     result = CliRunner().invoke(main, ["verify", "--json", FIVE_POINT])
     assert result.exit_code == 0, result.output
-    assert len(scan_calls) == 7  # six oriented kinds and the certified scan
+    assert scan_calls == [7]  # six oriented kinds and the certified report, in one pass
 
 
 def test_audit_reuses_the_filters_scan(scan_calls, monkeypatch):
@@ -62,8 +65,12 @@ def test_audit_reuses_the_filters_scan(scan_calls, monkeypatch):
     summary = theorem_audit(GenParams(seed=0, trials=50))
     assert (summary.trials_run, summary.trace_count) == (50, 58)
     # Without sharing, each hypothesis check and each trace would rescan symmetrically;
-    # the integer-form check of each trial's hierarchy scans nothing.
-    assert len(scan_calls) == 546 - 2 * summary.trials_run - summary.trace_count == 388
+    # the integer-form check of each trial's hierarchy scans nothing.  The filter's symmetric
+    # scan of each of the 138 preserving candidates is one pass of one report, and each trial's
+    # hierarchy check one pass of its five oriented kinds: 388 reports in 188 passes.
+    assert sum(scan_calls) == 546 - 2 * summary.trials_run - summary.trace_count == 388
+    assert scan_calls.count(5) == summary.trials_run
+    assert len(scan_calls) == 388 - 4 * summary.trials_run == 188
 
 
 def test_audit_builds_only_preserving_candidates(monkeypatch):
@@ -91,16 +98,17 @@ def test_audit_builds_only_preserving_candidates(monkeypatch):
 
 def test_corpus_five_point_shares_one_analysis(scan_calls):
     assert run_case("five-point").ok
-    # generalized (oriented, symmetric), banach, ciric, kannan, chatterjea; 15 without sharing
-    assert len(scan_calls) == 6
+    # M(3,4) and M(0,4) (one pair each), generalized (oriented, symmetric) and banach, then the
+    # hierarchy's ciric, kannan and chatterjea in one pass; 15 reports without sharing
+    assert scan_calls == [1, 1, 1, 1, 1, 3]
 
 
 def test_hypotheses_solve_and_hierarchy_share_the_maps_scans(five_point, scan_calls):
     space, mapping = five_point
     assert hypothesis_check(space, mapping).all_hold  # the symmetric scan
     assert picard_solve(space, mapping, 0).certified  # reuses it: k = 2/3 needs no oriented scan
-    assert all(v.holds for v in hierarchy_check(space, mapping))  # five oriented kinds
-    assert len(scan_calls) == 6
+    assert all(v.holds for v in hierarchy_check(space, mapping))  # five oriented kinds, one pass
+    assert scan_calls == [1, 5]
 
 
 def test_analysis_fills_each_fact_once(five_point, scan_calls):
