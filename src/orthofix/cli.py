@@ -40,6 +40,14 @@ def _labels(space, pair) -> str:
     return "(" + ", ".join(space.points[i] for i in pair) + ")"
 
 
+def _element_lines(space, cls) -> list[str]:
+    """The weak and strong orthogonal elements of a classification, by label."""
+    return [
+        f"{kind} orthogonal elements: {{" + ", ".join(space.points[i] for i in sorted(elements)) + "}"
+        for kind, elements in (("weak", cls.weak_elements), ("strong", cls.strong_elements))
+    ]
+
+
 def _load(path: str, need_map: bool):
     from .spacefile import load_space_file
 
@@ -123,8 +131,8 @@ def verify(file, mode, as_json):
     else:
         click.echo(f"metric: valid ({space.n} points, {len(space.relation)} relation pairs)")
         click.echo(f"classification: {cls.verdict}")
-        click.echo("weak orthogonal elements: {" + ", ".join(space.points[i] for i in sorted(cls.weak_elements)) + "}")
-        click.echo("strong orthogonal elements: {" + ", ".join(space.points[i] for i in sorted(cls.strong_elements)) + "}")
+        for line in _element_lines(space, cls):
+            click.echo(line)
         click.echo(f"preserving: {str(pres.preserving).lower()}")
         for (i, j) in pres.violations:
             click.echo(f"  preservation violated at {_labels(space, (i, j))}")
@@ -158,9 +166,7 @@ def classify(file, seq, orbit_start, as_json):
     space, mapping = _load(file, need_map=orbit_start is not None)
     cls = classify_orthogonality(space)
     payload: dict = {"command": "classify", "file": str(file), "classification": cls.to_dict()}
-    lines = [f"classification: {cls.verdict}"]
-    lines.append("weak orthogonal elements: {" + ", ".join(space.points[i] for i in sorted(cls.weak_elements)) + "}")
-    lines.append("strong orthogonal elements: {" + ", ".join(space.points[i] for i in sorted(cls.strong_elements)) + "}")
+    lines = [f"classification: {cls.verdict}", *_element_lines(space, cls)]
     ok = True
     if seq is not None:
         indices = [space.index_of(lbl.strip()) for lbl in seq.split(",")]

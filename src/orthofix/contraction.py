@@ -52,11 +52,14 @@ made positive, so a negative entry of an out-of-contract matrix is ranked
 by its true ratio.
 
 The facts of one map on a space -- preservation and every report scanned so
-far -- are kept on the map (`preservation`, `report`, `reports`), so that
-`verify`, the hypothesis check, Picard iteration, the hierarchy check, the
-audit and the corpus fill each report once per instance, whoever calls
-them: `verify` fills its seven reports in one pass, the hierarchy check its
-five oriented kinds in one.  `check_contraction` itself always scans.
+far -- are kept on the map, so that `verify`, the hypothesis check, Picard
+iteration, the hierarchy check, the audit and the corpus fill each report
+once per instance, whoever calls them.  `preservation` keeps the
+preservation report, and `reports` is the only code that fills contraction
+reports: those not kept yet, in one pass (`verify` fills its seven reports
+in one pass, the hierarchy check its five oriented kinds in one).  `report`
+is its one-key form.  `check_contraction` is the public scan that keeps
+nothing: it always scans.
 """
 
 from __future__ import annotations
@@ -348,25 +351,18 @@ def preservation(space: FiniteSpace, mapping: SelfMap) -> PreservationReport:
 def report(
     kind: ContractionKind, space: FiniteSpace, mapping: SelfMap, *, symmetric: bool = False
 ) -> ContractionReport:
-    """`check_contraction(kind, space, mapping, symmetric=...)`, scanned once per (space, map) and kept on the map.
-
-    A miss walks only the pair set of this one report (see `reports` for several).
-    """
-    key = (ContractionKind(kind), bool(symmetric))
-    memo = mapping._memo(space)
-    rep = memo.get(key)
-    if rep is None:
-        rep = memo[key] = check_contraction(kind, space, mapping, symmetric=symmetric)
-    return rep
+    """`reports(space, mapping, [(kind, symmetric)])[0]`: one report, kept on the map."""
+    return reports(space, mapping, [(kind, symmetric)])[0]
 
 
 def reports(
     space: FiniteSpace, mapping: SelfMap, keys: Sequence[tuple[ContractionKind, bool]]
 ) -> tuple[ContractionReport, ...]:
-    """`report(kind, space, mapping, symmetric=symmetric)` for each (kind, symmetric) of `keys`, in order.
+    """`check_contraction(kind, space, mapping, symmetric=symmetric)` for each (kind, symmetric) of `keys`, in order.
 
     The reports not yet kept on the map are filled together, in one pass over
-    the smallest pair set that holds them all, and kept like `report`'s.
+    the smallest pair set that holds them all, and kept on the map; this is
+    the one place the memo is filled.
     """
     keys = [(ContractionKind(kind), bool(symmetric)) for kind, symmetric in keys]
     memo = mapping._memo(space)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .cases import list_cases  # re-exported: the names and summaries of `_RUNNERS`
+from .cases import CASES, list_cases  # list_cases re-exported: the names and summaries of `_RUNNERS`
 from .contraction import (
     ContractionKind,
     hierarchy_check,
@@ -130,8 +130,7 @@ def five_point_example() -> tuple[FiniteSpace, SelfMap]:
     return FiniteSpace(points, metric, relation), SelfMap([0, 0, 1, 0, 2], 5)
 
 
-def _case_five_point() -> CaseReport:
-    rec = _Recorder()
+def _case_five_point(rec: _Recorder) -> str:
     space, mapping = five_point_example()
 
     cls = classify_orthogonality(space)
@@ -187,12 +186,7 @@ def _case_five_point() -> CaseReport:
     bad = [v.name for v in hierarchy_check(space, mapping) if not v.holds]
     rec.check("hierarchy implication failures", [], bad, "derived")
 
-    return CaseReport(
-        name="five-point",
-        title="five-point weak orthogonal space with a generalized contraction",
-        assertions=tuple(rec.assertions),
-        annotations=tuple(rec.annotations),
-    )
+    return "five-point weak orthogonal space with a generalized contraction"
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +222,7 @@ def rational_product_sample() -> tuple[list[str], list[QuadExt], Callable, Calla
     return labels, values, dist, rel, apply_map
 
 
-def _case_rational_product() -> CaseReport:
-    rec = _Recorder()
+def _case_rational_product(rec: _Recorder) -> str:
     labels, values, dist, rel, apply_map = rational_product_sample()
     n = len(values)
     idx = {v: i for i, v in enumerate(values)}
@@ -268,12 +261,7 @@ def _case_rational_product() -> CaseReport:
         "orthogonal discontinuity of the map",
         "the witness sequence of partial factorial sums converges to an irrational limit; not finitely checkable",
     )
-    return CaseReport(
-        name="rational-product",
-        title="real line with x _|_ y iff x*y rational; map contracts only on related pairs",
-        assertions=tuple(rec.assertions),
-        annotations=tuple(rec.annotations),
-    )
+    return "real line with x _|_ y iff x*y rational; map contracts only on related pairs"
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +290,7 @@ def _inner(p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]) -> Fracti
     return p[0] * q[0] + p[1] * q[1]
 
 
-def _case_r2_counterexample(max_n: int = 1000) -> CaseReport:
-    rec = _Recorder()
+def _case_r2_counterexample(rec: _Recorder, max_n: int = 1000) -> str:
     # the special points (1/n, 1/(n+1)), n = 1..max_n + 1, at index n - 1
     units = [Fraction(1, n) for n in range(1, max_n + 3)]
     special = list(zip(units, units[1:]))
@@ -356,12 +343,7 @@ def _case_r2_counterexample(max_n: int = 1000) -> CaseReport:
         "holds because no orthogonal sequence can end in or converge to the special points; "
         "the sequence-level argument is not finitely checkable",
     )
-    return CaseReport(
-        name="r2-counterexample",
-        title="plane map orthogonally continuous at the origin yet discontinuous there",
-        assertions=tuple(rec.assertions),
-        annotations=tuple(rec.annotations),
-    )
+    return "plane map orthogonally continuous at the origin yet discontinuous there"
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +360,7 @@ def leq_space(values: list[Fraction]) -> FiniteSpace:
     return FiniteSpace(labels, metric, relation)
 
 
-def _case_leq_relation() -> CaseReport:
-    rec = _Recorder()
+def _case_leq_relation(rec: _Recorder) -> str:
     sample = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
     space = leq_space(sample)
 
@@ -400,12 +381,7 @@ def _case_leq_relation() -> CaseReport:
         "the full real line under <= has no strong orthogonal element",
         "relies on unboundedness; every finite sample has extrema, hence strong elements",
     )
-    return CaseReport(
-        name="leq-relation",
-        title="total order sample: every point is a weak orthogonal element",
-        assertions=tuple(rec.assertions),
-        annotations=tuple(rec.annotations),
-    )
+    return "total order sample: every point is a weak orthogonal element"
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +415,7 @@ def orbit_space_example() -> tuple[FiniteSpace, SelfMap]:
     return FiniteSpace(labels, metric, relation), SelfMap(images, 4)
 
 
-def _case_orbit_space() -> CaseReport:
-    rec = _Recorder()
+def _case_orbit_space(rec: _Recorder) -> str:
     space, mapping = orbit_space_example()
 
     strong = strong_orthogonal_elements(space)
@@ -478,19 +453,15 @@ def _case_orbit_space() -> CaseReport:
         "the map is not orthogonally continuous on the full space",
         "witnessed by a sequence increasing to 1 whose images stay at 2; analytic-only",
     )
-    return CaseReport(
-        name="orbit-space",
-        title="orbit structure on a positive-reals sample, cycle of length two",
-        assertions=tuple(rec.assertions),
-        annotations=tuple(rec.annotations),
-    )
+    return "orbit structure on a positive-reals sample, cycle of length two"
 
 
 # ---------------------------------------------------------------------------
-# registry (names and summaries live in `cases`, in the same order)
+# registry (names, summaries and their order live in `cases`)
 # ---------------------------------------------------------------------------
 
-_RUNNERS: dict[str, Callable[[], CaseReport]] = {
+# name -> runner; a runner fills the recorder and returns its case's title
+_RUNNERS: dict[str, Callable[[_Recorder], str]] = {
     "five-point": _case_five_point,
     "rational-product": _case_rational_product,
     "r2-counterexample": _case_r2_counterexample,
@@ -500,12 +471,14 @@ _RUNNERS: dict[str, Callable[[], CaseReport]] = {
 
 
 def run_case(name: str) -> CaseReport:
-    """Build and check one registered case."""
+    """Build and check one registered case; every case report is built here."""
     if name not in _RUNNERS:
-        known = ", ".join(_RUNNERS)
+        known = ", ".join(CASES)
         raise InputError(f"unknown case {name!r} (known cases: {known})")
-    return _RUNNERS[name]()
+    rec = _Recorder()
+    title = _RUNNERS[name](rec)
+    return CaseReport(name, title, tuple(rec.assertions), tuple(rec.annotations))
 
 
 def run_all() -> list[CaseReport]:
-    return [run_case(name) for name in _RUNNERS]
+    return [run_case(name) for name in CASES]

@@ -8,7 +8,10 @@ point is a weak orthogonal element, and candidate maps are biased toward a
 random attractor and kept only when every theorem hypothesis holds.  A
 candidate is first tested on its raw image list and dropped at its first
 preservation violation, so a candidate rejected there never becomes a map;
-only a preserving one is built as a `SelfMap` and checked against the rest.
+only a preserving one is built as a `SelfMap`, and it is accepted when its
+symmetric generalized report is admissible.  `hypothesis_check` stays the
+one definition of the hypotheses: the audit runs it on accepted maps only,
+so their full preservation report is computed once, there.
 
 For each accepted instance the audit verifies the theorem's conclusion
 against exhaustive enumeration: exactly one fixed point, reached by Picard
@@ -40,11 +43,12 @@ from fractions import Fraction
 from itertools import chain
 from typing import BinaryIO
 
-from .contraction import hierarchy_check
-from .errors import InputError, OrthofixError
+from .contraction import hierarchy_check, report
+from .errors import CertificateError, InputError, OrthofixError
+from .kinds import ContractionKind
 from .rational import _is_index, as_rational
 from .relational import _violations, brute_force_fixed_points
-from .solver import _hypotheses_hold, hypothesis_check, picard_solve
+from .solver import hypothesis_check, picard_solve
 from .space import FiniteSpace, SelfMap, validate_metric
 from .spacefile import space_to_dict
 
@@ -137,17 +141,18 @@ def _sample_map(params: GenParams, space: FiniteSpace, rng: random.Random) -> tu
     All n images are drawn first, so the stream does not depend on the
     outcome.  The raw image list is then tested for preservation up to its
     first violation, where most candidates fail; such a candidate never
-    becomes a map.  Only a preserving one is built as a `SelfMap` and judged
-    by `_hypotheses_hold`, which keeps its facts on the map it accepts.
+    becomes a map.  A preserving one is built as a `SelfMap` and accepted
+    when the space has a weak orthogonal element and the map's symmetric
+    generalized report, which stays on the map, is admissible.
     """
-    n = space.n
+    n, weak = space.n, bool(space.weak_elements)
     for attempt in range(params.map_attempts):
         attractor = rng.randrange(n)
         images = [attractor if rng.getrandbits(1) else rng.randrange(n) for _ in range(n)]
-        if next(_violations(space, images), None) is not None:
+        if not weak or next(_violations(space, images), None) is not None:
             continue
         candidate = SelfMap(images, n)
-        if _hypotheses_hold(space, candidate):
+        if report(ContractionKind.GENERALIZED_PERP, space, candidate, symmetric=True).admissible:
             return candidate, attempt + 1
     return None, params.map_attempts
 
@@ -220,12 +225,14 @@ def _audit_instance(space: FiniteSpace, mapping: SelfMap) -> tuple[list[str], in
     Returns (discrepancies, traces_checked).  All inequalities are
     re-evaluated here from the raw trace data, independently of the
     solver's internal enforcement; the hypothesis check and the traces reuse
-    the scan the instance filter kept on the map.
+    the scan the instance filter kept on the map.  A trace the solver
+    refuses with CertificateError is recorded as a discrepancy, so the
+    trial keeps its reproduction data; it is not counted as checked.
     """
     problems: list[str] = []
-    report = validate_metric(space)
-    if not report.ok:
-        problems.append(f"generated metric invalid: {report.violations[0]}")
+    validation = validate_metric(space)
+    if not validation.ok:
+        problems.append(f"generated metric invalid: {validation.violations[0]}")
     fixed = brute_force_fixed_points(space, mapping)
     if len(fixed) != 1:
         problems.append(f"fixed point set {sorted(fixed)} is not a singleton")
@@ -235,7 +242,11 @@ def _audit_instance(space: FiniteSpace, mapping: SelfMap) -> tuple[list[str], in
     k = hyp.minimal_k
     traces = 0
     for w in sorted(space.weak_elements):
-        trace = picard_solve(space, mapping, w, k=k)
+        try:
+            trace = picard_solve(space, mapping, w, k=k)
+        except CertificateError as exc:
+            problems.append(f"Picard from {w}: {exc}")
+            continue
         traces += 1
         if not trace.converged or trace.fixed_point != z:
             problems.append(f"Picard from {w} reached {trace.fixed_point}, brute force says {z}")

@@ -238,12 +238,11 @@ class QuadExt:
 def qext_compare(x: QuadExt, y: QuadExt) -> int:
     """Exact three-way comparison: -1 if x < y, 0 if equal, 1 if x > y.
 
-    Operands must share a radicand unless one of them is rational.
+    Operands must share a radicand unless one of them is rational (the
+    subtraction raises InputError otherwise).
     """
     if not isinstance(x, QuadExt) or not isinstance(y, QuadExt):
         raise InputError("qext_compare expects QuadExt operands")
-    if x.b != 0 and y.b != 0 and x.d != y.d:
-        raise InputError(f"mismatched radicands sqrt({x.d}) vs sqrt({y.d})")
     return (x - y).sign()
 
 

@@ -270,20 +270,6 @@ class HypothesisReport:
         }
 
 
-def _hypotheses_hold(space: FiniteSpace, mapping: SelfMap) -> bool:
-    """Short-circuit form of ``hypothesis_check(...).all_hold`` (orbital mode).
-
-    Used by instance filters that test thousands of candidate maps; checks
-    the cheap conditions before the contraction scan.  Whatever it computes
-    stays on the map for the checks that follow on an accepted map.
-    """
-    return (
-        bool(space.weak_elements)
-        and preservation(space, mapping).preserving
-        and report(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True).admissible
-    )
-
-
 def hypothesis_check(
     space: FiniteSpace,
     mapping: SelfMap,

@@ -65,10 +65,7 @@ def parse_space_data(data: dict) -> tuple[FiniteSpace, SelfMap | None]:
 
     relation = data["relation"]
     if not isinstance(relation, list):
-        raise InputError("'relation' must be a list of index pairs")
-    for entry in relation:
-        if not isinstance(entry, list):
-            raise InputError(f"relation entry {entry!r} must be a pair of indices")
+        raise InputError("'relation' must be a list of index pairs")  # `PointRelation` checks each entry
 
     space = FiniteSpace(points, metric, relation)
     report = validate_metric(space)

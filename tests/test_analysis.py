@@ -7,9 +7,11 @@ fills its 7 reports (six oriented kinds and the certified symmetric one) in
 audit reuses the filter's symmetric scan for the hypothesis check and for
 every Picard trace; the corpus's five-point case needs 6 passes.  The
 integer-form check of the hierarchy compares entries and scans nothing.  No
-caller passes anything extra: `contraction.report`, `contraction.reports`
-and `contraction.preservation` keep each fact on the map, for the space it
-was computed on.
+caller passes anything extra: `contraction.reports` (and `contraction.report`,
+its one-key form) and `contraction.preservation` keep each fact on the map,
+for the space it was computed on.  The audit's sampler prescreens
+preservation on raw images, so the full preservation report is computed only
+for the accepted maps, by the hypothesis check.
 Facts of the space alone (its weak elements) live on the space, not here.
 """
 
@@ -75,7 +77,8 @@ def test_audit_reuses_the_filters_scan(scan_calls, monkeypatch):
 
 def test_audit_builds_only_preserving_candidates(monkeypatch):
     # The sampler drops a candidate at its first preservation violation, before it is a map:
-    # only preserving candidates become a SelfMap, and each gets one full preservation report.
+    # only preserving candidates become a SelfMap.  The full preservation report is the
+    # hypothesis check's, so only each accepted map gets one.
     built, reports = [], []
     build, check = oracle.SelfMap, contraction.is_ow_preserving
 
@@ -93,7 +96,8 @@ def test_audit_builds_only_preserving_candidates(monkeypatch):
     summary = theorem_audit(GenParams(seed=0, trials=50))
     assert summary.maps_tried == 1178
     assert all(rep.preserving for rep in reports)
-    assert len(built) == len(reports) == 138  # the preserving candidates among the 1,178 drawn
+    assert len(built) == 138  # the preserving candidates among the 1,178 drawn
+    assert len(reports) == summary.trials_run == 50  # one per accepted map
 
 
 def test_corpus_five_point_shares_one_analysis(scan_calls):

@@ -3,7 +3,8 @@
 A trial is a pure function of its seed, so the summary must not depend on
 how many processes ran the batch: every test compares a split run with the
 one-process run (`_usable_cpus` patched to 1).  Three processes give an
-uneven stride.  Failures must cross the pipe in order, a child's exception
+uneven stride.  Failures must cross the pipe in order (a certificate failure
+of the solver is a failure of its trial, not an abort), a child's exception
 must surface in the parent, and no child may outlive the call.
 """
 
@@ -15,7 +16,7 @@ import threading
 import pytest
 from click.testing import CliRunner
 
-from orthofix import GenParams, InputError, OrthofixError, oracle, theorem_audit
+from orthofix import CertificateError, GenParams, InputError, OrthofixError, oracle, theorem_audit
 from orthofix.cli import main
 from orthofix.spacefile import space_to_dict
 
@@ -88,6 +89,19 @@ def test_default_split_needs_enough_seeds_per_process(monkeypatch, forks):
     assert len(forks) == 2  # 100 seeds, then 20: three processes, then one
 
 
+def _failing_audit_at_1_and_2_cpus(monkeypatch, tmp_path):
+    """`audit --trials 64 --seed 4 --json --dump-dir` at 1 and 2 CPUs: {cpus: (stdout, dump files)}; each exits 1."""
+    outputs = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        dump = tmp_path / f"cpus{cpus}"
+        result = CliRunner().invoke(main, ["audit", "--trials", "64", "--seed", "4", "--dump-dir", str(dump), "--json"])
+        assert result.exit_code == 1, result.output
+        files = {path.name: path.read_bytes() for path in sorted(dump.iterdir())}
+        outputs[cpus] = (result.output, files)
+    return outputs
+
+
 def test_planted_failures_cross_the_pipe_in_seed_order(monkeypatch, tmp_path, forks):
     params = GenParams(seed=4, trials=64)
     odd = [s for s in _first_batch(params)[1::2] if oracle._trial(params, s)[1] is not None]
@@ -102,19 +116,37 @@ def test_planted_failures_cross_the_pipe_in_seed_order(monkeypatch, tmp_path, fo
         return problems, traces
 
     monkeypatch.setattr(oracle, "_audit_instance", planted)
-    outputs = {}
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
-        dump = tmp_path / f"cpus{cpus}"
-        result = CliRunner().invoke(main, ["audit", "--trials", "64", "--seed", "4", "--dump-dir", str(dump), "--json"])
-        assert result.exit_code == 1, result.output
-        files = {path.name: path.read_bytes() for path in sorted(dump.iterdir())}
-        outputs[cpus] = (result.output, files)
+    outputs = _failing_audit_at_1_and_2_cpus(monkeypatch, tmp_path)
     assert len(forks) == 1
     assert outputs[1] == outputs[2]
     report = json.loads(outputs[2][0])
     assert [f["seed"] for f in report["failures"]] == chosen
     assert sorted(outputs[2][1]) == sorted(f"failure_{seed}.json" for seed in chosen)
+
+
+def test_certificate_failure_is_recorded_with_its_seed(monkeypatch, tmp_path, forks):
+    # A trace the solver refuses is a discrepancy of its trial, not an abort of the audit.
+    params = GenParams(seed=4, trials=64)
+    odd = [s for s in _first_batch(params)[1::2] if oracle._trial(params, s)[1] is not None]
+    chosen = odd[0]  # an accepted trial in the second process's share
+    planted_space = _key(oracle.generate_space(params, random.Random(chosen)))
+    solve = oracle.picard_solve
+
+    def refusing(space, mapping, start, **options):
+        if _key(space) == planted_space:
+            raise CertificateError("planted certificate failure")
+        return solve(space, mapping, start, **options)
+
+    monkeypatch.setattr(oracle, "picard_solve", refusing)
+    outputs = _failing_audit_at_1_and_2_cpus(monkeypatch, tmp_path)
+    assert len(forks) == 1
+    assert outputs[1] == outputs[2]
+    report = json.loads(outputs[2][0])
+    (failure,) = report["failures"]
+    assert failure["seed"] == chosen
+    assert failure["discrepancy"].startswith("Picard from ")
+    assert "planted certificate failure" in failure["discrepancy"]
+    assert sorted(outputs[2][1]) == [f"failure_{chosen}.json"]
 
 
 def _failing_trial(monkeypatch, position, params, fail):

@@ -5,20 +5,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orthofix import (
+    ContractionKind,
     FiniteSpace,
     GenParams,
     InputError,
     SelfMap,
     brute_force_fixed_points,
+    check_contraction,
     generate_map,
     generate_space,
     hypothesis_check,
+    is_ow_preserving,
     theorem_audit,
     validate_metric,
     weak_orthogonal_elements,
 )
 from orthofix.oracle import _sample_map
-from orthofix.solver import _hypotheses_hold
 from orthofix.spacefile import space_to_dict
 
 
@@ -84,12 +86,19 @@ def test_generate_map_returns_accepted_candidate():
 
 
 def _sample_map_reference(params, space, rng):
-    """The sampler as it was before its preservation prescreen: every candidate built and judged as a map."""
+    """The sampler as it was before its preservation prescreen: every candidate built and judged as a map.
+
+    Each candidate is judged by public calls that keep no memo, so the reference is independent of it.
+    """
     for attempt in range(params.map_attempts):
         attractor = rng.randrange(space.n)
         images = [attractor if rng.getrandbits(1) else rng.randrange(space.n) for _ in range(space.n)]
         candidate = SelfMap(images, space.n)
-        if _hypotheses_hold(space, candidate):
+        if (
+            bool(space.weak_elements)
+            and is_ow_preserving(space, candidate).preserving
+            and check_contraction(ContractionKind.GENERALIZED_PERP, space, candidate, symmetric=True).admissible
+        ):
             return candidate, attempt + 1
     return None, params.map_attempts
 

@@ -124,6 +124,13 @@ def test_relation_entry_shape():
         parse_space_data(_broken(relation=[[0, 1, 2]]))
 
 
+@pytest.mark.parametrize("entry", ["01", 5])
+def test_non_list_relation_entry_rejected(entry):
+    # A string or number is not a pair; the message names the entry.
+    with pytest.raises(InputError, match=rf"relation entry {entry!r} .*pair of indices"):
+        parse_space_data(_broken(relation=[entry]))
+
+
 def test_boolean_relation_entry_rejected():
     # JSON true/false would otherwise become the indices 1 and 0.
     with pytest.raises(InputError, match="pair of indices"):
