@@ -64,10 +64,9 @@ nothing: it always scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 from .kinds import ContractionKind  # re-exported: its home is `kinds`
@@ -120,8 +119,7 @@ _SLOT = {
 }
 
 
-@dataclass(frozen=True)
-class ContractionReport:
+class ContractionReport(NamedTuple):
     kind: ContractionKind
     feasible: bool
     minimal_k: Scalar | None
@@ -377,8 +375,7 @@ def reports(
 # hierarchy checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HierarchyVerdict:
+class HierarchyVerdict(NamedTuple):
     name: str
     holds: bool
     witness: tuple | None

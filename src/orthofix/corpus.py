@@ -12,9 +12,8 @@ carried as analytic-only annotations so the test surface stays honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cases import CASES, list_cases  # list_cases re-exported: the names and summaries of `_RUNNERS`
 from .contraction import (
@@ -39,8 +38,7 @@ from .solver import MODE_O1, hypothesis_check, picard_solve
 from .space import FiniteSpace, PointRelation, SelfMap
 
 
-@dataclass(frozen=True)
-class Assertion:
+class Assertion(NamedTuple):
     name: str
     expected: str
     actual: str
@@ -57,8 +55,7 @@ class Assertion:
         }
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(NamedTuple):
     name: str
     note: str
 
@@ -66,8 +63,7 @@ class Annotation:
         return {"name": self.name, "note": self.note, "status": "analytic-only"}
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     name: str
     title: str
     assertions: tuple[Assertion, ...]

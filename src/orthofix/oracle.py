@@ -20,9 +20,9 @@ inequality re-checked here in exact arithmetic, independently of the
 solver's own runtime certificates.  Any discrepancy is recorded with full
 reproduction data.
 
-Randomness comes from ``random.Random`` (MT19937) using only getrandbits
-and randrange, so instance streams are stable across platforms and runs
-for a given seed.
+Randomness comes from ``random.Random`` (MT19937) through getrandbits only
+(see `_below`), so instance streams depend on MT19937's output alone and
+are stable across platforms, Python versions and runs for a given seed.
 
 Each trial is a pure function of its seed, drawn from the master stream.
 The audit draws its seeds in batches, splits each batch across the usable
@@ -41,7 +41,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 from .contraction import hierarchy_check, report
 from .errors import CertificateError, InputError, OrthofixError
@@ -93,11 +93,20 @@ class GenParams:
         }
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A draw from range(n), n >= 1: the value and the words CPython's ``randrange`` with one argument takes, in one frame, not three."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _shortest_path_metric(n: int, rng: random.Random, lo: int, hi: int) -> list[list[Fraction]]:
     w = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            w[i][j] = w[j][i] = lo + rng.randrange(hi - lo + 1)
+            w[i][j] = w[j][i] = lo + _below(rng, hi - lo + 1)
     for k in range(n):
         for i in range(n):
             for j in range(n):
@@ -119,16 +128,12 @@ def generate_space(params: GenParams, rng: random.Random | None = None) -> Finit
     already present.
     """
     rng = rng if rng is not None else random.Random(params.seed)
-    n = 2 + rng.randrange(params.max_points - 1)
+    n = 2 + _below(rng, params.max_points - 1)
     lo, hi = params.weight_range
     metric = _shortest_path_metric(n, rng, lo, hi)
-    density = params.relation_density
-    relation = set()
-    for i in range(n):
-        for j in range(n):
-            if rng.randrange(density.denominator) < density.numerator:
-                relation.add((i, j))
-    x0 = rng.randrange(n)
+    num, den = params.relation_density.as_integer_ratio()
+    relation = {(i, j) for i in range(n) for j in range(n) if _below(rng, den) < num}
+    x0 = _below(rng, n)
     for y in range(n):
         if (x0, y) not in relation and (y, x0) not in relation:
             relation.add((x0, y) if rng.getrandbits(1) else (y, x0))
@@ -147,8 +152,8 @@ def _sample_map(params: GenParams, space: FiniteSpace, rng: random.Random) -> tu
     """
     n, weak = space.n, bool(space.weak_elements)
     for attempt in range(params.map_attempts):
-        attractor = rng.randrange(n)
-        images = [attractor if rng.getrandbits(1) else rng.randrange(n) for _ in range(n)]
+        attractor = _below(rng, n)
+        images = [attractor if rng.getrandbits(1) else _below(rng, n) for _ in range(n)]
         if not weak or next(_violations(space, images), None) is not None:
             continue
         candidate = SelfMap(images, n)
@@ -169,8 +174,7 @@ def generate_map(
     return _sample_map(params, space, rng)[0]
 
 
-@dataclass(frozen=True)
-class AuditFailure:
+class AuditFailure(NamedTuple):
     seed: int
     space: dict
     map: list[int]
@@ -185,8 +189,7 @@ class AuditFailure:
         }
 
 
-@dataclass(frozen=True)
-class AuditSummary:
+class AuditSummary(NamedTuple):
     params: GenParams
     trials_run: int
     hypotheses_satisfied: int

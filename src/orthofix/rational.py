@@ -16,11 +16,12 @@ or a string.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import InputError
 
-_RAT_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?$")
+_RAT_RE = re.compile(r"^\s*(-?[0-9]+)\s*(?:/\s*(-?[0-9]+)\s*)?$")  # ASCII digits: `\d` takes any Unicode digit
 
 
 def _is_rational(value) -> bool:
@@ -36,8 +37,8 @@ def _is_index(value) -> bool:
 def parse_rational(text: str | int | Fraction) -> Fraction:
     """An exact rational (see `_is_rational`), or an integer literal or "p/q" string, as a Fraction.
 
-    Decimals, whitespace-embedded junk and zero denominators are rejected
-    with InputError.
+    Decimals, non-ASCII digits, whitespace-embedded junk, zero denominators
+    and numerals over the interpreter's digit limit raise InputError.
     """
     if _is_rational(text):
         return Fraction(text)
@@ -46,8 +47,11 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     m = _RAT_RE.match(text)
     if not m:
         raise InputError(f"malformed rational {text!r} (use an integer or 'p/q')")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) is not None else 1
+    except ValueError:  # over the interpreter's digit limit, which is process-wide state and is not raised
+        raise InputError(f"numeral exceeds the interpreter's limit of {sys.get_int_max_str_digits()} digits") from None
     if den == 0:
         raise InputError(f"zero denominator in rational {text!r}")
     return Fraction(num, den)

@@ -16,7 +16,6 @@ every function takes a `PointRelation`, and a `FiniteSpace` is one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 from typing import Iterator, NamedTuple, Sequence
@@ -25,8 +24,7 @@ from .errors import InputError
 from .space import PointRelation, SelfMap, _check_map, _check_point
 
 
-@dataclass(frozen=True)
-class OrthoClassification:
+class OrthoClassification(NamedTuple):
     strong_elements: frozenset[int]
     weak_elements: frozenset[int]
     verdict: str  # "O-set" | "O_w-set-only" | "neither"
@@ -39,8 +37,7 @@ class OrthoClassification:
         }
 
 
-@dataclass(frozen=True)
-class PreservationReport:
+class PreservationReport(NamedTuple):
     preserving: bool
     violations: tuple[tuple[int, int], ...]
 
@@ -53,8 +50,7 @@ class SequenceCheck(NamedTuple):
     first_violation: int | None
 
 
-@dataclass(frozen=True)
-class OrbitInfo:
+class OrbitInfo(NamedTuple):
     prefix: tuple[int, ...]
     cycle: tuple[int, ...]
 

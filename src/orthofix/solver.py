@@ -28,8 +28,8 @@ one map on one space share a single symmetric scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .contraction import preservation, report
 from .errors import CertificateError, InputError
@@ -83,8 +83,7 @@ def certify_fixed_point(space: FiniteSpace, mapping: SelfMap, z: int) -> bool:
     return mapping(z) == z
 
 
-@dataclass(frozen=True)
-class PicardTrace:
+class PicardTrace(NamedTuple):
     start: int
     iterates: tuple[int, ...]
     step_distances: tuple
@@ -246,8 +245,7 @@ def picard_solve(
     )
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     mode: str
     has_weak_element: bool
     preserving: bool
@@ -255,7 +253,7 @@ class HypothesisReport:
     minimal_k: Fraction | None     # certificate-grade constant (both orientations)
     o1_mode_holds: bool
     all_hold: bool
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return {

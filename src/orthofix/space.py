@@ -30,18 +30,16 @@ memo of facts is not carried over), so each can be sent to worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError
 from .rational import _is_index, _is_rational
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken metric axiom with a concrete witness."""
 
     axiom: str                 # "diagonal" | "symmetry" | "positivity" | "triangle"
@@ -52,8 +50,7 @@ class Violation:
         return {"axiom": self.axiom, "witness": list(self.witness), "values": list(self.values)}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
 

@@ -8,13 +8,14 @@
     }
 
 Unknown keys are rejected, metric entries are parsed as exact rationals
-(decimals refused), and the metric axioms are validated on load so nothing
-downstream ever sees a non-metric.
+(decimals and numerals over `sys.get_int_max_str_digits` refused), and the
+metric axioms are validated on load so nothing downstream sees a non-metric.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -99,6 +100,8 @@ def load_space_file(path: str | Path) -> tuple[FiniteSpace, SelfMap | None]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError:  # a bare number over the interpreter's digit limit, which is not raised
+        raise InputError(f"{path}: a JSON number exceeds the interpreter's limit of {sys.get_int_max_str_digits()} digits") from None
     return parse_space_data(data)
 
 

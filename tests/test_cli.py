@@ -158,6 +158,22 @@ def test_solve_rejects_decimal_k(runner, five_point_file):
     assert result.exit_code == 2
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="the interpreter has no digit limit")
+def test_numerals_over_the_digit_limit_exit_two(runner, five_point_file, tmp_path):
+    # Each of these printed a traceback and exited 1, the code of a certificate failure.
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    data = space_to_dict(*five_point_example())
+    as_string, as_number = tmp_path / "string.json", tmp_path / "number.json"
+    data["metric"][0][1] = data["metric"][1][0] = digits
+    as_string.write_text(json.dumps(data), encoding="utf-8")
+    as_number.write_text(json.dumps(data).replace(f'"{digits}"', digits), encoding="utf-8")
+    for args in (["verify", str(as_string)], ["verify", str(as_number)], ["solve", five_point_file, "--start", "0", "--k", f"1/{digits}"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert result.exception is None or isinstance(result.exception, SystemExit), args
+        assert "input error:" in result.output and "limit of" in result.output, args
+
+
 def test_solve_unknown_label(runner, five_point_file):
     result = runner.invoke(main, ["solve", five_point_file, "--start", "9"])
     assert result.exit_code == 2

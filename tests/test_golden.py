@@ -9,7 +9,9 @@ report pins the order and orientation of preservation violations.
 infeasible with three moving zero-denominator pairs, so its reports pin the
 first of them, (a, b), as `infeasible_witness` in JSON and in text.  The
 500-trial audit pins the sampler's whole candidate stream at seed 42 (13,751
-candidate maps, ten times the 50-trial case's).  A change that
+candidate maps, ten times the 50-trial case's); the 200-trial audit at
+`--max-points 32 --density 1/3` pins it on spaces of up to 32 points and at
+a density whose draws reject (46,783 candidate maps).  A change that
 alters a default report on purpose regenerates the file, for example
 
     PYTHONPATH=src python -m orthofix.cli corpus --json > tests/golden/corpus.json
@@ -37,6 +39,11 @@ CASES = [
     ("corpus.json", ["corpus", "--json"], 0),
     ("audit_50_seed0.json", ["audit", "--trials", "50", "--seed", "0", "--json"], 0),
     ("audit_500_seed42.json", ["audit", "--trials", "500", "--seed", "42", "--json"], 0),
+    (
+        "audit_200_seed5_maxpts32.json",
+        ["audit", "--trials", "200", "--seed", "5", "--max-points", "32", "--density", "1/3", "--json"],
+        0,
+    ),
 ]
 
 

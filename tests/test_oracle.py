@@ -20,7 +20,7 @@ from orthofix import (
     validate_metric,
     weak_orthogonal_elements,
 )
-from orthofix.oracle import _sample_map
+from orthofix.oracle import _below, _sample_map
 from orthofix.spacefile import space_to_dict
 
 
@@ -116,6 +116,14 @@ def test_sampler_draws_the_reference_stream(max_points, density):
         assert tried == expected_tried, seed
         assert getattr(mapping, "images", None) == getattr(expected, "images", None), seed
         assert ours.getstate() == theirs.getstate(), seed
+
+
+def test_below_draws_what_randrange_draws():
+    # The same values, and the generator left where randrange leaves it, for every bound the sampler uses.
+    for n in range(1, 71):
+        ours, theirs = random.Random(n), random.Random(n)
+        assert [_below(ours, n) for _ in range(400)] == [theirs.randrange(n) for _ in range(400)], n
+        assert ours.getrandbits(64) == theirs.getrandbits(64), n
 
 
 def test_audit_zero_trials_is_empty():

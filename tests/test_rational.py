@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,22 @@ def test_parse_fraction_canonicalizes():
 def test_parse_rejects_non_rationals(bad):
     with pytest.raises(InputError):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize("text", ["\u0663", "\uff13", "1\u0663"], ids=["arabic-indic", "fullwidth", "mixed"])
+def test_parse_rejects_non_ascii_digits(text):
+    # `\d` matches every Unicode decimal digit: these read as 3, 3 and 13 before the pattern took [0-9] only.
+    with pytest.raises(InputError, match="malformed rational"):
+        parse_rational(text)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="the interpreter has no digit limit")
+@pytest.mark.parametrize("template", ["{}", "-{}", "1/{}", "{}/7"])
+def test_parse_rejects_numerals_over_the_digit_limit(template):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(InputError, match=f"numeral exceeds the interpreter's limit of {limit} digits"):
+        parse_rational(template.format("9" * (limit + 1)))
+    assert parse_rational(template.format("9" * limit)) != 0
 
 
 def test_parse_zero_denominator():

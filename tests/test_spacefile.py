@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,25 @@ def test_non_json_file(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(InputError, match="not valid JSON"):
+        load_space_file(path)
+
+
+_OVER_LIMIT = sys.get_int_max_str_digits() + 1
+_no_limit = pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="the interpreter has no digit limit")
+
+
+@_no_limit
+def test_metric_string_over_the_digit_limit_rejected():
+    with pytest.raises(InputError, match=r"metric entry \(0, 1\): numeral exceeds the interpreter's limit of \d+ digits"):
+        parse_space_data(_broken(metric=[[0, "1" * _OVER_LIMIT, 2, 3, 4]] + FIVE_POINT["metric"][1:]))
+
+
+@_no_limit
+def test_json_number_over_the_digit_limit_rejected(tmp_path):
+    # `json.loads` raises a plain ValueError here, not a JSONDecodeError.
+    path = tmp_path / "long.json"
+    path.write_text('{"points": ["0", "1"], "metric": [[0, %s], [1, 0]], "relation": []}' % ("1" * _OVER_LIMIT), encoding="utf-8")
+    with pytest.raises(InputError, match=f"long.json: a JSON number exceeds the interpreter's limit of {_OVER_LIMIT - 1} digits"):
         load_space_file(path)
 
 
