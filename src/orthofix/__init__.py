@@ -62,7 +62,6 @@ _EXPORTS = {
     "picard_solve": "solver",
     "qext_compare": "quadext",
     "qext_is_rational": "quadext",
-    "required_iterations": "solver",
     "run_case": "corpus",
     "scan_value_pairs": "contraction",
     "space_to_dict": "spacefile",

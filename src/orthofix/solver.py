@@ -39,43 +39,6 @@ from .relational import orbit
 from .space import FiniteSpace, SelfMap, _check_map, _check_point
 
 
-def required_iterations(k: Fraction, d1: Fraction, eps: Fraction) -> int:
-    """Smallest n with k^n / (1 - k) * d1 <= eps, by exact doubling + bisection.
-
-    No logarithms anywhere: the bound is evaluated as an exact rational at
-    each probed n.
-    """
-    k, d1, eps = as_rational(k, "k"), as_rational(d1, "d1"), as_rational(eps, "eps")
-    if not (0 <= k < 1):
-        raise InputError(f"k must lie in [0, 1), got {k}")
-    if d1 < 0:
-        raise InputError(f"d1 must be non-negative, got {d1}")
-    if eps <= 0:
-        raise InputError(f"eps must be positive, got {eps}")
-    if d1 == 0:
-        return 0
-    scale = d1 / (1 - k)
-
-    def bound(n: int) -> Fraction:
-        return k**n * scale
-
-    if bound(0) <= eps:
-        return 0
-    if k == 0:
-        return 1
-    hi = 1
-    while bound(hi) > eps:
-        hi *= 2
-    lo = hi // 2  # bound(lo) > eps, bound(hi) <= eps
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bound(mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def certify_fixed_point(space: FiniteSpace, mapping: SelfMap, z: int) -> bool:
     """True iff z maps to itself (equivalently d(z, Tz) = 0)."""
     _check_map(space, mapping)

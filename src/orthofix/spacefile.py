@@ -94,7 +94,7 @@ def load_space_file(path: str | Path) -> tuple[FiniteSpace, SelfMap | None]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
         data = json.loads(text)
@@ -102,6 +102,8 @@ def load_space_file(path: str | Path) -> tuple[FiniteSpace, SelfMap | None]:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     except ValueError:  # a bare number over the interpreter's digit limit, which is not raised
         raise InputError(f"{path}: a JSON number exceeds the interpreter's limit of {sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested deeper than the interpreter's recursion limit") from None
     return parse_space_data(data)
 
 

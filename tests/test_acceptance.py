@@ -13,7 +13,6 @@ import time
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from orthofix import (
     ContractionKind,
@@ -34,6 +33,7 @@ from orthofix import (
 )
 from orthofix.cli import main as cli_main
 from orthofix.corpus import five_point_example, rational_product_sample, run_all
+from cli_runner import CliRunner
 
 
 def _announce(num: int, ok: bool, detail: str) -> None:

@@ -19,7 +19,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from orthofix import (
     ContractionKind,
@@ -39,6 +38,7 @@ from orthofix import (
 from orthofix.cli import main
 from orthofix.corpus import run_case
 from orthofix.solver import MODE_O1
+from cli_runner import CliRunner
 
 FIVE_POINT = str(Path(__file__).resolve().parent.parent / "data" / "five_point.json")
 

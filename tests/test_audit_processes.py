@@ -14,11 +14,11 @@ import random
 import threading
 
 import pytest
-from click.testing import CliRunner
 
 from orthofix import CertificateError, GenParams, InputError, OrthofixError, oracle, theorem_audit
 from orthofix.cli import main
 from orthofix.spacefile import space_to_dict
+from cli_runner import CliRunner
 
 
 @pytest.fixture

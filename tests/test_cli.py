@@ -1,15 +1,19 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from orthofix.cli import main
+from orthofix.cli import _parser, main
 from orthofix.corpus import five_point_example
 from orthofix.spacefile import space_to_dict
+from cli_runner import CliRunner
 
 
 @pytest.fixture
@@ -174,6 +178,55 @@ def test_numerals_over_the_digit_limit_exit_two(runner, five_point_file, tmp_pat
         assert "input error:" in result.output and "limit of" in result.output, args
 
 
+@pytest.fixture
+def line_file(tmp_path):
+    """Four points on a line at 0, 1, 3 and 7, every pair related; the map moves each point one step left."""
+    path = tmp_path / "line.json"
+    metric = [[abs(a - b) for b in (0, 1, 3, 7)] for a in (0, 1, 3, 7)]
+    relation = [[i, j] for i in range(4) for j in range(4)]
+    path.write_text(json.dumps({"points": list("0123"), "metric": metric, "relation": relation, "map": [0, 0, 1, 2]}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="the interpreter has no digit limit")
+@pytest.mark.parametrize("as_json", [[], ["--json"]], ids=["text", "json"])
+def test_solve_bound_over_the_digit_limit_exits_two(runner, line_file, as_json):
+    # Each --k numeral is within the limit, but the bound k^2/(1-k) * d(x0, x1) at n = 2 is not:
+    # writing it printed a traceback and exited 1, the code of a certificate failure.
+    digits = sys.get_int_max_str_digits() // 2 + 50
+    k = "9" * digits + "/1" + "0" * digits
+    result = runner.invoke(main, ["solve", line_file, "--start", "3", "--k", k, *as_json])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == (
+        "input error: --k: the a-priori bound at n=2 has more digits than the interpreter's limit of "
+        f"{sys.get_int_max_str_digits()} for integer string conversion\n"
+    )
+    # A --k with fewer digits gives the certified trace 3 -> 2 -> 1 -> 0.
+    assert runner.invoke(main, ["solve", line_file, "--start", "3", "--k", "99/100", *as_json]).exit_code == 0
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="the interpreter has no digit limit")
+def test_constants_over_the_digit_limit_exit_two(runner, tmp_path):
+    # Every entry is within the limit, but d(x, y) = |x - y| + 1/(10^m + c_xy) with distinct c_xy
+    # gives constants whose numerators and denominators have about 2m digits.
+    base = 10 ** (sys.get_int_max_str_digits() * 3 // 5)
+    space, mapping = five_point_example()
+    data = space_to_dict(space, mapping)
+    data["metric"] = [
+        [0 if i == j else str(Fraction(abs(i - j)) + Fraction(1, base + 7 * min(i, j) + 13 * max(i, j) + 1)) for j in range(5)]
+        for i in range(5)
+    ]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for args in (["verify"], ["verify", "--json"], ["estimate-k", "--kind", "kannan"], ["solve", "--start", "0"]):
+        result = runner.invoke(main, [*args, str(path)])
+        assert result.exit_code == 2, args
+        assert result.stdout == "", args
+        assert result.stderr.startswith("input error:") and "more digits than the interpreter's limit" in result.stderr, args
+
+
 def test_solve_unknown_label(runner, five_point_file):
     result = runner.invoke(main, ["solve", five_point_file, "--start", "9"])
     assert result.exit_code == 2
@@ -265,7 +318,7 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
-def test_cli_start_up_imports_only_stdlib_and_click():
+def test_cli_start_up_imports_only_stdlib():
     # Start-up time is part of every command; a heavy import would show in all of them.
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -274,10 +327,9 @@ def test_cli_start_up_imports_only_stdlib_and_click():
     ).stdout
     loaded = json.loads(out)
     assert "orthofix.cli" in loaded
-    allowed = set(sys.stdlib_module_names) | {"click", "orthofix"}
+    allowed = set(sys.stdlib_module_names) | {"orthofix"}
     outside = sorted(name for name in loaded if name.split(".")[0] not in allowed)
     assert outside == []
-    assert not any(name == "numpy" or name.startswith("numpy.") for name in loaded)
 
     def imported_by(*args):
         # `-X importtime` writes one stderr line per module the command imports, the name last.
@@ -290,13 +342,146 @@ def test_cli_start_up_imports_only_stdlib_and_click():
 
     # A command imports only the code it runs: no case code and no audit outside their commands.
     verify = imported_by("verify", "data/five_point.json")
+    assert "click" not in verify
     assert "orthofix.spacefile" in verify
     assert not verify & {"orthofix.corpus", "orthofix.oracle"}
     assert "orthofix.quadext" not in verify  # a space's metric is rational; only the corpus samples use QuadExt
     listed = imported_by("corpus", "--list")
+    assert "click" not in listed
     assert "orthofix.cases" in listed
     assert not listed & {"orthofix.corpus", "orthofix.oracle"}
     # The option choices come from `kinds`: listing, like --version and --help, loads none of the analysis code.
     assert not listed & {
         "orthofix.contraction", "orthofix.solver", "orthofix.relational", "orthofix.space", "orthofix.spacefile"
     }
+
+
+# Every command and option as the click command line defined them: option -> (parameter, default, choices,
+# required).  The four commands that read a space take it as their one argument, FILE.
+_KINDS = ("banach_perp", "ciric", "kannan", "chatterjea", "generalized_perp", "unrestricted_lipschitz")
+_CASES = ("five-point", "rational-product", "r2-counterexample", "leq-relation", "orbit-space")
+SURFACE = {
+    "verify": {
+        "--mode": ("mode", "orbital-continuity", ("orbital-continuity", "O1"), False),
+        "--json": ("as_json", False, None, False),
+    },
+    "classify": {
+        "--seq": ("seq", None, None, False),
+        "--orbit": ("orbit_start", None, None, False),
+        "--json": ("as_json", False, None, False),
+    },
+    "estimate-k": {
+        "--kind": ("kind", None, _KINDS, True),
+        "--symmetric": ("symmetric", False, None, False),
+        "--json": ("as_json", False, None, False),
+    },
+    "solve": {
+        "--start": ("start", None, None, True),
+        "--eps": ("eps", None, None, False),
+        "--max-iter": ("max_iter", 1000, None, False),
+        "--k": ("k_raw", None, None, False),
+        "--allow-any-start": ("allow_any_start", False, None, False),
+        "--allow-inadmissible-k": ("allow_inadmissible_k", False, None, False),
+        "--json": ("as_json", False, None, False),
+    },
+    "corpus": {
+        "--case": ("case_name", None, _CASES, False),
+        "--list": ("list_only", False, None, False),
+        "--json": ("as_json", False, None, False),
+    },
+    "audit": {
+        "--trials": ("trials", 500, None, False),
+        "--seed": ("seed", 0, None, False),
+        "--max-points": ("max_points", 8, None, False),
+        "--density": ("density", "1/4", None, False),
+        "--map-attempts": ("map_attempts", 64, None, False),
+        "--dump-dir": ("dump_dir", None, None, False),
+        "--json": ("as_json", False, None, False),
+    },
+}
+_READS_FILE = {"verify", "classify", "estimate-k", "solve"}
+
+
+def _given(option, default, choices):
+    """Arguments that set `option` to a value other than its default, and that value."""
+    if default is False:
+        return [option], True
+    if choices is not None:
+        return [option, choices[-1]], choices[-1]
+    if isinstance(default, int):
+        return [option, str(default + 7)], default + 7
+    return [option, "x1"], "x1"
+
+
+def _least(command):
+    """The shortest command line of `command`: its FILE and its required options."""
+    args = [command] + (["space.json"] if command in _READS_FILE else [])
+    for option, (_, default, choices, required) in SURFACE[command].items():
+        if required:
+            args += _given(option, default, choices)[0]
+    return args
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_every_option_parses_with_its_default(command):
+    least = vars(_parser().parse_args(_least(command)))
+    for option, (name, default, choices, required) in SURFACE[command].items():
+        if not required:
+            assert least[name] == default, option
+        args, value = _given(option, default, choices)
+        assert getattr(_parser().parse_args(_least(command) + args), name) == value, option
+        if choices is not None:
+            for choice in choices:
+                assert getattr(_parser().parse_args(_least(command) + [option, choice]), name) == choice
+
+
+@pytest.mark.parametrize("command", [None, *sorted(SURFACE)])
+def test_help_names_every_option(runner, command):
+    result = runner.invoke(main, ["--help"] if command is None else [command, "--help"])
+    assert result.exit_code == 0 and result.stderr == ""
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", result.stdout))
+    if command is None:
+        assert named == {"--help", "--version"}
+        assert all(name in result.stdout for name in SURFACE)
+    else:
+        assert named == set(SURFACE[command]) | {"--help"}
+        assert ("FILE" in result.stdout) == (command in _READS_FILE)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "data/five_point.json", "--frobnicate"],
+        ["estimate-k", "data/five_point.json", "--kind", "nope"],
+        ["solve", "data/five_point.json"],
+        ["audit", "--trials", "ten"],
+        ["verify", "data/five_point.json", "--js"],  # no option may be abbreviated
+        [],
+    ],
+    ids=["unknown option", "bad kind", "missing start", "non-integer trials", "abbreviation", "no command"],
+)
+def test_usage_errors_exit_two(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: orthofix") and "orthofix" in result.stderr.splitlines()[-1]
+    assert ": error: " in result.stderr.splitlines()[-1]
+
+
+def test_version_is_byte_identical(runner):
+    result = runner.invoke(main, ["--version"])
+    assert (result.exit_code, result.stdout, result.stderr) == (0, "orthofix, version 0.1.0\n", "")
+
+
+@pytest.mark.parametrize(
+    "args, code", [(["corpus", "--list"], 0), (["verify", "data/preservation_violations.json"], 1), (["corpus", "--case", "x"], 2)]
+)
+def test_the_benchmark_harness_spelling_exits_with_the_code(monkeypatch, args, code):
+    # The harness calls `cli.main.main(...)` with click's keywords and reads the code from SystemExit.
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as done:
+        main.main(args=args, prog_name="orthofix", standalone_mode=False)
+    assert done.value.code == code
+    assert out.getvalue().startswith({0: "five-point: ", 1: "metric: valid ", 2: ""}[code])
+    assert bool(out.getvalue()) == (code != 2)

@@ -22,9 +22,9 @@ and says why in CHANGES.md.
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from orthofix.cli import main
+from cli_runner import CliRunner
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"

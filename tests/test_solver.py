@@ -17,28 +17,9 @@ from orthofix import (
     generate_space,
     hypothesis_check,
     picard_solve,
-    required_iterations,
     weak_orthogonal_elements,
 )
 from orthofix.solver import MODE_O1
-
-
-def naive_required(k, d1, eps, cap=10_000):
-    """Oracle: linear scan of the exact bound."""
-    n = 0
-    while k**n / (1 - k) * d1 > eps:
-        n += 1
-        assert n <= cap
-    return n
-
-
-@pytest.mark.parametrize(
-    "args",
-    [(0.5, 1, Fraction(1, 512)), (Fraction(1, 2), 1.0, 1), (Fraction(1, 2), 1, 0.001), (Fraction(1, 2), True, 1)],
-)
-def test_required_iterations_rejects_floats_and_bools(args):
-    with pytest.raises(InputError, match="int or a Fraction"):
-        required_iterations(*args)
 
 
 @pytest.mark.parametrize("kwargs", [{"k": 0.7}, {"k": False}, {"k": "2/3"}, {"eps": 0.001}, {"eps": True}])
@@ -62,34 +43,6 @@ def test_picard_accepts_int_and_fraction_parameters(five_point):
     trace = picard_solve(space, mapping, 0, k=Fraction(3, 4), eps=1)
     assert trace.k == Fraction(3, 4) and trace.certified
     assert picard_solve(space, mapping, 0, k=0, allow_inadmissible_k=True).k == 0
-
-
-def test_required_iterations_frozen_values():
-    assert required_iterations(Fraction(1, 2), Fraction(1), Fraction(1, 512)) == 10
-    assert required_iterations(Fraction(1, 2), Fraction(0), Fraction(1, 10)) == 0
-    assert required_iterations(Fraction(0), Fraction(5), Fraction(1)) == 1
-
-
-def test_required_iterations_matches_linear_scan():
-    for k in (Fraction(1, 3), Fraction(2, 3), Fraction(9, 10), Fraction(1, 7)):
-        for d1 in (Fraction(1), Fraction(13, 4), Fraction(100)):
-            for eps in (Fraction(1), Fraction(1, 1000), Fraction(3, 7)):
-                n = required_iterations(k, d1, eps)
-                assert n == naive_required(k, d1, eps)
-                assert k**n / (1 - k) * d1 <= eps
-                if n:
-                    assert k ** (n - 1) / (1 - k) * d1 > eps
-
-
-def test_required_iterations_domain_errors():
-    with pytest.raises(InputError):
-        required_iterations(Fraction(1), Fraction(1), Fraction(1))
-    with pytest.raises(InputError):
-        required_iterations(Fraction(3, 2), Fraction(1), Fraction(1))
-    with pytest.raises(InputError):
-        required_iterations(Fraction(1, 2), Fraction(1), Fraction(0))
-    with pytest.raises(InputError):
-        required_iterations(Fraction(-1, 2), Fraction(1), Fraction(1))
 
 
 def test_certify_fixed_point(five_point):

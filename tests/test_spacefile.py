@@ -150,6 +150,23 @@ def test_non_json_file(tmp_path):
         load_space_file(path)
 
 
+def test_file_that_is_not_utf8(tmp_path):
+    # The decode error is a ValueError, not an OSError, and escaped as a traceback.
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"points": ["\xff"]}')
+    with pytest.raises(InputError, match="cannot read .*latin1.json: 'utf-8' codec can't decode"):
+        load_space_file(path)
+
+
+def test_json_nested_past_the_recursion_limit(tmp_path):
+    # `json.loads` raises RecursionError, which escaped as a traceback.
+    path = tmp_path / "deep.json"
+    depth = sys.getrecursionlimit() * 10
+    path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+    with pytest.raises(InputError, match="deep.json: JSON nested deeper than the interpreter's recursion limit"):
+        load_space_file(path)
+
+
 _OVER_LIMIT = sys.get_int_max_str_digits() + 1
 _no_limit = pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="the interpreter has no digit limit")
 
