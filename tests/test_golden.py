@@ -8,6 +8,9 @@ report pins the order and orientation of preservation violations.
 `data/infeasible.json` (identity map on three points) makes kannan
 infeasible with three moving zero-denominator pairs, so its reports pin the
 first of them, (a, b), as `infeasible_witness` in JSON and in text.  The
+two `solve` reports pin a certified trace (from the weak element 0, where
+it stops at once) and an uncertified one (from 4 at k = 1/2, three steps,
+its integer step distances written as strings).  The
 500-trial audit pins the sampler's whole candidate stream at seed 42 (13,751
 candidate maps, ten times the 50-trial case's); the 200-trial audit at
 `--max-points 32 --density 1/3` pins it on spaces of up to 32 points and at
@@ -36,6 +39,12 @@ CASES = [
     ("verify_infeasible.txt", ["verify", "data/infeasible.json"], 1),
     ("estimate_k_kannan_infeasible.json", ["estimate-k", "--kind", "kannan", "--json", "data/infeasible.json"], 1),
     ("estimate_k_kannan_infeasible.txt", ["estimate-k", "--kind", "kannan", "data/infeasible.json"], 1),
+    ("solve_five_point.json", ["solve", "--start", "0", "--json", "data/five_point.json"], 0),
+    (
+        "solve_five_point_any_start.json",
+        ["solve", "--start", "4", "--allow-any-start", "--k", "1/2", "--json", "data/five_point.json"],
+        0,
+    ),
     ("corpus.json", ["corpus", "--json"], 0),
     ("audit_50_seed0.json", ["audit", "--trials", "50", "--seed", "0", "--json"], 0),
     ("audit_500_seed42.json", ["audit", "--trials", "500", "--seed", "42", "--json"], 0),

@@ -1,5 +1,7 @@
-"""The result records are immutable NamedTuples.
+"""The result records are immutable NamedTuples with a pinned JSON form.
 
+`EXPECTED_DICTS` writes out the `to_dict()` of every record `_records()`
+builds, derived keys included, so a change to any report's JSON shows here.
 Each record refuses attribute assignment, survives `pickle` (an
 `AuditFailure` crosses the audit's pipe that way) and keeps the
 `Name(field=...)` repr: the audit embeds a `Violation` repr in its
@@ -64,6 +66,90 @@ RECORDS = _records()
 IDS = [type(record).__name__ for record in RECORDS]
 
 
+def _assertion(name, value, provenance):
+    return {"name": name, "expected": value, "actual": value, "passed": True, "provenance": provenance}
+
+
+_FIRST_ASSERTION = _assertion("1 is a strong orthogonal element", "true", "stated")
+_FIRST_ANNOTATION = {
+    "name": "the positive reals with this relation are not orthogonally complete",
+    "note": "witnessed by the reciprocal sequence converging to 0 outside the space; unbounded, analytic-only",
+    "status": "analytic-only",
+}
+
+# the JSON form of each record of `_records()`, written out; compared as JSON text, so that
+# a bool cannot pass for an int, nor an int for the string of its digits
+EXPECTED_DICTS = {
+    "Violation": {"axiom": "triangle", "witness": [0, 1, 2], "values": ["3", "1", "1"]},
+    "ValidationReport": {"ok": True, "violations": []},
+    "OrthoClassification": {"strong_elements": [], "weak_elements": [0], "verdict": "O_w-set-only"},
+    "PreservationReport": {"preserving": True, "violations": []},
+    "OrbitInfo": {"prefix": [4, 2, 1], "cycle": [0], "enters_fixed_point": True},
+    "ContractionReport": {
+        "kind": "generalized_perp", "feasible": True, "minimal_k": "2/3", "witness_max": [4, 3],
+        "infeasible_witness": None, "admissible": True, "pairs_scanned": 11,
+    },
+    "HierarchyVerdict": {
+        "name": "integer-form-exact", "holds": True, "witness": None,
+        "detail": "every integer-form entry is the exact entry times the lcm of the denominators",
+    },
+    "PicardTrace": {
+        "start": 0, "iterates": [0], "step_distances": [], "k": "2/3", "apriori_bounds": ["0"], "converged": True,
+        "fixed_point": 0, "certified": True, "stop_reason": "fixed_point", "applications": 0,
+    },
+    "HypothesisReport": {
+        "mode": "orbital-continuity", "has_weak_element": True, "preserving": True, "contraction_feasible": True,
+        "minimal_k": "2/3", "o1_mode_holds": True, "all_hold": True,
+        "notes": ["orbital O_w-completeness: holds (finite space)", "orbital O_w-continuity: holds (finite space)"],
+    },
+    "AuditFailure": {
+        "seed": 7,
+        "space": {
+            "points": ["0", "1", "2", "3", "4"],
+            "metric": [[abs(i - j) for j in range(5)] for i in range(5)],
+            "relation": [[0, 0], [0, 2], [1, 0], [3, 0], [3, 4], [4, 0]],
+        },
+        "map": [0, 0, 1, 0, 2],
+        "discrepancy": "planted",
+    },
+    "AuditSummary": {
+        "params": {
+            "seed": 1, "trials": 2, "max_points": 8, "weight_range": [1, 10], "relation_density": "1/4",
+            "map_attempts": 64,
+        },
+        "trials_run": 2, "hypotheses_satisfied": 2, "conclusion_verified": 2, "failures": [], "spaces_generated": 2,
+        "maps_tried": 3, "spaces_without_accepted_map": 0, "acceptance_rate": "2/3", "hierarchy_failures": 0,
+        "traces_checked": 3, "ok": True,
+    },
+    "CaseReport": {
+        "name": "orbit-space",
+        "title": "orbit structure on a positive-reals sample, cycle of length two",
+        "ok": True,
+        "assertions": [
+            _FIRST_ASSERTION,
+            _assertion("strong orthogonal elements", "{0, 1, 2}", "derived"),
+            _assertion("classification", "O-set", "derived"),
+            _assertion("orbit from 1/2 (values)", "(('1/2',), ('2', '1/3'))", "stated"),
+            _assertion("orbit from 1/2 enters a fixed point", "False", "derived"),
+            _assertion("orbit from 1", "((), (2,))", "stated"),
+            _assertion("orbit from 1 enters a fixed point", "true", "trivial"),
+            _assertion("fixed points (brute force)", "{2}", "derived"),
+            _assertion("hierarchy implication failures", "[]", "derived"),
+        ],
+        "annotations": [
+            _FIRST_ANNOTATION,
+            {
+                "name": "the map is not orthogonally continuous on the full space",
+                "note": "witnessed by a sequence increasing to 1 whose images stay at 2; analytic-only",
+                "status": "analytic-only",
+            },
+        ],
+    },
+    "Assertion": _FIRST_ASSERTION,
+    "Annotation": _FIRST_ANNOTATION,
+}
+
+
 def test_every_record_class_is_covered():
     assert sorted(IDS) == sorted(
         [
@@ -75,6 +161,12 @@ def test_every_record_class_is_covered():
             "CaseReport", "Assertion", "Annotation",
         ]
     )
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_record_json_form_is_pinned(record):
+    expected = EXPECTED_DICTS[type(record).__name__]
+    assert json.dumps(record.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=IDS)
