@@ -11,7 +11,8 @@ The relation facts (labels, the relation, its closure, the weak elements)
 live on a `PointRelation`; a `FiniteSpace` is one with an exact rational
 metric.  Metric validation and the one contraction scan loop read that
 metric's integer form, built once per space; only the analytic samples'
-value-domain scans read exact scalars.
+value-domain scans read exact scalars.  Every result record but the
+Picard trace gets its JSON form from one function, `records.to_dict`.
 
 `import orthofix` loads no submodule.  A public name is resolved on first
 use (PEP 562) through `_EXPORTS`, which imports only the name's home
@@ -44,7 +45,6 @@ _EXPORTS = {
     "SelfMap": "space",
     "ValidationReport": "space",
     "brute_force_fixed_points": "relational",
-    "certify_fixed_point": "solver",
     "check_contraction": "contraction",
     "classify_orthogonality": "relational",
     "generate_map": "oracle",
@@ -60,8 +60,6 @@ _EXPORTS = {
     "parse_rational": "rational",
     "parse_space_data": "spacefile",
     "picard_solve": "solver",
-    "qext_compare": "quadext",
-    "qext_is_rational": "quadext",
     "run_case": "corpus",
     "scan_value_pairs": "contraction",
     "space_to_dict": "spacefile",

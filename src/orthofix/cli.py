@@ -5,11 +5,12 @@ or the iteration did not converge; 2 input error (bad file, bad flag, bad
 index).  Reports are deterministic: identical invocations on identical
 files produce byte-identical output, and JSON reports carry "schema": 1.
 Rationals are written and read as integers or "p/q" only; a report with a
-rational past the interpreter's digit limit is an input error, and nothing
-of it is written.  The choices the options offer come from `kinds` and
-`cases`; every other module is imported by the commands that run it, so
-`--help`, `--version` and `corpus --list` compile none of them, and no
-command compiles code it does not run.
+rational past the interpreter's digit limit (`rational._past_digit_limit`)
+is an input error, and nothing of it is written.  An integer option takes
+ASCII digits after an optional "-" only.  The choices the options offer
+come from `kinds` and `cases`; every other module is imported by the
+commands that run it, so `--help`, `--version` and `corpus --list` compile
+none of them, and no command compiles code it does not run.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -24,7 +26,7 @@ from . import __version__
 from .cases import list_cases
 from .errors import CertificateError, InputError, OrthofixError
 from .kinds import MODE_O1, MODE_ORBITAL_CONTINUITY, ContractionKind
-from .rational import parse_rational
+from .rational import _past_digit_limit, parse_rational
 
 SCHEMA = 1
 
@@ -67,11 +69,20 @@ def _rat_option(value: str | None, name: str) -> Fraction | None:
         raise InputError(f"--{name}: {exc}") from None
 
 
+def _int_option(text: str) -> int:
+    """An integer option: ASCII digits after an optional "-" (`int()` also takes other digits, "_", blanks, "+")."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r} (use ASCII digits 0-9, with an optional leading '-')")
+    if 0 < sys.get_int_max_str_digits() < len(text.lstrip("-")):
+        raise argparse.ArgumentTypeError(f"integer exceeds the interpreter's limit of {sys.get_int_max_str_digits()} digits")
+    return int(text)
+
+
 def _writable(named_values) -> None:
     """Refuse a report before any of it is written if `str()` cannot write one of its (name, rational) pairs."""
-    limit = sys.get_int_max_str_digits()
     for what, value in named_values:
-        if limit and value is not None and max(abs(value.numerator), value.denominator) >= 10**limit:
+        if _past_digit_limit(value):
+            limit = sys.get_int_max_str_digits()
             raise InputError(f"{what} has more digits than the interpreter's limit of {limit} for integer string conversion")
 
 
@@ -155,15 +166,9 @@ def classify(file, seq, orbit_start, as_json):
             lines.append(f"sequence: adjacent pair at position {check.first_violation} is not orthogonally related")
     if orbit_start is not None:
         info = orbit(space, mapping, space.index_of(orbit_start))
-        payload["orbit"] = {
-            "start": orbit_start,
-            "prefix": [space.points[i] for i in info.prefix],
-            "cycle": [space.points[i] for i in info.cycle],
-            "enters_fixed_point": info.enters_fixed_point,
-        }
-        pre = " ".join(space.points[i] for i in info.prefix)
-        cyc = " ".join(space.points[i] for i in info.cycle)
-        lines.append(f"orbit from {orbit_start}: prefix [{pre}] cycle [{cyc}]")
+        labelled = info._replace(prefix=[space.points[i] for i in info.prefix], cycle=[space.points[i] for i in info.cycle])
+        payload["orbit"] = {"start": orbit_start, **labelled.to_dict()}
+        lines.append(f"orbit from {orbit_start}: prefix [{' '.join(labelled.prefix)}] cycle [{' '.join(labelled.cycle)}]")
     if as_json:
         _emit_json(payload)
     else:
@@ -299,7 +304,7 @@ _COMMANDS = (  # (the function that runs it, its name, whether it reads a space 
     (solve, "solve", True, {
         "--start": dict(required=True, metavar="LABEL", help="point label to start from (must be a weak orthogonal element)"),
         "--eps": dict(metavar="RATIONAL", help="stop once the certified tail bound drops to this rational"),
-        "--max-iter": dict(type=int, default=1000, metavar="N", help="most map applications (default: %(default)s)"),
+        "--max-iter": dict(type=_int_option, default=1000, metavar="N", help="most map applications (default: %(default)s)"),
         "--k": dict(dest="k_raw", metavar="RATIONAL", help="explicit contraction constant in [0, 1)"),
         "--allow-any-start": dict(action="store_true", help="iterate from a non weak-orthogonal start (uncertified trace)"),
         "--allow-inadmissible-k": dict(action="store_true", help="skip the minimal-k precondition on an explicit --k"),
@@ -309,11 +314,11 @@ _COMMANDS = (  # (the function that runs it, its name, whether it reads a space 
         "--list": dict(dest="list_only", action="store_true", help="list registered cases"),
     }),
     (audit, "audit", False, {
-        "--trials": dict(type=int, default=500, metavar="N", help="number of accepted instances to audit (default: %(default)s)"),
-        "--seed": dict(type=int, default=0, metavar="N", help="seed of the audit's random stream (default: %(default)s)"),
-        "--max-points": dict(type=int, default=8, metavar="N", help="largest generated space, 2 to 32 points (default: %(default)s)"),
+        "--trials": dict(type=_int_option, default=500, metavar="N", help="number of accepted instances to audit (default: %(default)s)"),
+        "--seed": dict(type=_int_option, default=0, metavar="N", help="seed of the audit's random stream (default: %(default)s)"),
+        "--max-points": dict(type=_int_option, default=8, metavar="N", help="largest generated space, 2 to 32 points (default: %(default)s)"),
         "--density": dict(default="1/4", metavar="RATIONAL", help="relation density as a rational in [0, 1] (default: %(default)s)"),
-        "--map-attempts": dict(type=int, default=64, metavar="N", help="candidate maps drawn per generated space (default: %(default)s)"),
+        "--map-attempts": dict(type=_int_option, default=64, metavar="N", help="candidate maps drawn per generated space (default: %(default)s)"),
         "--dump-dir": dict(metavar="PATH", help="write failure reproduction files here"),
     }),
 )

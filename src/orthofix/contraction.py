@@ -70,6 +70,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 from .kinds import ContractionKind  # re-exported: its home is `kinds`
+from .records import to_dict
 from .relational import PreservationReport, is_ow_preserving
 from .space import FiniteSpace, SelfMap, _check_map, _check_point, _integer_form_mismatch
 
@@ -128,16 +129,7 @@ class ContractionReport(NamedTuple):
     admissible: bool
     pairs_scanned: int
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "feasible": self.feasible,
-            "minimal_k": None if self.minimal_k is None else str(self.minimal_k),
-            "witness_max": list(self.witness_max) if self.witness_max else None,
-            "infeasible_witness": list(self.infeasible_witness) if self.infeasible_witness else None,
-            "admissible": self.admissible,
-            "pairs_scanned": self.pairs_scanned,
-        }
+    to_dict = to_dict
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +373,7 @@ class HierarchyVerdict(NamedTuple):
     witness: tuple | None
     detail: str
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "holds": self.holds,
-            "witness": list(self.witness) if self.witness else None,
-            "detail": self.detail,
-        }
+    to_dict = to_dict
 
 
 def hierarchy_check(space: FiniteSpace, mapping: SelfMap) -> tuple[HierarchyVerdict, ...]:

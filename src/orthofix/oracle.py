@@ -47,6 +47,7 @@ from .contraction import hierarchy_check, report
 from .errors import CertificateError, InputError, OrthofixError
 from .kinds import ContractionKind
 from .rational import _is_index, as_rational
+from .records import to_dict
 from .relational import _violations, brute_force_fixed_points
 from .solver import hypothesis_check, picard_solve
 from .space import FiniteSpace, SelfMap, validate_metric
@@ -82,15 +83,7 @@ class GenParams:
         if self.map_attempts < 1:
             raise InputError("map_attempts must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "max_points": self.max_points,
-            "weight_range": list(self.weight_range),
-            "relation_density": str(self.relation_density),
-            "map_attempts": self.map_attempts,
-        }
+    to_dict = to_dict
 
 
 def _below(rng: random.Random, n: int) -> int:
@@ -180,13 +173,7 @@ class AuditFailure(NamedTuple):
     map: list[int]
     discrepancy: str
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "space": self.space,
-            "map": self.map,
-            "discrepancy": self.discrepancy,
-        }
+    to_dict = to_dict
 
 
 class AuditSummary(NamedTuple):
@@ -199,27 +186,19 @@ class AuditSummary(NamedTuple):
     maps_tried: int
     spaces_without_accepted_map: int
     hierarchy_failures: int
-    trace_count: int
+    traces_checked: int
+
+    _json_extra = ("acceptance_rate", "ok")
+    to_dict = to_dict
+
+    @property
+    def acceptance_rate(self) -> str:
+        """Accepted trials over candidate maps tried, unreduced: "trials_run/maps_tried"."""
+        return f"{self.trials_run}/{self.maps_tried}" if self.maps_tried else "0/0"
 
     @property
     def ok(self) -> bool:
         return not self.failures and self.hierarchy_failures == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "trials_run": self.trials_run,
-            "hypotheses_satisfied": self.hypotheses_satisfied,
-            "conclusion_verified": self.conclusion_verified,
-            "failures": [f.to_dict() for f in self.failures],
-            "spaces_generated": self.spaces_generated,
-            "maps_tried": self.maps_tried,
-            "spaces_without_accepted_map": self.spaces_without_accepted_map,
-            "acceptance_rate": f"{self.trials_run}/{self.maps_tried}" if self.maps_tried else "0/0",
-            "hierarchy_failures": self.hierarchy_failures,
-            "traces_checked": self.trace_count,
-            "ok": self.ok,
-        }
 
 
 def _audit_instance(space: FiniteSpace, mapping: SelfMap) -> tuple[list[str], int]:
@@ -412,7 +391,7 @@ def theorem_audit(params: GenParams) -> AuditSummary:
     maps_tried = 0
     exhausted = 0
     hierarchy_failures = 0
-    trace_count = 0
+    traces_checked = 0
 
     while trials_run < params.trials:
         seeds = [master.getrandbits(64) for _ in range(params.trials - trials_run)]
@@ -424,7 +403,7 @@ def theorem_audit(params: GenParams) -> AuditSummary:
                 continue
             trials_run += 1
             traces, failed_verdicts, failure = outcome
-            trace_count += traces
+            traces_checked += traces
             hierarchy_failures += failed_verdicts
             if failure is not None:
                 failures.append(failure)
@@ -441,5 +420,5 @@ def theorem_audit(params: GenParams) -> AuditSummary:
         maps_tried=maps_tried,
         spaces_without_accepted_map=exhausted,
         hierarchy_failures=hierarchy_failures,
-        trace_count=trace_count,
+        traces_checked=traces_checked,
     )

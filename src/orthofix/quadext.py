@@ -233,21 +233,3 @@ class QuadExt:
             return rad if self.b > 0 else f"-{rad}"
         sign = "+" if self.b > 0 else "-"
         return f"{str(self.a)} {sign} {rad}"
-
-
-def qext_compare(x: QuadExt, y: QuadExt) -> int:
-    """Exact three-way comparison: -1 if x < y, 0 if equal, 1 if x > y.
-
-    Operands must share a radicand unless one of them is rational (the
-    subtraction raises InputError otherwise).
-    """
-    if not isinstance(x, QuadExt) or not isinstance(y, QuadExt):
-        raise InputError("qext_compare expects QuadExt operands")
-    return (x - y).sign()
-
-
-def qext_is_rational(x: QuadExt) -> bool:
-    """True iff the irrational coefficient vanishes."""
-    if not isinstance(x, QuadExt):
-        raise InputError("qext_is_rational expects a QuadExt")
-    return x.is_rational

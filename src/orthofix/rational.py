@@ -7,7 +7,8 @@ or a `Fraction`.  A float is a binary approximation, and a bool, an int
 subclass or a string is not a number here, so none is ever converted.
 `Fraction("1.5")` happily parses a decimal, which invites silent precision
 loss, so `parse_rational` accepts integer literals and "p/q" only.
-Rendering needs no helper: `str()` of a Fraction is already "p" or "p/q".
+`str()` of a Fraction is already "p" or "p/q"; `_past_digit_limit` is the
+rule for when it cannot write one (the digit limit is never raised).
 `_is_index` is the rule for point indices, sizes and counts, and for the
 QuadExt radicand: a true `int`, never a bool, an `IntEnum` member, a float
 or a string.
@@ -55,6 +56,22 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     if den == 0:
         raise InputError(f"zero denominator in rational {text!r}")
     return Fraction(num, den)
+
+
+def _past_digit_limit(value) -> bool:
+    """Whether `str()` of `value`, a rational or None, would write an integer past `sys.get_int_max_str_digits()`."""
+    limit = sys.get_int_max_str_digits()
+    if value is None or not limit:
+        return False
+    big = max(abs(value.numerator), value.denominator)
+    return big.bit_length() > 3 * limit and big >= 10**limit  # below 2^(3 limit) is below 10^limit
+
+
+def _shown(value) -> str:
+    """`str()` of a rational or None for a message; past the digit limit, a phrase that names the limit."""
+    if _past_digit_limit(value):
+        return f"<a rational past the interpreter's limit of {sys.get_int_max_str_digits()} digits>"
+    return str(value)
 
 
 def as_rational(value: Fraction | int, name: str) -> Fraction:

@@ -21,6 +21,7 @@ from operator import and_
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError
+from .records import to_dict
 from .space import PointRelation, SelfMap, _check_map, _check_point
 
 
@@ -29,20 +30,14 @@ class OrthoClassification(NamedTuple):
     weak_elements: frozenset[int]
     verdict: str  # "O-set" | "O_w-set-only" | "neither"
 
-    def to_dict(self) -> dict:
-        return {
-            "strong_elements": sorted(self.strong_elements),
-            "weak_elements": sorted(self.weak_elements),
-            "verdict": self.verdict,
-        }
+    to_dict = to_dict
 
 
 class PreservationReport(NamedTuple):
     preserving: bool
     violations: tuple[tuple[int, int], ...]
 
-    def to_dict(self) -> dict:
-        return {"preserving": self.preserving, "violations": [list(v) for v in self.violations]}
+    to_dict = to_dict
 
 
 class SequenceCheck(NamedTuple):
@@ -54,6 +49,9 @@ class OrbitInfo(NamedTuple):
     prefix: tuple[int, ...]
     cycle: tuple[int, ...]
 
+    _json_extra = ("enters_fixed_point",)
+    to_dict = to_dict
+
     @property
     def enters_fixed_point(self) -> bool:
         return len(self.cycle) == 1
@@ -63,13 +61,6 @@ class OrbitInfo(NamedTuple):
         if k < len(self.prefix):
             return self.prefix[k]
         return self.cycle[(k - len(self.prefix)) % len(self.cycle)]
-
-    def to_dict(self) -> dict:
-        return {
-            "prefix": list(self.prefix),
-            "cycle": list(self.cycle),
-            "enters_fixed_point": self.enters_fixed_point,
-        }
 
 
 def strong_orthogonal_elements(space: PointRelation) -> frozenset[int]:

@@ -23,7 +23,8 @@ zero while the geometric bound forces them to zero).
 Preservation and the certificate-grade constant are read through
 `contraction.preservation` and `contraction.report`, which keep them on the
 map: an instance filter, the hypothesis check and every Picard trace of
-one map on one space share a single symmetric scan.
+one map on one space share a single symmetric scan.  Messages write
+rationals with `rational._shown`, safe past the interpreter's digit limit.
 """
 
 from __future__ import annotations
@@ -34,16 +35,10 @@ from typing import NamedTuple
 from .contraction import preservation, report
 from .errors import CertificateError, InputError
 from .kinds import MODE_O1, MODE_ORBITAL_CONTINUITY, ContractionKind  # the mode names are re-exported
-from .rational import _is_index, as_rational
+from .rational import _is_index, _shown, as_rational
+from .records import to_dict
 from .relational import orbit
-from .space import FiniteSpace, SelfMap, _check_map, _check_point
-
-
-def certify_fixed_point(space: FiniteSpace, mapping: SelfMap, z: int) -> bool:
-    """True iff z maps to itself (equivalently d(z, Tz) = 0)."""
-    _check_map(space, mapping)
-    _check_point(space, z)
-    return mapping(z) == z
+from .space import FiniteSpace, SelfMap, _check_point
 
 
 class PicardTrace(NamedTuple):
@@ -57,23 +52,21 @@ class PicardTrace(NamedTuple):
     certified: bool
     stop_reason: str               # "fixed_point" | "bound_below_eps" | "max_iter"
 
+    _json_extra = ("applications",)
+
     @property
     def applications(self) -> int:
         return len(self.iterates) - 1
 
     def to_dict(self, space: FiniteSpace | None = None) -> dict:
+        """`records.to_dict`, with the points labelled in `space` and every step distance, an int too, as a string."""
         label = (lambda i: space.points[i]) if space is not None else (lambda i: i)
         return {
+            **to_dict(self),
             "start": label(self.start),
             "iterates": [label(i) for i in self.iterates],
             "step_distances": [str(d) for d in self.step_distances],
-            "k": str(self.k),
-            "apriori_bounds": [str(b) for b in self.apriori_bounds] if self.apriori_bounds is not None else None,
-            "converged": self.converged,
             "fixed_point": label(self.fixed_point) if self.fixed_point is not None else None,
-            "certified": self.certified,
-            "stop_reason": self.stop_reason,
-            "applications": self.applications,
         }
 
 
@@ -121,13 +114,13 @@ def picard_solve(
     if k is not None:
         k = as_rational(k, "k")
         if not (0 <= k < 1):
-            raise InputError(f"k must lie in [0, 1), got {k}")
+            raise InputError(f"k must lie in [0, 1), got {_shown(k)}")
     cert = report(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
     if k is None:
         if not cert.admissible:
             raise InputError(
                 "no admissible generalized contraction constant exists for this map; "
-                f"supply k explicitly (scan reported minimal_k={cert.minimal_k})"
+                f"supply k explicitly (scan reported minimal_k={_shown(cert.minimal_k)})"
             )
         k = cert.minimal_k
     certificate_grade = cert.feasible and k >= cert.minimal_k
@@ -135,8 +128,8 @@ def picard_solve(
         rep = report(ContractionKind.GENERALIZED_PERP, space, mapping)
         if not rep.feasible or k < rep.minimal_k:
             raise InputError(
-                f"k={k} is below the scanned minimal generalized constant "
-                f"{rep.minimal_k}; pass allow_inadmissible_k to try anyway"
+                f"k={_shown(k)} is below the scanned minimal generalized constant "
+                f"{_shown(rep.minimal_k)}; pass allow_inadmissible_k to try anyway"
             )
     if eps is not None:
         eps = as_rational(eps, "eps")
@@ -169,8 +162,8 @@ def picard_solve(
         if enforced and steps and not (step <= k * steps[-1]):
             raise CertificateError(
                 f"step inequality violated at n={len(steps) - 1}: "
-                f"d({space.points[x]}, {space.points[nxt]}) = {step} > k * {steps[-1]}; "
-                f"k = {k} is not a valid contraction constant for this orbit"
+                f"d({space.points[x]}, {space.points[nxt]}) = {_shown(step)} > k * {_shown(steps[-1])}; "
+                f"k = {_shown(k)} is not a valid contraction constant for this orbit"
             )
         iterates.append(nxt)
         steps.append(step)
@@ -192,7 +185,7 @@ def picard_solve(
                 if not (space.d(iterates[n], iterates[m]) <= bounds[n]):
                     raise CertificateError(
                         f"tail bound violated: d(x_{n}, x_{m}) = "
-                        f"{space.d(iterates[n], iterates[m])} > {bounds[n]} with k = {k}"
+                        f"{_shown(space.d(iterates[n], iterates[m]))} > {_shown(bounds[n])} with k = {_shown(k)}"
                     )
 
     return PicardTrace(
@@ -218,17 +211,7 @@ class HypothesisReport(NamedTuple):
     all_hold: bool
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "has_weak_element": self.has_weak_element,
-            "preserving": self.preserving,
-            "contraction_feasible": self.contraction_feasible,
-            "minimal_k": None if self.minimal_k is None else str(self.minimal_k),
-            "o1_mode_holds": self.o1_mode_holds,
-            "all_hold": self.all_hold,
-            "notes": list(self.notes),
-        }
+    to_dict = to_dict
 
 
 def hypothesis_check(

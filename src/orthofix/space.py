@@ -37,6 +37,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InputError
 from .rational import _is_index, _is_rational
+from .records import to_dict
 
 
 class Violation(NamedTuple):
@@ -46,16 +47,14 @@ class Violation(NamedTuple):
     witness: tuple[int, ...]   # pair, or (i, j, k) meaning d(i,j) > d(i,k) + d(k,j)
     values: tuple[str, ...]    # offending entries, rendered exactly
 
-    def to_dict(self) -> dict:
-        return {"axiom": self.axiom, "witness": list(self.witness), "values": list(self.values)}
+    to_dict = to_dict
 
 
 class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
 
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "violations": [v.to_dict() for v in self.violations]}
+    to_dict = to_dict
 
 
 def _check_point(space: PointRelation, value, what: str = "index") -> None:

@@ -65,12 +65,12 @@ def test_verify_scans_each_report_once(scan_calls):
 def test_audit_reuses_the_filters_scan(scan_calls, monkeypatch):
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)  # a forked process's calls would not be counted here
     summary = theorem_audit(GenParams(seed=0, trials=50))
-    assert (summary.trials_run, summary.trace_count) == (50, 58)
+    assert (summary.trials_run, summary.traces_checked) == (50, 58)
     # Without sharing, each hypothesis check and each trace would rescan symmetrically;
     # the integer-form check of each trial's hierarchy scans nothing.  The filter's symmetric
     # scan of each of the 138 preserving candidates is one pass of one report, and each trial's
     # hierarchy check one pass of its five oriented kinds: 388 reports in 188 passes.
-    assert sum(scan_calls) == 546 - 2 * summary.trials_run - summary.trace_count == 388
+    assert sum(scan_calls) == 546 - 2 * summary.trials_run - summary.traces_checked == 388
     assert scan_calls.count(5) == summary.trials_run
     assert len(scan_calls) == 388 - 4 * summary.trials_run == 188
 

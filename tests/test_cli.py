@@ -91,6 +91,8 @@ def test_classify_orbit(runner, five_point_file):
     result = runner.invoke(main, ["classify", five_point_file, "--orbit", "4"])
     assert result.exit_code == 0
     assert "prefix [4 2 1] cycle [0]" in result.output
+    as_json = runner.invoke(main, ["classify", five_point_file, "--orbit", "4", "--json"])
+    assert json.loads(as_json.stdout)["orbit"] == {"start": "4", "prefix": ["4", "2", "1"], "cycle": ["0"], "enters_fixed_point": True}
 
 
 def test_estimate_k_inadmissible_exit_one(runner, five_point_file):
@@ -225,6 +227,28 @@ def test_constants_over_the_digit_limit_exit_two(runner, tmp_path):
         assert result.exit_code == 2, args
         assert result.stdout == "", args
         assert result.stderr.startswith("input error:") and "more digits than the interpreter's limit" in result.stderr, args
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="the interpreter has no digit limit")
+@pytest.mark.parametrize("k", [[], ["--k", "1/2"]], ids=["scanned k", "explicit k"])
+def test_solve_refusal_names_the_digit_limit(runner, tmp_path, k):
+    # The same long-entry metric with a map whose generalized constant is not admissible: building the
+    # refusal's message wrote the scanned constant with `str()`, printed a traceback and exited 1.
+    base = 10 ** (sys.get_int_max_str_digits() * 3 // 5)
+    data = space_to_dict(*five_point_example())
+    data["metric"] = [
+        [0 if i == j else str(Fraction(abs(i - j)) + Fraction(1, base + 7 * min(i, j) + 13 * max(i, j) + 1)) for j in range(5)]
+        for i in range(5)
+    ]
+    data["map"] = [0, 0, 0, 4, 1]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    result = runner.invoke(main, ["solve", "--start", "0", *k, str(path)])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    limit = f"<a rational past the interpreter's limit of {sys.get_int_max_str_digits()} digits>"
+    assert result.stderr.startswith("input error: ") and limit in result.stderr and len(result.stderr.splitlines()) == 1
 
 
 def test_solve_unknown_label(runner, five_point_file):
@@ -455,10 +479,16 @@ def test_help_names_every_option(runner, command):
         ["estimate-k", "data/five_point.json", "--kind", "nope"],
         ["solve", "data/five_point.json"],
         ["audit", "--trials", "ten"],
+        ["audit", "--trials", "٣"],
+        ["audit", "--seed", "1_0"],
+        ["solve", "data/five_point.json", "--start", "0", "--max-iter", " 5"],
         ["verify", "data/five_point.json", "--js"],  # no option may be abbreviated
         [],
     ],
-    ids=["unknown option", "bad kind", "missing start", "non-integer trials", "abbreviation", "no command"],
+    ids=[
+        "unknown option", "bad kind", "missing start", "non-integer trials", "non-ASCII digit", "underscore", "blank",
+        "abbreviation", "no command",
+    ],
 )
 def test_usage_errors_exit_two(runner, args):
     result = runner.invoke(main, args)

@@ -10,10 +10,13 @@ rational and integer options.  Every run must end in one of three ways:
 
 Counts that ask for work (`--trials`, `--max-iter`) are drawn small when
 they are valid: a valid count of a million trials is a long run, not a
-fault.  Numerals past the interpreter's digit limit are drawn for them too.
+fault.  Numerals past the interpreter's digit limit are drawn for them too,
+and so are numerals `int()` would take but an integer option refuses:
+other scripts' digits, underscores, blanks and a leading "+".
 """
 
 import json
+import re
 import sys
 
 from hypothesis import given, settings, strategies as st
@@ -103,8 +106,11 @@ _file_commands = st.sampled_from(
         ["solve", "--start", "0", "--json"],
     ]
 )
-_counts = st.integers(-2, 3).map(str) | st.integers(LIMIT + 1, LIMIT + 2).map(lambda n: "9" * n) | _numerals.filter(
-    lambda text: not text.strip().lstrip("+-").isdigit()
+_counts = st.one_of(
+    st.integers(-2, 3).map(str),
+    st.integers(LIMIT + 1, LIMIT + 2).map(lambda n: "9" * n),
+    st.sampled_from(["٣", "３", "-٣", "1_0", "1_2", "٣_٣", " 2", "2 ", "+1", "2\n"]),
+    _numerals.filter(lambda text: not re.fullmatch("-?[0-9]+", text)),  # a valid count is drawn small above
 )
 _option = st.one_of(
     st.tuples(st.sampled_from(["--k", "--eps"]), _numerals),

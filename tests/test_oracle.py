@@ -140,7 +140,7 @@ def test_audit_small_run_verifies_everything():
     assert summary.conclusion_verified == 40
     assert summary.failures == ()
     assert summary.hierarchy_failures == 0
-    assert summary.trace_count >= 40
+    assert summary.traces_checked >= 40
     assert summary.maps_tried >= 40
     assert summary.conclusion_verified + len(summary.failures) == summary.hypotheses_satisfied
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from orthofix import InputError, QuadExt, qext_compare, qext_is_rational
+from orthofix import InputError, QuadExt
 
 
 def test_compare_one_third_vs_radical_over_eleven():
@@ -16,21 +16,21 @@ def test_compare_one_third_vs_radical_over_eleven():
     assert Fraction(1, 9) > Fraction(1, 11)
     x = QuadExt(Fraction(1, 3), 0, 11)
     y = QuadExt(0, Fraction(1, 11), 11)
-    assert qext_compare(x, y) == 1
+    assert (x - y).sign() == 1
 
 
 def test_compare_reflexive_equal():
     x = QuadExt(Fraction(5, 7), Fraction(-2, 3), 11)
-    assert qext_compare(x, x) == 0
+    assert (x - x).sign() == 0
 
 
 def test_compare_sqrt2_vs_one():
-    assert qext_compare(QuadExt(0, 1, 2), QuadExt(1, 0, 2)) == 1
+    assert (QuadExt(0, 1, 2) - QuadExt(1, 0, 2)).sign() == 1
 
 
 def test_mismatched_radicands_rejected():
     with pytest.raises(InputError, match="radicand"):
-        qext_compare(QuadExt(0, 1, 2), QuadExt(0, 1, 11))
+        QuadExt(0, 1, 2) - QuadExt(0, 1, 11)
 
 
 def test_rational_values_mix_across_radicands():
@@ -39,10 +39,10 @@ def test_rational_values_mix_across_radicands():
 
 
 def test_is_rational():
-    assert qext_is_rational(QuadExt(1, 0, 11))
-    assert not qext_is_rational(QuadExt(1, Fraction(1, 11), 11))
+    assert QuadExt(1, 0, 11).is_rational
+    assert not QuadExt(1, Fraction(1, 11), 11).is_rational
     root2 = QuadExt(0, 1, 2)
-    assert qext_is_rational(root2 * root2)
+    assert (root2 * root2).is_rational
     assert (root2 * root2) == 2
 
 
@@ -91,7 +91,7 @@ small = st.fractions(min_value=-12, max_value=12, max_denominator=12)
 def test_product_rationality_rule(a, b, a2, b2):
     x = QuadExt(a, b, 11)
     y = QuadExt(a2, b2, 11)
-    assert qext_is_rational(x * y) == (a * b2 + a2 * b == 0)
+    assert (x * y).is_rational == (a * b2 + a2 * b == 0)
 
 
 @given(small, small, small, small)
@@ -100,16 +100,9 @@ def test_ordering_matches_float_when_separated(a, b, a2, b2):
     y = QuadExt(a2, b2, 11)
     approx = (float(a) + float(b) * math.sqrt(11)) - (float(a2) + float(b2) * math.sqrt(11))
     if abs(approx) > 1e-6:
-        assert qext_compare(x, y) == (1 if approx > 0 else -1)
+        assert (x - y).sign() == (1 if approx > 0 else -1)
     total = (x < y) + (x == y) + (x > y)
     assert total == 1
-
-
-@given(small, small, small, small)
-def test_sub_then_sign_consistent_with_compare(a, b, a2, b2):
-    x = QuadExt(a, b, 11)
-    y = QuadExt(a2, b2, 11)
-    assert qext_compare(x, y) == (x - y).sign()
 
 
 def test_str_rendering():

@@ -22,6 +22,7 @@ import pytest
 from orthofix import (
     ContractionKind,
     GenParams,
+    PicardTrace,
     check_contraction,
     classify_orthogonality,
     hierarchy_check,
@@ -34,6 +35,7 @@ from orthofix import (
 )
 from orthofix.corpus import five_point_example, run_case
 from orthofix.oracle import AuditFailure
+from orthofix.records import to_dict
 from orthofix.space import Violation
 from orthofix.spacefile import space_to_dict
 
@@ -204,3 +206,29 @@ def test_record_modules_load_no_dataclasses():
     loaded = json.loads(done.stdout)
     assert "orthofix.corpus" in loaded and "orthofix.solver" in loaded
     assert "dataclasses" not in loaded
+
+
+def test_every_record_encodes_by_the_one_rule():
+    # only `PicardTrace` keeps its own encoder: it labels points and writes int step distances as strings
+    import orthofix
+
+    exported = {getattr(orthofix, name) for name in orthofix.__all__}
+    classes = {cls for cls in exported if isinstance(cls, type) and hasattr(cls, "to_dict")}
+    classes |= {type(record) for record in RECORDS} | {GenParams}
+    classes.discard(PicardTrace)
+    assert len(classes) == 14
+    assert all(cls.to_dict is to_dict for cls in classes), sorted(c.__name__ for c in classes if c.to_dict is not to_dict)
+
+
+def test_value_domain_report_encodes_its_quadext_scalars_as_text():
+    # a value-domain scan's constant and witness are QuadExt numbers: each is written with `str()`
+    from orthofix import scan_value_pairs
+    from orthofix.corpus import rational_product_sample
+
+    _, values, dist, _, apply_map = rational_product_sample()
+    pairs = [(x, y) for x in values for y in values]
+    report = scan_value_pairs(ContractionKind.UNRESTRICTED_LIPSCHITZ, pairs, dist, apply_map)
+    assert json.loads(json.dumps(report.to_dict())) == {
+        "kind": "unrestricted_lipschitz", "feasible": True, "minimal_k": "(1/3)*sqrt(11)",
+        "witness_max": ["1", "1 + (1/11)*sqrt(11)"], "infeasible_witness": None, "admissible": False, "pairs_scanned": 36,
+    }

@@ -12,7 +12,6 @@ from orthofix import (
     InputError,
     SelfMap,
     brute_force_fixed_points,
-    certify_fixed_point,
     check_contraction,
     generate_space,
     hypothesis_check,
@@ -43,14 +42,6 @@ def test_picard_accepts_int_and_fraction_parameters(five_point):
     trace = picard_solve(space, mapping, 0, k=Fraction(3, 4), eps=1)
     assert trace.k == Fraction(3, 4) and trace.certified
     assert picard_solve(space, mapping, 0, k=0, allow_inadmissible_k=True).k == 0
-
-
-def test_certify_fixed_point(five_point):
-    space, mapping = five_point
-    assert certify_fixed_point(space, mapping, 0)
-    assert not certify_fixed_point(space, mapping, 2)
-    identity = SelfMap(list(range(5)), 5)
-    assert all(certify_fixed_point(space, identity, z) for z in range(5))
 
 
 def test_picard_from_weak_element(five_point):

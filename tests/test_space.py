@@ -16,7 +16,6 @@ from orthofix import (
     PointRelation,
     QuadExt,
     SelfMap,
-    certify_fixed_point,
     check_contraction,
     classify_orthogonality,
     hypothesis_check,
@@ -236,7 +235,6 @@ _POINT_ENTRY_POINTS = {
     "is_ow_sequence": lambda space, mapping, v: is_ow_sequence(space, [v, 2]),
     "picard_solve": lambda space, mapping, v: picard_solve(space, mapping, v),
     "m_value": lambda space, mapping, v: m_value(ContractionKind.GENERALIZED_PERP, space, mapping, v, 0),
-    "certify_fixed_point": lambda space, mapping, v: certify_fixed_point(space, mapping, v),
 }
 
 
@@ -252,7 +250,6 @@ def test_point_index_must_be_an_int(five_point, entry, value):
 
 _MAP_ENTRY_POINTS = {
     "orbit": lambda space, mapping: orbit(space, mapping, 4),
-    "certify_fixed_point": lambda space, mapping: certify_fixed_point(space, mapping, 4),
     "m_value": lambda space, mapping: m_value(ContractionKind.GENERALIZED_PERP, space, mapping, 3, 4),
 }
 
