@@ -53,7 +53,7 @@ _EXPORTS = {
     "hypothesis_check": "solver",
     "is_ow_preserving": "relational",
     "is_ow_sequence": "relational",
-    "list_cases": "cases",
+    "list_cases": "kinds",
     "load_space_file": "spacefile",
     "m_value": "contraction",
     "orbit": "relational",

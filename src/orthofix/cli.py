@@ -8,9 +8,9 @@ Rationals are written and read as integers or "p/q" only; a report with a
 rational past the interpreter's digit limit (`rational._past_digit_limit`)
 is an input error, and nothing of it is written.  An integer option takes
 ASCII digits after an optional "-" only.  The choices the options offer
-come from `kinds` and `cases`; every other module is imported by the
-commands that run it, so `--help`, `--version` and `corpus --list` compile
-none of them, and no command compiles code it does not run.
+come from `kinds`; every other module is imported by the commands that
+run it, so `--help`, `--version` and `corpus --list` compile none of them,
+and no command compiles code it does not run.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .cases import list_cases
 from .errors import CertificateError, InputError, OrthofixError
-from .kinds import MODE_O1, MODE_ORBITAL_CONTINUITY, ContractionKind
+from .kinds import MODE_O1, MODE_ORBITAL_CONTINUITY, ContractionKind, list_cases
 from .rational import _past_digit_limit, parse_rational
 
 SCHEMA = 1

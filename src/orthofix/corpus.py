@@ -15,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .cases import CASES, list_cases  # list_cases re-exported: the names and summaries of `_RUNNERS`
 from .contraction import (
     ContractionKind,
     hierarchy_check,
@@ -25,6 +24,7 @@ from .contraction import (
     scan_value_pairs,
 )
 from .errors import InputError
+from .kinds import CASES, list_cases  # list_cases re-exported: the names and summaries of `_RUNNERS`
 from .quadext import QuadExt
 from .records import to_dict
 from .relational import (
@@ -442,7 +442,7 @@ def _case_orbit_space(rec: _Recorder) -> str:
 
 
 # ---------------------------------------------------------------------------
-# registry (names, summaries and their order live in `cases`)
+# registry (names, summaries and their order live in `kinds`)
 # ---------------------------------------------------------------------------
 
 # name -> runner; a runner fills the recorder and returns its case's title

@@ -1,7 +1,8 @@
-"""The named choices of the library: contraction kinds and hypothesis-check modes.
+"""The named choices of the library: contraction kinds, hypothesis-check modes and corpus cases.
 
-Kept apart from the code that uses them (`contraction`, `solver`), so that
-the command line can offer them as choices without importing that code.
+Kept apart from the code that uses them (`contraction`, `solver`, `corpus`),
+so that the command line can offer them as choices, and `corpus --list` can
+list the cases, without importing that code.
 """
 
 from __future__ import annotations
@@ -37,3 +38,18 @@ class ContractionKind(str, Enum):
         """The kind-name rule: `ContractionKind(name)` raises InputError for an unknown name."""
         valid = ", ".join(k.value for k in cls)
         raise InputError(f"unknown contraction kind {value!r} (expected one of: {valid})")
+
+
+# the corpus's case names and one-line summaries, in stable order
+CASES = {
+    "five-point": "five-point weak orthogonal space with a generalized contraction",
+    "rational-product": "real line with rationality-of-products orthogonality",
+    "r2-counterexample": "orthogonally continuous but discontinuous plane map",
+    "leq-relation": "total order sample under <=",
+    "orbit-space": "positive-reals sample with a two-cycle orbit",
+}
+
+
+def list_cases() -> list[tuple[str, str]]:
+    """Registered case names with one-line summaries, in stable order."""
+    return list(CASES.items())

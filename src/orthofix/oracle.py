@@ -24,11 +24,13 @@ Randomness comes from ``random.Random`` (MT19937) through getrandbits only
 (see `_below`), so instance streams depend on MT19937's output alone and
 are stable across platforms, Python versions and runs for a given seed.
 
-Each trial is a pure function of its seed, drawn from the master stream.
-The audit draws its seeds in batches, splits each batch across the usable
-CPUs in forked processes (one process when there is no ``os.fork``, one
-CPU, a small batch or a second live thread), and folds the results in
-seed order, so its output does not depend on the number of CPUs.
+Each trial is a pure function of its seed, drawn from the master stream,
+and reports one record (`_Trial`).  The audit draws its seeds in batches,
+splits each batch across the usable CPUs in forked processes (one process
+when there is no ``os.fork``, one CPU, a small batch or a second live
+thread), and keeps the records in seed order; every count of the summary
+is a `len` or a `sum` over them, so its output does not depend on the
+number of CPUs.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import signal
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import BinaryIO, NamedTuple
 
 from .contraction import hierarchy_check, report
@@ -95,7 +96,7 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def _shortest_path_metric(n: int, rng: random.Random, lo: int, hi: int) -> list[list[Fraction]]:
+def _shortest_path_metric(n: int, rng: random.Random, lo: int, hi: int) -> list[list[int]]:
     w = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -106,10 +107,7 @@ def _shortest_path_metric(n: int, rng: random.Random, lo: int, hi: int) -> list[
                 via = w[i][k] + w[k][j]
                 if via < w[i][j]:
                     w[i][j] = via
-    # one Fraction per distinct distance, shared as the loader shares them, so that
-    # `FiniteSpace` checks and scales each distinct value once
-    shared = {v: Fraction(v) for v in set(chain.from_iterable(w))}
-    return [[shared[v] for v in row] for row in w]
+    return w
 
 
 def generate_space(params: GenParams, rng: random.Random | None = None) -> FiniteSpace:
@@ -247,32 +245,30 @@ def _audit_instance(space: FiniteSpace, mapping: SelfMap) -> tuple[list[str], in
     return problems, traces
 
 
-def _trial(params: GenParams, trial_seed: int) -> tuple[int, tuple[int, int, AuditFailure | None] | None]:
-    """One trial, a pure function of its seed: (maps tried, outcome).
+class _Trial(NamedTuple):
+    """What one trial reports; a seed whose space ran out of map attempts is `_Trial(maps_tried)`."""
 
-    The outcome is None when the space ran out of map attempts; otherwise it
-    is (traces checked, hierarchy failures, the failure record or None).
-    """
+    maps_tried: int
+    accepted: bool = False
+    traces_checked: int = 0
+    hierarchy_failures: int = 0
+    failure: AuditFailure | None = None
+
+
+def _trial(params: GenParams, trial_seed: int) -> _Trial:
+    """One trial, a pure function of its seed."""
     rng = random.Random(trial_seed)
     space = generate_space(params, rng)
     mapping, tried = _sample_map(params, space, rng)
     if mapping is None:
-        return tried, None
+        return _Trial(tried)
     problems, traces = _audit_instance(space, mapping)
-    hierarchy_failures = 0
-    for verdict in hierarchy_check(space, mapping):
-        if not verdict.holds:
-            hierarchy_failures += 1
-            problems.append(f"hierarchy implication {verdict.name} fails at {verdict.witness}")
+    failed = [verdict for verdict in hierarchy_check(space, mapping) if not verdict.holds]
+    problems += [f"hierarchy implication {verdict.name} fails at {verdict.witness}" for verdict in failed]
     failure = None
     if problems:
-        failure = AuditFailure(
-            seed=trial_seed,
-            space=space_to_dict(space),
-            map=list(mapping.images),
-            discrepancy="; ".join(problems),
-        )
-    return tried, (traces, hierarchy_failures, failure)
+        failure = AuditFailure(trial_seed, space_to_dict(space), list(mapping.images), "; ".join(problems))
+    return _Trial(tried, True, traces, len(failed), failure)
 
 
 _SEEDS_PER_PROCESS = 32  # below this a forked process costs more than it saves
@@ -321,7 +317,7 @@ def _run_child(params: GenParams, seeds: list[int], write_fd: int) -> None:
         os._exit(status)
 
 
-def _run_trials(params: GenParams, seeds: list[int]) -> list:
+def _run_trials(params: GenParams, seeds: list[int]) -> list[_Trial]:
     """`_trial` of every seed, in seed order.
 
     With W processes the caller takes positions 0::W and forked child i
@@ -380,45 +376,25 @@ def theorem_audit(params: GenParams) -> AuditSummary:
     seeds are drawn in batches of the trials still missing; a seed yields at
     most one trial, so no batch overshoots and the seeds drawn are the ones a
     one-at-a-time loop would draw.  A batch is split across the usable CPUs
-    in forked processes, and its results are folded here in seed order, so
-    the summary, byte for byte, does not depend on the number of CPUs.
+    in forked processes, and its records are kept in seed order.  Every count
+    of the summary is a `len` or a `sum` over the records, so the summary,
+    byte for byte, does not depend on the number of CPUs.
     """
     master = random.Random(params.seed)
-    trials_run = 0
-    verified = 0
-    failures: list[AuditFailure] = []
-    spaces_generated = 0
-    maps_tried = 0
-    exhausted = 0
-    hierarchy_failures = 0
-    traces_checked = 0
-
-    while trials_run < params.trials:
-        seeds = [master.getrandbits(64) for _ in range(params.trials - trials_run)]
-        for tried, outcome in _run_trials(params, seeds):
-            spaces_generated += 1
-            maps_tried += tried
-            if outcome is None:
-                exhausted += 1
-                continue
-            trials_run += 1
-            traces, failed_verdicts, failure = outcome
-            traces_checked += traces
-            hierarchy_failures += failed_verdicts
-            if failure is not None:
-                failures.append(failure)
-            else:
-                verified += 1
-
+    trials: list[_Trial] = []
+    while (missing := params.trials - sum(trial.accepted for trial in trials)) > 0:
+        trials += _run_trials(params, [master.getrandbits(64) for _ in range(missing)])
+    accepted = [trial for trial in trials if trial.accepted]
+    failures = tuple(trial.failure for trial in accepted if trial.failure is not None)
     return AuditSummary(
         params=params,
-        trials_run=trials_run,
-        hypotheses_satisfied=trials_run,
-        conclusion_verified=verified,
-        failures=tuple(failures),
-        spaces_generated=spaces_generated,
-        maps_tried=maps_tried,
-        spaces_without_accepted_map=exhausted,
-        hierarchy_failures=hierarchy_failures,
-        traces_checked=traces_checked,
+        trials_run=len(accepted),
+        hypotheses_satisfied=len(accepted),
+        conclusion_verified=len(accepted) - len(failures),
+        failures=failures,
+        spaces_generated=len(trials),
+        maps_tried=sum(trial.maps_tried for trial in trials),
+        spaces_without_accepted_map=len(trials) - len(accepted),
+        hierarchy_failures=sum(trial.hierarchy_failures for trial in accepted),
+        traces_checked=sum(trial.traces_checked for trial in accepted),
     )

@@ -15,10 +15,12 @@ run with a k below the both-orientation constant, still records iterates
 and step distances but carries no bounds; the inequalities simply are not
 theorems there.
 
-On finite spaces the iteration always terminates: the orbit enters a cycle
-within n steps, and under a valid certificate the cycle must be a single
-fixed point (a longer cycle would keep step distances bounded away from
-zero while the geometric bound forces them to zero).
+On finite spaces the orbit enters a cycle within n steps.  A trace that is
+not enforced ends with its first repeated iterate (stop_reason "cycle").  An
+enforced trace needs no such stop: on a cycle of L >= 2 points the step
+distances repeat with period L, so the step inequality (k < 1) fails within
+one lap plus one step, and under a valid certificate the cycle is a single
+fixed point.
 
 Preservation and the certificate-grade constant are read through
 `contraction.preservation` and `contraction.report`, which keep them on the
@@ -50,7 +52,7 @@ class PicardTrace(NamedTuple):
     converged: bool
     fixed_point: int | None
     certified: bool
-    stop_reason: str               # "fixed_point" | "bound_below_eps" | "max_iter"
+    stop_reason: str               # "fixed_point" | "bound_below_eps" | "max_iter" | "cycle" (unenforced only)
 
     _json_extra = ("applications",)
 
@@ -97,9 +99,10 @@ def picard_solve(
     violation raises CertificateError), but the trace is not certified.
 
     Stops on the first of: exact zero step distance (converged at a fixed
-    point), certified tail bound <= eps, or max_iter.  `k` and `eps` are
-    ints or Fractions (a float would be a binary approximation); `max_iter`
-    is a true int.  Preservation and the scans are those kept on the map
+    point), certified tail bound <= eps, max_iter, or, on a trace that is
+    not enforced, an iterate seen before in the trace ("cycle").  `k` and
+    `eps` are ints or Fractions (a float would be a binary approximation);
+    `max_iter` is a true int.  Preservation and the scans are those kept on the map
     (see `contraction.report`).
     """
     _check_point(space, start, "start index")
@@ -141,6 +144,7 @@ def picard_solve(
     enforced = hypotheses and (certificate_grade or allow_inadmissible_k)
 
     iterates = [start]
+    seen = {start}
     steps: list = []
     converged = False
     fixed_point: int | None = None
@@ -167,6 +171,10 @@ def picard_solve(
             )
         iterates.append(nxt)
         steps.append(step)
+        if not enforced and nxt in seen:
+            stop_reason = "cycle"
+            break
+        seen.add(nxt)
         if d0 is None:
             d0 = step
         if eps is not None and certified:

@@ -36,7 +36,7 @@ from math import lcm
 from typing import NamedTuple, Sequence
 
 from .errors import InputError
-from .rational import _is_index, _is_rational
+from .rational import _is_index, _is_rational, _shown
 from .records import to_dict
 
 
@@ -279,7 +279,8 @@ def validate_metric(space: FiniteSpace) -> ValidationReport:
     and the triangle inequality over all ordered triples.  Each violation
     carries a concrete witness so failures are actionable.  The comparisons
     run on the integer form; witness values are rendered from the exact
-    metric.
+    metric by `rational._shown`, so an entry past the interpreter's digit
+    limit is written as a phrase that names the limit.
 
     The triangle inequality is screened pair by pair before the exact loop
     over k runs, and only on the pairs the screen flags, in sorted (i, j)
@@ -305,13 +306,13 @@ def validate_metric(space: FiniteSpace) -> ValidationReport:
     violations: list[Violation] = []
     for i in range(n):
         if m[i][i] != 0:
-            violations.append(Violation("diagonal", (i,), (str(exact[i][i]),)))
+            violations.append(Violation("diagonal", (i,), (_shown(exact[i][i]),)))
     for i in range(n):
         for j in range(n):
             if i < j and m[i][j] != m[j][i]:
-                violations.append(Violation("symmetry", (i, j), (str(exact[i][j]), str(exact[j][i]))))
+                violations.append(Violation("symmetry", (i, j), (_shown(exact[i][j]), _shown(exact[j][i]))))
             if i != j and m[i][j] <= 0:
-                violations.append(Violation("positivity", (i, j), (str(exact[i][j]),)))
+                violations.append(Violation("positivity", (i, j), (_shown(exact[i][j]),)))
     for i, j in _triangle_screen(m):
         for k in range(n):
             if k == i or k == j:
@@ -321,7 +322,7 @@ def validate_metric(space: FiniteSpace) -> ValidationReport:
                     Violation(
                         "triangle",
                         (i, j, k),
-                        (str(exact[i][j]), str(exact[i][k]), str(exact[k][j])),
+                        (_shown(exact[i][j]), _shown(exact[i][k]), _shown(exact[k][j])),
                     )
                 )
     return ValidationReport(ok=not violations, violations=tuple(violations))

@@ -104,7 +104,7 @@ def _failing_audit_at_1_and_2_cpus(monkeypatch, tmp_path):
 
 def test_planted_failures_cross_the_pipe_in_seed_order(monkeypatch, tmp_path, forks):
     params = GenParams(seed=4, trials=64)
-    odd = [s for s in _first_batch(params)[1::2] if oracle._trial(params, s)[1] is not None]
+    odd = [s for s in _first_batch(params)[1::2] if oracle._trial(params, s).accepted]
     chosen = odd[:3:2]  # two accepted trials at odd positions, in the second process's share
     planted_spaces = {_key(oracle.generate_space(params, random.Random(seed))) for seed in chosen}
     audit_instance = oracle._audit_instance
@@ -127,7 +127,7 @@ def test_planted_failures_cross_the_pipe_in_seed_order(monkeypatch, tmp_path, fo
 def test_certificate_failure_is_recorded_with_its_seed(monkeypatch, tmp_path, forks):
     # A trace the solver refuses is a discrepancy of its trial, not an abort of the audit.
     params = GenParams(seed=4, trials=64)
-    odd = [s for s in _first_batch(params)[1::2] if oracle._trial(params, s)[1] is not None]
+    odd = [s for s in _first_batch(params)[1::2] if oracle._trial(params, s).accepted]
     chosen = odd[0]  # an accepted trial in the second process's share
     planted_space = _key(oracle.generate_space(params, random.Random(chosen)))
     solve = oracle.picard_solve

@@ -12,6 +12,7 @@ import pytest
 
 from orthofix.cli import _parser, main
 from orthofix.corpus import five_point_example
+from orthofix.space import SelfMap
 from orthofix.spacefile import space_to_dict
 from cli_runner import CliRunner
 
@@ -147,6 +148,17 @@ def test_solve_json_trace(runner, five_point_file):
     assert trace["converged"] is True
     assert trace["applications"] == 3
     assert trace["certified"] is False
+
+
+def test_solve_stops_an_uncertified_cycle_and_exits_one(runner, tmp_path):
+    space, _ = five_point_example()
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(space_to_dict(space, SelfMap([1, 0, 1, 0, 2], 5))), encoding="utf-8")
+    args = ["solve", str(path), "--start", "4", "--allow-any-start", "--k", "1/2", "--allow-inadmissible-k"]
+    result = runner.invoke(main, [*args, "--max-iter", "100000"])
+    assert result.exit_code == 1, result.output
+    assert "trace: 4 -> 2 -> 1 -> 0 -> 1\n" in result.output
+    assert result.output.endswith("did not converge (cycle)\n")
 
 
 def test_solve_k_below_certificate_constant_is_uncertified(runner, five_point_file):
@@ -372,7 +384,7 @@ def test_cli_start_up_imports_only_stdlib():
     assert "orthofix.quadext" not in verify  # a space's metric is rational; only the corpus samples use QuadExt
     listed = imported_by("corpus", "--list")
     assert "click" not in listed
-    assert "orthofix.cases" in listed
+    assert "orthofix.kinds" in listed
     assert not listed & {"orthofix.corpus", "orthofix.oracle"}
     # The option choices come from `kinds`: listing, like --version and --help, loads none of the analysis code.
     assert not listed & {

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import orthofix
-from orthofix import cases, cli, corpus, oracle, relational
+from orthofix import cli, corpus, kinds, oracle, relational
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted(path.stem for path in (SRC / "orthofix").glob("*.py"))
@@ -37,7 +37,7 @@ def test_every_public_name_is_its_home_modules_object():
 
 def test_moved_names_keep_their_old_homes():
     assert oracle.brute_force_fixed_points is relational.brute_force_fixed_points
-    assert corpus.list_cases is cases.list_cases
+    assert corpus.list_cases is kinds.list_cases
 
 
 def test_dir_covers_all_and_unknown_names_raise():
@@ -48,7 +48,7 @@ def test_dir_covers_all_and_unknown_names_raise():
 
 
 def test_case_registry_matches_the_runners_and_the_cli_choices():
-    names = [name for name, _ in cases.list_cases()]
+    names = [name for name, _ in kinds.list_cases()]
     assert names == list(corpus._RUNNERS)
     (case_choices,) = [options["--case"]["choices"] for run, *_, options in cli._COMMANDS if run is cli.corpus]
     assert case_choices == names

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from orthofix import (
     check_contraction,
     generate_space,
     hypothesis_check,
+    load_space_file,
     picard_solve,
     weak_orthogonal_elements,
 )
@@ -105,6 +107,57 @@ def test_picard_max_iter_and_eps(five_point):
     assert trace.iterates == (4,)
     with pytest.raises(InputError):
         picard_solve(space, mapping, 0, eps=Fraction(0))
+
+
+def test_uncertified_trace_stops_at_its_first_repeated_iterate(five_point):
+    # 4 -> 2 -> 1 -> 0 -> 1: the orbit enters the two-cycle {0, 1}; the trace ends with the repeated 1.
+    space, _ = five_point
+    cycling = SelfMap([1, 0, 1, 0, 2], 5)
+    trace = picard_solve(
+        space, cycling, 4, k=Fraction(1, 2), allow_any_start=True, allow_inadmissible_k=True, max_iter=300000
+    )
+    assert trace.iterates == (4, 2, 1, 0, 1)
+    assert trace.step_distances == (2, 1, 1, 1)
+    assert trace.stop_reason == "cycle"
+    assert not trace.converged and trace.fixed_point is None and not trace.certified
+    cut = picard_solve(space, cycling, 4, k=Fraction(1, 2), allow_any_start=True, allow_inadmissible_k=True, max_iter=2)
+    assert cut.iterates == (4, 2, 1) and cut.stop_reason == "max_iter"
+
+
+def test_enforced_trace_on_a_cycle_still_fails_its_certificate():
+    # Two points related both ways and the swap: enforced, so no cycle stop; the step inequality fails at once.
+    space = FiniteSpace(["a", "b"], [[0, 1], [1, 0]], [(0, 0), (0, 1), (1, 0), (1, 1)])
+    swap = SelfMap([1, 0], 2)
+    with pytest.raises(CertificateError, match="step inequality violated at n=0"):
+        picard_solve(space, swap, 0, k=Fraction(1, 2), allow_inadmissible_k=True, max_iter=300000)
+
+
+def _non_preserving_instances(count):
+    """Generated spaces with maps that fail preservation, drawn from a fixed seed."""
+    params = GenParams(seed=77)
+    rng = random.Random(params.seed)
+    found = []
+    while len(found) < count:
+        space = generate_space(params, rng)
+        mapping = SelfMap([rng.randrange(space.n) for _ in range(space.n)], space.n)
+        if not hypothesis_check(space, mapping).preserving:
+            found.append((space, mapping))
+    return found
+
+
+def test_o1_mode_never_changes_the_verdict(accepted_instances):
+    # On a finite space preservation implies (O1): if w's orbit settles at z, then w ~ z, and T^m gives z ~ z.
+    data = Path(__file__).resolve().parent.parent / "data"
+    files = [load_space_file(data / name) for name in ("five_point.json", "infeasible.json", "preservation_violations.json")]
+    instances = [*accepted_instances, *files, *_non_preserving_instances(20)]
+    o1_failures = 0
+    for space, mapping in instances:
+        default = hypothesis_check(space, mapping)
+        o1 = hypothesis_check(space, mapping, MODE_O1)
+        assert o1.all_hold == default.all_hold
+        assert o1.o1_mode_holds or not o1.preserving
+        o1_failures += not o1.o1_mode_holds
+    assert o1_failures  # the non-preserving maps do reach the (O1) failure branch
 
 
 def test_identity_map_converges_at_step_zero(five_point):

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 from enum import IntEnum
 from fractions import Fraction
 from itertools import permutations
@@ -80,6 +81,17 @@ def test_symmetry_violation_witness():
 def test_diagonal_violation_witness():
     report = validate_metric(_space([[1, 1], [1, 0]]))
     assert ("diagonal", (0,)) in [(v.axiom, v.witness) for v in report.violations]
+
+
+def test_violation_values_past_the_digit_limit_are_named_not_raised():
+    # The library accepts any Fraction; `str()` of 1/10^5000 would raise ValueError, so the witness names the limit.
+    tiny = Fraction(1, 10**5000)
+    report = validate_metric(FiniteSpace(["a", "b", "c"], [[0, tiny, 5], [tiny, 0, 1], [5, 1, 0]], []))
+    assert not report.ok
+    assert [(v.axiom, v.witness) for v in report.violations] == [("triangle", (0, 2, 1)), ("triangle", (2, 0, 1))]
+    shown = report.violations[0].values
+    assert shown[0] == "5" and shown[2] == "1"
+    assert shown[1] == f"<a rational past the interpreter's limit of {sys.get_int_max_str_digits()} digits>"
 
 
 @given(
