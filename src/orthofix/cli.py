@@ -120,7 +120,7 @@ def verify(file, mode, as_json):
             }
         )
     else:
-        print(f"metric: valid ({space.n} points, {len(space.relation)} relation pairs)")
+        print(f"metric: valid ({space.n} points, {len(space.sorted_relation)} relation pairs)")
         print(f"classification: {cls.verdict}")
         for line in _element_lines(space, cls):
             print(line)

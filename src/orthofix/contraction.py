@@ -246,7 +246,7 @@ def _pass(space: FiniteSpace, m, images, keys: Sequence[tuple[ContractionKind, b
         _walk(pairs, m, images, slots)
     else:
         _walk(pairs, m, images, slots, space.closure_rows, space.relation_rows)
-    sizes = (n * n, len(space.sorted_closure), len(space.sorted_relation))
+    sizes = (n * n, sum(map(int.bit_count, space.closure_rows)), len(space.sorted_relation))
     return [_report(slot, pair_at, sizes[slot[1]]) for slot in slots]
 
 

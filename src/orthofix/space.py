@@ -7,10 +7,12 @@ exactly as given: it is not assumed reflexive, symmetric or transitive.
 Two points count as *orthogonally related* when either orientation is
 present.  The relation is held as one int bitmask per row (bit j of
 `relation_rows[i]` is set iff (i, j) is stored), and so is its symmetric
-closure (`closure_rows`); both are built once, at construction, together
-with the other views every layer reads: the stored pairs and the closure in
-sorted order (the order scans and reports use, read off the bit rows), and
-the weak orthogonal elements (the full closure rows).
+closure (`closure_rows`).  Construction screens the entries in bulk (only a
+relation that fails the screen is walked entry by entry, to name the first
+bad entry) and builds the bit rows, the stored pairs in sorted order (the
+order scans and reports use: as given when strictly increasing, else read
+off the bit rows) and the weak orthogonal elements (the full closure rows).
+The frozenset `relation` and the sorted closure are built on first read.
 
 A FiniteSpace is a PointRelation with an exact rational distance matrix.
 Each input rule has one definition: a distance entry is an exact rational
@@ -18,7 +20,8 @@ Each input rule has one definition: a distance entry is an exact rational
 int (`rational._is_index`), a relation entry a tuple or list of two indices,
 and a map has one image per point (`_check_map`); anything else raises
 InputError.  The metric also gets an *integer form* at construction: every
-entry multiplied by the lcm of the denominators.  Scaling by a positive
+entry multiplied by the lcm of the denominators (an all-int metric is its
+own: `int_metric is metric`).  Scaling by a positive
 constant preserves every order, sum and ratio comparison, so metric
 validation and the contraction scans run on plain ints; values are rendered
 from the exact metric.  Validation screens the triangle inequality with each
@@ -33,7 +36,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import NamedTuple, Sequence
+from operator import attrgetter, lt
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 from .rational import _is_index, _is_rational, _shown
@@ -76,9 +80,11 @@ def _integer_form(rows: tuple[tuple[int | Fraction, ...], ...]) -> tuple[tuple[i
 
     The one check of the metric entries: each distinct entry object (a loaded metric shares one
     Fraction per value) is checked and scaled once.  An int's denominator is 1, so ints,
-    Fractions and any mix get the same form; any other entry raises InputError.
+    Fractions and any mix get the same form (an all-int metric is its own); any other entry raises InputError.
     """
     entries = list(chain.from_iterable(rows))
+    if set(map(type, entries)) == {int}:
+        return rows  # an all-int metric is its own integer form
     distinct = dict(zip(map(id, entries), entries))
     for e in distinct.values():
         if not _is_rational(e):
@@ -90,10 +96,12 @@ def _integer_form(rows: tuple[tuple[int | Fraction, ...], ...]) -> tuple[tuple[i
 
 
 def _integer_form_mismatch(
-    rows: tuple[tuple[Fraction, ...], ...], int_rows: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int | Fraction, ...], ...], int_rows: tuple[tuple[int, ...], ...]
 ) -> tuple[int, int] | None:
     """The first (i, j) where `int_rows` is not `rows` times the lcm of its denominators, or None."""
-    scale = lcm(*{e.denominator for row in rows for e in row})
+    scale = lcm(*set(map(attrgetter("denominator"), chain.from_iterable(rows))))
+    if scale == 1 and rows == int_rows:
+        return None
     for i, (row, int_row) in enumerate(zip(rows, int_rows, strict=True)):
         for j, (e, v) in enumerate(zip(row, int_row, strict=True)):
             if v * e.denominator != e.numerator * scale:
@@ -101,47 +109,69 @@ def _integer_form_mismatch(
     return None
 
 
-def _members(mask: int) -> list[int]:
-    """The positions of the set bits of `mask`, in increasing order."""
-    return [j for j, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+def _pairs(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """The pairs (i, j) with bit j of `rows[i]` set, in sorted order."""
+    return [(i, j) for i, mask in enumerate(rows) for j, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 class PointRelation:
     """Immutable labelled point set + directed relation."""
 
     __slots__ = (
-        "points", "relation", "relation_rows", "closure_rows", "sorted_relation", "sorted_closure", "weak_elements",
+        "points", "relation_rows", "closure_rows", "sorted_relation", "weak_elements", "_relation", "_sorted_closure",
     )
 
-    def __init__(self, points: Sequence[str], relation: Sequence[tuple[int, int]]):
+    def __init__(self, points: Sequence[str], relation: Iterable[tuple[int, int]]):
         points = tuple(points)
         if len(set(points)) != len(points):
             raise InputError("point labels must be unique")
         n = len(points)
         if n == 0:
             raise InputError("space needs at least one point")
+        pairs = list(relation)  # screened in bulk; when the screen fails, the loop names the first bad entry
+        shaped = set(map(type, pairs)) <= {tuple, list} and set(map(len, pairs)) <= {2}
+        flat = list(chain.from_iterable(pairs)) if shaped else [None]
+        if not (set(map(type, flat)) <= {int} and set(flat) <= set(range(n))):
+            for pair in pairs:
+                i, j = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
+                if not (_is_index(i) and _is_index(j)):
+                    raise InputError(f"relation entry {pair!r} is not an index pair; expected a pair of indices")
+                if not (0 <= i < n and 0 <= j < n):
+                    raise InputError(f"relation pair ({i}, {j}) out of range for {n} points")
         out = [0] * n  # bit j of out[i]: (i, j) is stored
-        both = [0] * n  # bit j of both[i]: (i, j) or (j, i) is stored
-        for pair in relation:
-            i, j = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
-            if not (_is_index(i) and _is_index(j)):
-                raise InputError(f"relation entry {pair!r} is not an index pair; expected a pair of indices")
-            if not (0 <= i < n and 0 <= j < n):
-                raise InputError(f"relation pair ({i}, {j}) out of range for {n} points")
-            out[i] |= 1 << j
-            both[i] |= 1 << j
-            both[j] |= 1 << i
-        sorted_relation = tuple([(i, j) for i in range(n) for j in _members(out[i])])
+        col = [0] * n  # bit i of col[j]: (i, j) is stored
+        bit = [1 << j for j in range(n)]
+        for i, j in pairs:
+            out[i] |= bit[j]
+            col[j] |= bit[i]
+        both = list(map(int.__or__, out, col))  # bit j of both[i]: (i, j) or (j, i) is stored
+        pairs = list(map(tuple, pairs))
+        if not all(map(lt, pairs, pairs[1:])):  # not strictly increasing: read the sorted pairs off the bit rows
+            pairs = _pairs(out)
         full = (1 << n) - 1
         init = object.__setattr__
         init(self, "points", points)
-        init(self, "relation", frozenset(sorted_relation))
         init(self, "relation_rows", tuple(out))
         init(self, "closure_rows", tuple(both))
-        init(self, "sorted_relation", sorted_relation)
-        init(self, "sorted_closure", tuple([(i, j) for i in range(n) for j in _members(both[i])]))
+        init(self, "sorted_relation", tuple(pairs))
         # related, in some direction that may vary with y, to every point y (itself included)
         init(self, "weak_elements", frozenset(i for i in range(n) if both[i] == full))
+        init(self, "_relation", None)
+        init(self, "_sorted_closure", None)
+
+    @property
+    def relation(self) -> frozenset[tuple[int, int]]:
+        """The stored pairs as a set, built on first read."""
+        if self._relation is None:
+            object.__setattr__(self, "_relation", frozenset(self.sorted_relation))
+        return self._relation
+
+    @property
+    def sorted_closure(self) -> tuple[tuple[int, int], ...]:
+        """The symmetric closure's pairs in sorted order, read off `closure_rows` on first read."""
+        if self._sorted_closure is None:
+            object.__setattr__(self, "_sorted_closure", tuple(_pairs(self.closure_rows)))
+        return self._sorted_closure
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -167,7 +197,7 @@ class PointRelation:
         return bool(self.closure_rows[i] >> j & 1)
 
     def __repr__(self):
-        return f"{type(self).__name__}(n={self.n}, |relation|={len(self.relation)})"
+        return f"{type(self).__name__}(n={self.n}, |relation|={len(self.sorted_relation)})"
 
 
 class FiniteSpace(PointRelation):
@@ -179,7 +209,7 @@ class FiniteSpace(PointRelation):
         self,
         points: Sequence[str],
         metric: Sequence[Sequence[int | Fraction]],
-        relation: Sequence[tuple[int, int]],
+        relation: Iterable[tuple[int, int]],
     ):
         super().__init__(points, relation)
         n = self.n

@@ -10,6 +10,8 @@
 Unknown keys are rejected, metric entries are parsed as exact rationals
 (decimals and numerals over `sys.get_int_max_str_digits` refused), and the
 metric axioms are validated on load so nothing downstream sees a non-metric.
+An integral JSON number loads as an int and a string as a Fraction.  Both
+are read in bulk; an entry loop runs only to name the first bad entry.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .errors import InputError
@@ -45,24 +48,7 @@ def parse_space_data(data: dict) -> tuple[FiniteSpace, SelfMap | None]:
     metric_rows = data["metric"]
     if not isinstance(metric_rows, list) or len(metric_rows) != n:
         raise InputError(f"'metric' must have {n} rows")
-    # Each distinct entry is parsed once and its Fraction shared; the type is
-    # part of the key, so True and 1.0 never reuse the Fraction parsed for 1.
-    parsed: dict[tuple[type, object], Fraction] = {}
-    metric: list[list[Fraction]] = []
-    for i, row in enumerate(metric_rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise InputError(f"metric row {i} must have {n} entries")
-        values = []
-        for j, entry in enumerate(row):
-            try:
-                value = parsed[type(entry), entry]
-            except (KeyError, TypeError):  # TypeError: unhashable, so never a rational
-                try:
-                    value = parsed[type(entry), entry] = parse_rational(entry)
-                except InputError as exc:
-                    raise InputError(f"metric entry ({i}, {j}): {exc}") from None
-            values.append(value)
-        metric.append(values)
+    metric = _parse_metric(metric_rows, n)
 
     relation = data["relation"]
     if not isinstance(relation, list):
@@ -87,6 +73,30 @@ def parse_space_data(data: dict) -> tuple[FiniteSpace, SelfMap | None]:
         except InputError as exc:
             raise InputError(f"map: {exc}") from None
     return space, mapping
+
+
+def _parse_metric(rows: list, n: int) -> list[list[int | Fraction]]:
+    """The metric's entries, an int as it is and a string parsed once per distinct value as a Fraction."""
+    if all([isinstance(row, list) and len(row) == n for row in rows]):
+        flat = list(chain.from_iterable(rows))
+        kinds = set(map(type, flat))
+        if kinds == {int}:
+            return rows
+        if kinds <= {int, str}:
+            try:
+                shared = {e: e if e.__class__ is int else parse_rational(e) for e in set(flat)}
+                return [list(map(shared.__getitem__, row)) for row in rows]
+            except InputError:
+                pass
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise InputError(f"metric row {i} must have {n} entries")
+        for j, entry in enumerate(row):
+            try:
+                parse_rational(entry)
+            except InputError as exc:
+                raise InputError(f"metric entry ({i}, {j}): {exc}") from None
+    return [[e if e.__class__ is int else parse_rational(e) for e in row] for row in rows]  # e.g. Fraction objects
 
 
 def load_space_file(path: str | Path) -> tuple[FiniteSpace, SelfMap | None]:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,8 +13,9 @@ import pytest
 
 from orthofix.cli import _parser, main
 from orthofix.corpus import five_point_example
+from orthofix.oracle import _shortest_path_metric
 from orthofix.space import SelfMap
-from orthofix.spacefile import space_to_dict
+from orthofix.spacefile import load_space_file, space_to_dict
 from cli_runner import CliRunner
 
 
@@ -50,6 +52,27 @@ def test_verify_byte_identical_reruns(runner, five_point_file):
     first = runner.invoke(main, ["verify", five_point_file, "--json"])
     second = runner.invoke(main, ["verify", five_point_file, "--json"])
     assert first.output == second.output
+
+
+def test_verify_reads_a_shuffled_relation_and_string_entries_alike(runner, tmp_path, monkeypatch):
+    # A generated file (int entries, sorted relation) is read in bulk; the same space with its relation
+    # shuffled and every entry written "p/1" takes the general paths.  The reports must not differ.
+    rng = random.Random(64)
+    n = 64
+    metric = _shortest_path_metric(n, rng, 1, 50)
+    relation = [[i, j] for i in range(n) for j in range(n) if rng.random() < 0.6]
+    data = {"points": [str(i) for i in range(n)], "metric": metric, "relation": relation, "map": [rng.randrange(n) for _ in range(n)]}
+    strings = dict(data, metric=[[f"{v}/1" for v in row] for row in metric], relation=rng.sample(relation, len(relation)))
+    outputs = []
+    for name, form in [("ints", data), ("strings", strings)]:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "dense.json").write_text(json.dumps(form), encoding="utf-8")
+        monkeypatch.chdir(tmp_path / name)
+        space, _ = load_space_file("dense.json")
+        assert (space.int_metric is space.metric) == (name == "ints")
+        outputs.append(runner.invoke(main, ["verify", "--json", "dense.json"]))
+    assert json.loads(outputs[0].stdout)["command"] == "verify" and not outputs[0].stderr
+    assert outputs[0][:4] == outputs[1][:4]  # the exit code and every byte written
 
 
 def test_verify_failing_hypotheses_exit_one(runner, tmp_path):

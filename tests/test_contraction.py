@@ -19,7 +19,9 @@ from orthofix import (
     contraction,
     hierarchy_check,
     m_value,
+    parse_space_data,
     scan_value_pairs,
+    space_to_dict,
 )
 from reference import oracle_report
 
@@ -233,6 +235,20 @@ def test_integer_form_verdict_catches_every_single_entry_corruption(five_point, 
     verdict = hierarchy_check(space, mapping)[0]
     assert verdict.name == "integer-form-exact" and not verdict.holds
     assert verdict.witness == (i, j)
+
+
+def test_integer_form_verdict_fails_when_the_metric_is_its_own_integer_form(five_point):
+    # A loaded all-int metric is its own integer form, and the verdict still reads every entry.
+    space, mapping = parse_space_data(space_to_dict(*five_point))
+    assert space.int_metric is space.metric
+    assert hierarchy_check(space, mapping)[0].holds
+    rows = [list(row) for row in space.int_metric]
+    rows[2][3] += 1
+    rows[4][1] += 1
+    object.__setattr__(space, "int_metric", tuple(tuple(row) for row in rows))  # bypass immutability to plant a fault
+    verdict = hierarchy_check(space, mapping)[0]
+    assert verdict.name == "integer-form-exact" and not verdict.holds
+    assert verdict.witness == (2, 3)
 
 
 _KIND_ENTRY_POINTS = {

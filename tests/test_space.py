@@ -39,6 +39,14 @@ def _space(matrix, relation=()):
     return FiniteSpace([str(i) for i in range(n)], [[Fraction(v) for v in row] for row in matrix], relation)
 
 
+# every public view of a PointRelation; `relation` and `sorted_closure` are built on first read
+_RELATION_VIEWS = ("points", "relation", "relation_rows", "closure_rows", "sorted_relation", "sorted_closure", "weak_elements")
+
+
+def _views(value, names=_RELATION_VIEWS) -> list:
+    return [getattr(value, name) for name in names]
+
+
 def naive_is_metric(matrix) -> bool:
     """Independent oracle: definition checked directly over all index triples."""
     n = len(matrix)
@@ -160,9 +168,7 @@ def test_relation_views_match_their_definitions(case, seed):
     space = _space([[abs(i - j) for j in range(n)] for i in range(n)], pairs)
     # a space's relation facts are those of the point set and relation alone
     alone = PointRelation(space.points, pairs)
-    assert [getattr(alone, name) for name in PointRelation.__slots__] == [
-        getattr(space, name) for name in PointRelation.__slots__
-    ]
+    assert _views(alone) == _views(space)
     stored = set(pairs)
     closure = stored | {(j, i) for (i, j) in pairs}
     assert space.relation == stored
@@ -185,6 +191,32 @@ def test_relation_views_match_their_definitions(case, seed):
             if (t[i], t[j]) not in closure:
                 violations.append((i, j))
     assert is_ow_preserving(space, SelfMap(t, n)).violations == tuple(violations)
+
+
+@given(_relations(), st.integers(0, 2**32))
+def test_relation_in_any_form_builds_the_same_views(case, seed):
+    # Strictly increasing pairs are taken as the sorted relation; any other form is read off the bit rows.
+    n, pairs = case
+    points = [str(i) for i in range(n)]
+    rng = random.Random(seed)
+    shuffled = pairs + rng.sample(pairs, len(pairs) // 3)
+    rng.shuffle(shuffled)
+    increasing = sorted(set(pairs))
+    forms = {
+        "sorted tuples": increasing,
+        "sorted lists": [list(p) for p in increasing],
+        "sorted, lists and tuples": [list(p) if k % 2 else p for k, p in enumerate(increasing)],
+        "sorted with duplicates": sorted(shuffled),
+        "shuffled with duplicates": shuffled,
+        "a set": set(pairs),
+        "a generator": (p for p in shuffled),
+    }
+    reference = PointRelation(points, increasing)
+    assert reference.sorted_relation == tuple(increasing)
+    for form, relation in forms.items():
+        built = PointRelation(points, relation)
+        assert _views(built) == _views(reference), form
+        assert all(type(p) is tuple for p in built.sorted_relation), form
 
 
 @pytest.mark.parametrize("name", ["int_metric", "weak_elements", "closure_rows", "images"])
@@ -530,12 +562,12 @@ def test_perturbed_closure_reports_planted_witness(n, seed, upward, both_orienta
 def test_spaces_maps_and_numbers_round_trip(five_point, clone):
     # A worker pool pickles its arguments; slots are rebuilt from the constructor, not set one by one.
     space, mapping = five_point
-    slots = PointRelation.__slots__ + FiniteSpace.__slots__
+    views = _RELATION_VIEWS + ("metric", "int_metric")
     expected = [check_contraction(kind, space, mapping, symmetric=s) for kind in ContractionKind for s in (False, True)]
     hypothesis_check(space, mapping)  # fills the memo kept on the map
     space2, mapping2 = clone(space), clone(mapping)
     assert type(space2) is FiniteSpace
-    assert [getattr(space2, name) for name in slots] == [getattr(space, name) for name in slots]
+    assert _views(space2, views) == _views(space, views)
     assert mapping2.images == mapping.images and mapping2._facts is None  # the memo is not carried over
     reports = [check_contraction(kind, space2, mapping2, symmetric=s) for kind in ContractionKind for s in (False, True)]
     assert reports == expected
@@ -544,9 +576,7 @@ def test_spaces_maps_and_numbers_round_trip(five_point, clone):
     relation = PointRelation(space.points, space.sorted_relation)
     relation2 = clone(relation)
     assert type(relation2) is PointRelation
-    assert [getattr(relation2, name) for name in PointRelation.__slots__] == [
-        getattr(space, name) for name in PointRelation.__slots__
-    ]
+    assert _views(relation2) == _views(space)
     assert classify_orthogonality(relation2) == classify_orthogonality(space)
     value = QuadExt(Fraction(1, 3), -2, 11)
     copied = clone(value)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from orthofix import InputError, load_space_file, parse_space_data, space_to_dict
+from orthofix import InputError, PointRelation, load_space_file, parse_space_data, space_to_dict
 from orthofix.corpus import five_point_example
 
 FIVE_POINT = {
@@ -48,6 +48,18 @@ def test_fractional_entries():
     space, mapping = parse_space_data(data)
     assert space.d(0, 1) == Fraction(1, 3)
     assert mapping is None
+
+
+def test_integral_entries_load_as_ints():
+    # An all-int metric is its own integer form; a string, "3/1" included, loads as a Fraction.
+    space, _ = parse_space_data(FIVE_POINT)
+    assert all(type(v) is int for row in space.metric for v in row)
+    assert space.int_metric is space.metric
+    metric = [[0, 2, "3/1"], [2, 0, "3/2"], ["3", "3/2", 0]]
+    mixed, _ = parse_space_data({"points": ["a", "b", "c"], "metric": metric, "relation": []})
+    assert [[type(v) for v in row] for row in mixed.metric] == [[int, int, Fraction], [int, int, Fraction], [Fraction, Fraction, int]]
+    assert mixed.metric == ((0, 2, 3), (2, 0, Fraction(3, 2)), (3, Fraction(3, 2), 0))
+    assert mixed.int_metric == ((0, 4, 6), (4, 0, 3), (6, 3, 0))
 
 
 def test_load_space_file(tmp_path):
@@ -189,3 +201,69 @@ def test_json_number_over_the_digit_limit_rejected(tmp_path):
 def test_missing_file():
     with pytest.raises(InputError, match="cannot read"):
         load_space_file("/nonexistent/nope.json")
+
+
+# One space whose every relation pair and metric entry is valid; a table plants one bad entry in it.
+_N = 6
+_VALID = {
+    "points": [str(i) for i in range(_N)],
+    "metric": [[abs(i - j) for j in range(_N)] for i in range(_N)],
+    "relation": [[i, j] for i in range(_N) for j in range(_N)],
+}
+_PLACES = {"first": 0, "middle": _N * _N // 2, "last": _N * _N - 1}
+
+# each rule a relation entry can break, with the message it has always raised
+_BAD_PAIRS = {
+    "not a pair": (5, "relation entry 5 is not an index pair; expected a pair of indices"),
+    "three items": ([0, 1, 2], "relation entry [0, 1, 2] is not an index pair; expected a pair of indices"),
+    "a bool": ([True, 0], "relation entry [True, 0] is not an index pair; expected a pair of indices"),
+    "a float": ([0, 1.0], "relation entry [0, 1.0] is not an index pair; expected a pair of indices"),
+    "a string index": (["0", 1], "relation entry ['0', 1] is not an index pair; expected a pair of indices"),
+    "negative": ([-1, 0], "relation pair (-1, 0) out of range for 6 points"),
+    "n or more": ([0, _N], "relation pair (0, 6) out of range for 6 points"),
+}
+
+# each rule a metric entry can break, with the message it has always raised after "metric entry (i, j): "
+_BAD_ENTRIES = {
+    "a bool": (True, "expected integer or 'p/q' string, got True"),
+    "a float": (1.5, "expected integer or 'p/q' string, got 1.5"),
+    "a list": ([1], "expected integer or 'p/q' string, got [1]"),
+    "a decimal": ("1.5", "malformed rational '1.5' (use an integer or 'p/q')"),
+    "a word": ("one", "malformed rational 'one' (use an integer or 'p/q')"),
+    "a zero denominator": ("1/0", "zero denominator in rational '1/0'"),
+}
+
+
+def _planted(key, place, bad, later):
+    """`_VALID` with `bad` at `place` among the row-major entries of `key`, and `later`, another bad entry, last."""
+    data = json.loads(json.dumps(_VALID))
+    pos = _PLACES[place]
+    for at, value in [(_N * _N - 1, later), (pos, bad)]:
+        if key == "relation":
+            data["relation"][at] = value
+        else:
+            data["metric"][at // _N][at % _N] = value
+    return data, divmod(pos, _N)
+
+
+@pytest.mark.parametrize("place", sorted(_PLACES))
+@pytest.mark.parametrize("rule", sorted(_BAD_PAIRS))
+def test_bad_relation_entry_is_named_as_it_always_was(rule, place):
+    bad, message = _BAD_PAIRS[rule]
+    data, _ = _planted("relation", place, bad, later=[_N, _N])
+    with pytest.raises(InputError) as raised:
+        parse_space_data(data)
+    assert str(raised.value) == message
+    with pytest.raises(InputError) as raised:
+        PointRelation(data["points"], iter(data["relation"]))
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("place", sorted(_PLACES))
+@pytest.mark.parametrize("rule", sorted(_BAD_ENTRIES))
+def test_bad_metric_entry_is_named_as_it_always_was(rule, place):
+    bad, message = _BAD_ENTRIES[rule]
+    data, (i, j) = _planted("metric", place, bad, later="bad")
+    with pytest.raises(InputError) as raised:
+        parse_space_data(data)
+    assert str(raised.value) == f"metric entry ({i}, {j}): {message}"
