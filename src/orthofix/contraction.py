@@ -274,7 +274,8 @@ def check_contraction(
 
     The scan reads the space's integer form.  `engine` forces the value
     domain: "scaled" (the integer form, the default) or "generic" (the exact
-    Fraction metric), which lets the two be cross-checked.
+    Fraction metric), which lets the two be cross-checked on a metric with a
+    Fraction entry (an all-int metric is its own integer form: one object).
     """
     kind = ContractionKind(kind)
     if engine not in (None, "scaled", "generic"):

@@ -7,12 +7,11 @@ exactly as given: it is not assumed reflexive, symmetric or transitive.
 Two points count as *orthogonally related* when either orientation is
 present.  The relation is held as one int bitmask per row (bit j of
 `relation_rows[i]` is set iff (i, j) is stored), and so is its symmetric
-closure (`closure_rows`).  Construction screens the entries in bulk (only a
-relation that fails the screen is walked entry by entry, to name the first
-bad entry) and builds the bit rows, the stored pairs in sorted order (the
-order scans and reports use: as given when strictly increasing, else read
-off the bit rows) and the weak orthogonal elements (the full closure rows).
-The frozenset `relation` and the sorted closure are built on first read.
+closure (`closure_rows`).  Construction screens the entries in bulk, walking
+them one by one only to name a bad entry, and builds the bit rows, the stored
+pairs in sorted order (read off the bit rows; scans and reports use it) and
+the weak orthogonal elements (the full closure rows).  The frozenset
+`relation` and the sorted closure are built on first read.
 
 A FiniteSpace is a PointRelation with an exact rational distance matrix.
 Each input rule has one definition: a distance entry is an exact rational
@@ -20,8 +19,7 @@ Each input rule has one definition: a distance entry is an exact rational
 int (`rational._is_index`), a relation entry a tuple or list of two indices,
 and a map has one image per point (`_check_map`); anything else raises
 InputError.  The metric also gets an *integer form* at construction: every
-entry multiplied by the lcm of the denominators (an all-int metric is its
-own: `int_metric is metric`).  Scaling by a positive
+entry multiplied by the lcm of the denominators.  Scaling by a positive
 constant preserves every order, sum and ratio comparison, so metric
 validation and the contraction scans run on plain ints; values are rendered
 from the exact metric.  Validation screens the triangle inequality with each
@@ -36,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import attrgetter, lt
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
@@ -140,20 +138,16 @@ class PointRelation:
                     raise InputError(f"relation pair ({i}, {j}) out of range for {n} points")
         out = [0] * n  # bit j of out[i]: (i, j) is stored
         col = [0] * n  # bit i of col[j]: (i, j) is stored
-        bit = [1 << j for j in range(n)]
         for i, j in pairs:
-            out[i] |= bit[j]
-            col[j] |= bit[i]
+            out[i] |= 1 << j
+            col[j] |= 1 << i
         both = list(map(int.__or__, out, col))  # bit j of both[i]: (i, j) or (j, i) is stored
-        pairs = list(map(tuple, pairs))
-        if not all(map(lt, pairs, pairs[1:])):  # not strictly increasing: read the sorted pairs off the bit rows
-            pairs = _pairs(out)
         full = (1 << n) - 1
         init = object.__setattr__
         init(self, "points", points)
         init(self, "relation_rows", tuple(out))
         init(self, "closure_rows", tuple(both))
-        init(self, "sorted_relation", tuple(pairs))
+        init(self, "sorted_relation", tuple(_pairs(out)))
         # related, in some direction that may vary with y, to every point y (itself included)
         init(self, "weak_elements", frozenset(i for i in range(n) if both[i] == full))
         init(self, "_relation", None)

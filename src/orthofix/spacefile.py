@@ -10,8 +10,7 @@
 Unknown keys are rejected, metric entries are parsed as exact rationals
 (decimals and numerals over `sys.get_int_max_str_digits` refused), and the
 metric axioms are validated on load so nothing downstream sees a non-metric.
-An integral JSON number loads as an int and a string as a Fraction.  Both
-are read in bulk; an entry loop runs only to name the first bad entry.
+An integral JSON number loads as an int and a string as a Fraction.
 """
 
 from __future__ import annotations
@@ -76,27 +75,33 @@ def parse_space_data(data: dict) -> tuple[FiniteSpace, SelfMap | None]:
 
 
 def _parse_metric(rows: list, n: int) -> list[list[int | Fraction]]:
-    """The metric's entries, an int as it is and a string parsed once per distinct value as a Fraction."""
+    """The metric's entries, an int as it is and a string parsed as a Fraction; equal entries share one value."""
     if all([isinstance(row, list) and len(row) == n for row in rows]):
         flat = list(chain.from_iterable(rows))
-        kinds = set(map(type, flat))
-        if kinds == {int}:
-            return rows
-        if kinds <= {int, str}:
+        if set(map(type, flat)) <= {int, str}:
             try:
                 shared = {e: e if e.__class__ is int else parse_rational(e) for e in set(flat)}
                 return [list(map(shared.__getitem__, row)) for row in rows]
             except InputError:
-                pass
+                pass  # the loop below names the first bad entry
+    # The type is part of the key, so True and 1.0 never reuse the value parsed for 1.
+    parsed: dict[tuple[type, object], int | Fraction] = {}
+    metric: list[list[int | Fraction]] = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise InputError(f"metric row {i} must have {n} entries")
+        values = []
         for j, entry in enumerate(row):
             try:
-                parse_rational(entry)
-            except InputError as exc:
-                raise InputError(f"metric entry ({i}, {j}): {exc}") from None
-    return [[e if e.__class__ is int else parse_rational(e) for e in row] for row in rows]  # e.g. Fraction objects
+                value = parsed[type(entry), entry]
+            except (KeyError, TypeError):  # TypeError: unhashable, so never a rational
+                try:
+                    value = parsed[type(entry), entry] = entry if entry.__class__ is int else parse_rational(entry)
+                except InputError as exc:
+                    raise InputError(f"metric entry ({i}, {j}): {exc}") from None
+            values.append(value)
+        metric.append(values)
+    return metric
 
 
 def load_space_file(path: str | Path) -> tuple[FiniteSpace, SelfMap | None]:

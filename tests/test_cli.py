@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from orthofix.cli import _parser, main
+from orthofix.contraction import ContractionKind, check_contraction
 from orthofix.corpus import five_point_example
 from orthofix.oracle import _shortest_path_metric
 from orthofix.space import SelfMap
@@ -55,8 +56,9 @@ def test_verify_byte_identical_reruns(runner, five_point_file):
 
 
 def test_verify_reads_a_shuffled_relation_and_string_entries_alike(runner, tmp_path, monkeypatch):
-    # A generated file (int entries, sorted relation) is read in bulk; the same space with its relation
-    # shuffled and every entry written "p/1" takes the general paths.  The reports must not differ.
+    # A generated file has int entries and a sorted relation; the same space with its relation shuffled
+    # and every entry written "p/1" loads Fractions and a separate integer form.  The reports must not
+    # differ, and on the Fraction load the two contraction engines run different arithmetic and agree.
     rng = random.Random(64)
     n = 64
     metric = _shortest_path_metric(n, rng, 1, 50)
@@ -70,6 +72,10 @@ def test_verify_reads_a_shuffled_relation_and_string_entries_alike(runner, tmp_p
         monkeypatch.chdir(tmp_path / name)
         space, _ = load_space_file("dense.json")
         assert (space.int_metric is space.metric) == (name == "ints")
+        for kind in ContractionKind:
+            for symmetric in (False, True):
+                engines = {check_contraction(kind, space, SelfMap(form["map"], n), symmetric=symmetric, engine=e) for e in ("scaled", "generic")}
+                assert len(engines) == 1, (kind, symmetric)
         outputs.append(runner.invoke(main, ["verify", "--json", "dense.json"]))
     assert json.loads(outputs[0].stdout)["command"] == "verify" and not outputs[0].stderr
     assert outputs[0][:4] == outputs[1][:4]  # the exit code and every byte written

@@ -195,7 +195,7 @@ def test_relation_views_match_their_definitions(case, seed):
 
 @given(_relations(), st.integers(0, 2**32))
 def test_relation_in_any_form_builds_the_same_views(case, seed):
-    # Strictly increasing pairs are taken as the sorted relation; any other form is read off the bit rows.
+    # The relation is taken as any iterable of pairs, lists or tuples, in any order and with repeats.
     n, pairs = case
     points = [str(i) for i in range(n)]
     rng = random.Random(seed)

@@ -60,6 +60,12 @@ def test_integral_entries_load_as_ints():
     assert [[type(v) for v in row] for row in mixed.metric] == [[int, int, Fraction], [int, int, Fraction], [Fraction, Fraction, int]]
     assert mixed.metric == ((0, 2, 3), (2, 0, Fraction(3, 2)), (3, Fraction(3, 2), 0))
     assert mixed.int_metric == ((0, 4, 6), (4, 0, 3), (6, 3, 0))
+    # Decoded data may hold Fraction objects: the entry loop keeps ints as they are and shares equal entries.
+    metric = [[0, 2, Fraction(3)], [2, 0, Fraction(3, 2)], [Fraction(6, 2), Fraction(3, 2), 0]]
+    objects, _ = parse_space_data({"points": ["a", "b", "c"], "metric": metric, "relation": []})
+    assert [[type(v) for v in row] for row in objects.metric] == [[int, int, Fraction], [int, int, Fraction], [Fraction, Fraction, int]]
+    assert objects.metric[2][0] is objects.metric[0][2] and objects.metric[2][1] is objects.metric[1][2]
+    assert objects.int_metric == mixed.int_metric
 
 
 def test_load_space_file(tmp_path):
