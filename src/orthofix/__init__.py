@@ -9,7 +9,7 @@ theorem audit, and a corpus of desk-checkable worked examples.
 
 The relation facts (labels, the relation, its closure, the weak elements)
 live on a `PointRelation`; a `FiniteSpace` is one with an exact rational
-metric.  Metric validation and the one contraction scan loop read that
+metric.  Metric validation and the contraction scan kernels read that
 metric's integer form, built once per space; only the analytic samples'
 value-domain scans read exact scalars.  Every result record but the
 Picard trace gets its JSON form from one function, `records.to_dict`.

@@ -9,8 +9,9 @@ rational past the interpreter's digit limit (`rational._past_digit_limit`)
 is an input error, and nothing of it is written.  An integer option takes
 ASCII digits after an optional "-" only.  The choices the options offer
 come from `kinds`; every other module is imported by the commands that
-run it, so `--help`, `--version` and `corpus --list` compile none of them,
-and no command compiles code it does not run.
+run it, so `--help`, `--version` and `corpus --list` compile none of them.
+A command compiles every module it imports whole, code it does not run
+included, and the contraction scans compile their kernels as they run.
 """
 
 from __future__ import annotations

@@ -22,12 +22,13 @@ the condition.  `symmetric=True` scans both orientations of every related
 pair, which is the stronger reading the convergence certificates in the
 solver rely on; it can only raise the constant.
 
-One loop (`_walk`) serves every caller, in one pass per request.  It walks
-one ordered pair sequence and, for each pair, writes the term table once --
-d(Tx,Ty), d(x,y), d(x,Tx), d(y,Ty), d(x,Ty), d(Tx,y), d(y,Tx) and the T2x
-terms -- and from it every functional.  Ciric and generalized are held
-doubled (2 * M(x, y)), so that their half-sum terms stay exact in each value
-domain the loop reads:
+Every caller goes through `_walk`, one pass per request, which runs the
+scan kernel of the request's slots: generated from one template and
+compiled once per process (`_kernel`).  For each pair a kernel writes only
+the terms its functionals read -- d(Tx,Ty), d(x,y), d(x,Tx), d(y,Ty),
+d(x,Ty), d(Tx,y), d(y,Tx) and the T2x terms -- those of x once per x.
+Ciric and generalized are held doubled (2 * M(x, y)), so that their
+half-sum terms stay exact in each value domain the template reads:
 
 * the space's integer form (the metric scaled by the lcm of its
   denominators) -- plain arbitrary-precision ints, so no size limit;
@@ -39,17 +40,16 @@ Each requested report is a *slot* of the pass; the reports come back in
 the order requested.  The pair sets are nested: the stored relation
 (sorted) is a subsequence of the sorted closure, which is a subsequence of
 every ordered pair in lexicographic order.  A pass walks the largest set
-its slots need -- every ordered pair (generated, never a list of n^2
-pairs), the closure, or the relation -- and when its slots need more than
-one set it tests each pair's membership in the smaller ones with the
-space's bit rows (`closure_rows`, `relation_rows`).  A slot keeps the walk
-position of its best pair and of its first infeasible pair, and the report
-reads the pair back at that position (`divmod(pos, n)` on every pair).  The
-walk order restricted to a slot's set is that set's own sorted order, so
-the first pair, each witness and the count are those of a scan of the set
-alone.  Ratios are compared by cross-multiplication with the denominator
-made positive, so a negative entry of an out-of-contract matrix is ranked
-by its true ratio.
+its slots need -- every ordered pair (nested ranges, never a list of n^2
+pairs), the closure, or the relation -- and enters each smaller set, nested
+in the larger, through the space's bit rows (`closure_rows`,
+`relation_rows`).  A slot keeps the walk position of its best pair and of
+its first infeasible pair, and the report reads the pair back at that
+position.  The walk order restricted to a slot's set is that set's own
+sorted order, so the first pair, each witness and the count are those of a
+scan of the set alone.  Ratios are compared by cross-multiplication with
+the denominator made positive, so a negative entry of an out-of-contract
+matrix is ranked by its true ratio.
 
 The facts of one map on a space -- preservation and every report scanned so
 far -- are kept on the map, so that `verify`, the hypothesis check, Picard
@@ -65,7 +65,6 @@ nothing: it always scans.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InputError
@@ -109,14 +108,9 @@ _EVERY, _CLOSURE, _RELATION = 0, 1, 2
 
 # (kind, symmetric) -> the initial slot of its report (see `_walk`), with the kind at the end
 _SLOT = {
-    (kind, symmetric): (
-        _KIND_ID[kind],
-        _EVERY if kind is ContractionKind.UNRESTRICTED_LIPSCHITZ else _CLOSURE if symmetric else _RELATION,
-        0, 0, -1, -1,
-        kind,
-    )
-    for kind in ContractionKind
-    for symmetric in (False, True)
+    (kind, sym): (_KIND_ID[kind], _EVERY if kind is ContractionKind.UNRESTRICTED_LIPSCHITZ else _CLOSURE if sym else _RELATION,
+                  -1, 0, -1, -1, kind)
+    for kind in ContractionKind for sym in (False, True)
 }
 
 
@@ -133,76 +127,104 @@ class ContractionReport(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# the scan loop
+# the scan kernels
 # ---------------------------------------------------------------------------
 
-def _walk(pairs: Iterable[tuple[int, int]], m, t, slots: list[list], closure_rows=None, relation_rows=None) -> tuple:
-    """One pass over `pairs`, read from matrix `m` and image table `t`, filling every slot.
+# The kernels' term table, each term after those it reads: name -> (read once per x, the names it reads,
+# its code).  k0 .. k4 are the functionals by id, at their `_SCALE`; row1, row2 x's closure, relation bits.
+_TERMS = {
+    "tx": (True, (), "tx = t[x]"),
+    "mx": (True, (), "mx = m[x]"),
+    "mtx": (True, ("tx",), "mtx = m[tx]"),
+    "dxtx": (True, ("mx", "tx"), "dxtx = mx[tx]"),
+    "mt": (True, ("tx",), "mt = m[t[tx]]"),
+    "gtx": (True, ("mt", "tx"), "gtx = mt[tx]"),
+    "gx": (True, ("mt",), "gx = mt[x]"),
+    "row1": (True, (), "row1 = rows[0][x]"),
+    "row2": (True, (), "row2 = rows[1][x]"),
+    "ty": (False, (), "ty = t[y]"),
+    "num": (False, ("mtx", "ty"), "num = mtx[ty]"),
+    "my": (False, (), "my = m[y]"),
+    "dyty": (False, ("my", "ty"), "dyty = my[ty]"),
+    "dxty": (False, ("mx", "ty"), "dxty = mx[ty]"),
+    "k0": (False, ("mx",), "k0 = mx[y]"),
+    "k1": (False, ("k0", "dxtx", "dyty", "dxty", "mtx"),
+           "k1 = k0\nif dxtx > k1: k1 = dxtx\nif dyty > k1: k1 = dyty\nk1 *= 2\nh = dxty + mtx[y]\nif h > k1: k1 = h"),
+    "k2": (False, ("dxtx", "dyty"), "k2 = dxtx + dyty"),
+    "k3": (False, ("dxty", "my", "tx"), "k3 = dxty + my[tx]"),
+    "k4": (False, ("k1", "gtx", "gx", "mt", "ty"),
+           "k4 = gtx\ng = mt[y]\nif g > k4: k4 = g\ng = mt[ty]\nif g > k4: k4 = g\n"
+           "k4 *= 2\nif k1 > k4: k4 = k1\nh = gx + g\nif h > k4: k4 = h"),
+}
+# slot i's update by functional f at walk position pos: ratios cross-multiplied, a negative denominator made positive
+_UPDATE = ("if k{f} > 0:\n    if num * den{i} > num{i} * k{f}: num{i}, den{i}, best{i} = num, k{f}, {pos}\n"
+           "elif k{f} == 0:\n    if num > 0 and bad{i} < 0: bad{i} = {pos}\n"
+           "elif den{i} * num < num{i} * k{f}: num{i}, den{i}, best{i} = -num, -k{f}, {pos}")
+# the walk of a list of pairs (the terms of x read when x changes) and of every ordered pair (nested ranges)
+_HEAD = ("px = None\nfor pos, (x, y) in enumerate(pairs):\n    if x != px:\n        px = x",
+         "n = len(m)\nfor x in range(n):\n    base = x * n")
+_KERNELS: dict = {}  # (every pair?, ((functional id, set), ...) per slot) -> its compiled kernel
 
-    A slot is [functional id, pair set, num, den, best_pos, inf_pos, kind]
-    (see `_SLOT`): the best ratio num / den so far (den > 0, the functional
-    at its `_SCALE`), the walk position of its pair (-1 while no pair has a
-    nonzero denominator) and of the first pair with zero denominator that
-    moves (-1 if none).  Without bit rows every slot takes every walked
-    pair; with them a slot takes the pairs of its own set.  Returns the last
-    pair's functionals, at their `_SCALE`, indexed by functional id.
+
+def _kernel(every: bool, config: tuple[tuple[int, int], ...]) -> Callable:
+    """Generate and compile the scan kernel of one slot configuration, kept in `_KERNELS` for the process.
+
+    `kernel(pairs, m, t, rows, slots)` walks every ordered pair of `m`'s points when `every`, else `pairs`,
+    and writes each slot's result into it.  Slot i lives in locals from (num, den, best, bad) = (-1, 0, -1,
+    -1): the first positive denominator beats -1/0, as does the first negative one in the flipped test.  A
+    set above the walked one is entered through x's bit row, nested in the larger set, and each term is
+    written in the outermost block that reads it.  The source holds only functional ids and set levels.
     """
-    active, full = slots, any([s[0] for s in slots])
-    if closure_rows is not None:
-        on_every = [s for s in slots if s[1] == _EVERY]
-        on_closure = [s for s in slots if s[1] <= _CLOSURE]
-        wide = [any(s[0] for s in group) for group in (on_every, on_closure, slots)]
-    dens: tuple = ()
-    for pos, (x, y) in enumerate(pairs):
-        if closure_rows is not None:
-            if not closure_rows[x] >> y & 1:
-                active, full = on_every, wide[0]
-            elif relation_rows[x] >> y & 1:  # the relation lies inside the closure: every slot
-                active, full = slots, wide[2]
-            else:
-                active, full = on_closure, wide[1]
-        tx, ty = t[x], t[y]
-        mx, mtx = m[x], m[tx]
-        num = mtx[ty]
-        dxy = mx[y]
-        if full:
-            my = m[y]
-            dxtx, dyty, dxty, dytx = mx[tx], my[ty], mx[ty], my[tx]
-            ciric = dxy
-            if dxtx > ciric:
-                ciric = dxtx
-            if dyty > ciric:
-                ciric = dyty
-            ciric *= 2
-            half = dxty + mtx[y]
-            if half > ciric:
-                ciric = half
-            mt = m[t[tx]]
-            gen = mt[tx]
-            if mt[y] > gen:
-                gen = mt[y]
-            if mt[ty] > gen:
-                gen = mt[ty]
-            gen *= 2
-            if ciric > gen:
-                gen = ciric
-            half = mt[x] + mt[ty]
-            if half > gen:
-                gen = half
-            dens = (dxy, ciric, dxtx + dyty, dxty + dytx, gen)
-        else:
-            dens = (dxy,)
-        for s in active:
-            den = dens[s[0]]
-            if den > 0:
-                if num * s[3] > s[2] * den or s[4] < 0:
-                    s[2], s[3], s[4] = num, den, pos
-            elif den == 0:
-                if num > 0 and s[5] < 0:
-                    s[5] = pos
-            elif s[3] * num < s[2] * den or s[4] < 0:  # -num / -den, with -den > 0
-                s[2], s[3], s[4] = -num, -den, pos
-    return dens
+    levels = sorted({level for _, level in config})
+    wanted = [{"num", "mx", *(f"k{f}" for f, level in config if level == lv)} for lv in levels]
+    for needed in wanted:
+        for name in reversed(_TERMS):
+            if name in needed:
+                needed.update(_TERMS[name][1])
+    hoisted = set().union(*wanted, (f"row{lv}" for lv in levels[1:]))
+    done = {"ty", "k0"} if every else set()  # the every-pair walk reads them off its zip
+    pos = "base + y" if every else "pos"
+    lines = [(1, f"num{i}, den{i}, best{i}, bad{i} = -1, 0, -1, -1") for i in range(len(config))]
+    lines.append((1, "k0 = k1 = k2 = k3 = k4 = None\n" + _HEAD[every]))
+    lines += [(3 - every, code) for name, (per_x, _, code) in _TERMS.items() if per_x and name in hoisted]
+    lines += [(2, "for y, ty, k0 in zip(range(n), t, mx):")] * every
+    for depth, (lv, needed) in enumerate(zip(levels, wanted), start=2 + every):
+        if depth > 2 + every:
+            lines.append((depth - 1, f"if row{lv} >> y & 1:"))
+        lines += [(depth, code) for name, (per_x, _, code) in _TERMS.items() if not per_x and name in needed - done]
+        done |= needed
+        lines += [(depth, _UPDATE.format(f=f, i=i, pos=pos)) for i, (f, level) in enumerate(config) if level == lv]
+    lines += [(1, f"slots[{i}][2:6] = num{i}, den{i}, best{i}, bad{i}") for i in range(len(config))]
+    lines.append((1, "return k0, k1, k2, k3, k4"))
+    body = "".join("    " * depth + row + "\n" for depth, code in lines for row in code.split("\n"))
+    source = "def kernel(pairs, m, t, rows, slots):\n" + body
+    name = f"<orthofix scan kernel {'every' if every else 'list'} {' '.join(f'{f}@{lv}' for f, lv in config)}>"
+    exec(compile(source, name, "exec"), namespace := {})
+    kernel = _KERNELS[every, config] = namespace["kernel"]
+    kernel.lines = (len(source), None, source.splitlines(True), name)  # its `linecache` entry, see `_walk`
+    return kernel
+
+
+def _walk(pairs: Iterable[tuple[int, int]] | None, m, t, slots: list[list], *rows) -> tuple:
+    """One pass over `pairs` (every ordered pair of `m`'s points when None), read from matrix `m` and
+    image table `t`, filling every slot through the kernel of the slots' configuration.
+
+    A slot is [functional id, pair set, num, den, best_pos, inf_pos, kind] (see `_SLOT`): the best
+    ratio num / den (den > 0, the functional at its `_SCALE`) and the walk position of its pair (-1 / 0
+    at -1 if no pair has a nonzero denominator), and that of the first pair with zero denominator that
+    moves (-1 if none).  Without bit rows (`closure_rows`, `relation_rows`) every slot takes every
+    walked pair, and the result is the last pair's functionals by id, at their `_SCALE` (None for those
+    no slot reads).
+    """
+    key = (pairs is None, tuple((s[0], s[1] if rows else 0) for s in slots))
+    kernel = _KERNELS.get(key) or _kernel(*key)
+    try:
+        return kernel(pairs, m, t, rows, slots)
+    except BaseException:  # show the generated lines in the traceback; linecache would cost every start ~1 ms
+        import linecache
+
+        linecache.cache[kernel.__code__.co_filename] = kernel.lines
+        raise
 
 
 def _ratio(num, den) -> Scalar:
@@ -237,15 +259,12 @@ def _pass(space: FiniteSpace, m, images, keys: Sequence[tuple[ContractionKind, b
     sets = [slot[1] for slot in slots]
     n, walked = space.n, min(sets)
     if walked == _EVERY:
-        pairs: Iterable = product(range(n), repeat=2)
-        pair_at = lambda pos: divmod(pos, n)  # noqa: E731
+        pairs, pair_at = None, lambda pos: divmod(pos, n)
     else:
         pairs = space.sorted_closure if walked == _CLOSURE else space.sorted_relation
         pair_at = pairs.__getitem__
-    if max(sets) == walked:
-        _walk(pairs, m, images, slots)
-    else:
-        _walk(pairs, m, images, slots, space.closure_rows, space.relation_rows)
+    rows = (space.closure_rows, space.relation_rows) if max(sets) > walked else ()
+    _walk(pairs, m, images, slots, *rows)
     sizes = (n * n, sum(map(int.bit_count, space.closure_rows)), len(space.sorted_relation))
     return [_report(slot, pair_at, sizes[slot[1]]) for slot in slots]
 
@@ -296,7 +315,7 @@ def scan_value_pairs(
     `pairs` are ordered pairs of hashable point values, `dist` an exact
     metric on values and `apply_map` the map evaluator; images need not
     belong to the scanned sample.  The values, their images and their
-    images' images are indexed, and the same loop walks their distance
+    images' images are indexed, and a kernel of the same template walks their distance
     matrix, in the order of `pairs`.  Same report semantics as
     check_contraction.
     """

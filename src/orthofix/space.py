@@ -271,16 +271,20 @@ class SelfMap:
 
 def _triangle_screen(m: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
     """The sorted pairs (i, j), i != j, whose lane loses its guard bit in the packed test of `validate_metric`."""
-    n = len(m)
-    bits = max(map(abs, chain.from_iterable(m))).bit_length()
-    width, offset = bits + 3, 1 << bits
-    packed = []
-    for row in m:
-        lanes = 0
-        for entry in reversed(row):
-            lanes = lanes << width | entry + offset
-        packed.append(lanes)
+    n, low = len(m), min(map(min, m))
+    bits = max(-low, max(map(max, m))).bit_length()
+    byte_lanes = low >= 0 and bits <= 5  # each row is then one from_bytes, and its offsets one add
+    width, offset = (8 if byte_lanes else bits + 3), 1 << bits
     ones = ((1 << width * n) - 1) // ((1 << width) - 1)
+    if byte_lanes:
+        packed = [int.from_bytes(bytes(row), "little") + offset * ones for row in m]
+    else:
+        packed = []
+        for row in m:
+            lanes = 0
+            for entry in reversed(row):
+                lanes = lanes << width | entry + offset
+            packed.append(lanes)
     guards = ones << (width - 1)
     flagged = []
     for i, row in enumerate(m):
@@ -311,32 +315,32 @@ def validate_metric(space: FiniteSpace) -> ValidationReport:
     order -- so the violations and their order are those of the full loop.
     On an integer form m the screen (`_triangle_screen`) packs row k into
     one int P_k, entry j in lane j, each entry raised by offset = 2^b, where
-    b is the bit length of the largest |entry|; a lane has b + 3 bits, and
-    its top bit is its guard.  For each i it ANDs, over all k,
-    P_k + (G - P_i) + m[i][k] * ONES, where G holds every guard bit and ONES
-    a 1 in every lane.  The offsets cancel, so lane j holds
+    b is the bit length of the largest |entry|; a lane has b + 3 bits, or
+    one byte when they fit and no entry is negative (a row is then one
+    `int.from_bytes`), and its top bit is its guard.  For each i it ANDs,
+    over all k, P_k + (G - P_i) + m[i][k] * ONES, where G holds every guard
+    bit and ONES a 1 in every lane.  The offsets cancel, so lane j holds
     guard + m[i][k] + m[k][j] - m[i][j], and no lane borrows from or carries
-    into its neighbour: with every |entry| < offset and guard = 4 * offset,
-    a lane of G - P_i lies in [2 * offset, guard], adding P_k keeps it in
-    [2 * offset, 6 * offset], and adding m[i][k] in (offset, 7 * offset),
-    inside the 8 * offset values a lane holds.  Whatever the signs of the
-    entries, and with or without symmetry, lane j keeps its guard bit
-    exactly when m[i][k] + m[k][j] >= m[i][j] for every k.  The terms k = i
-    and k = j fail only on a negative diagonal entry, and lane j = i is
+    into its neighbour: with every |entry| < offset and guard >= 4 * offset,
+    a lane of G - P_i lies in [guard - 2 * offset, guard], adding P_k and
+    then m[i][k] keeps it within 3 * offset of guard, inside the 2 * guard
+    values a lane holds.  Whatever the signs of the entries, and with or
+    without symmetry, lane j keeps its guard bit exactly when
+    m[i][k] + m[k][j] >= m[i][j] for every k.  The terms k = i and k = j
+    fail only on a negative diagonal entry, and lane j = i is
     skipped, so the exact loop decides each flagged pair.
     """
     exact, m = space.metric, space.int_metric
     n = space.n
-    violations: list[Violation] = []
-    for i in range(n):
-        if m[i][i] != 0:
-            violations.append(Violation("diagonal", (i,), (_shown(exact[i][i]),)))
-    for i in range(n):
-        for j in range(n):
-            if i < j and m[i][j] != m[j][i]:
-                violations.append(Violation("symmetry", (i, j), (_shown(exact[i][j]), _shown(exact[j][i]))))
-            if i != j and m[i][j] <= 0:
-                violations.append(Violation("positivity", (i, j), (_shown(exact[i][j]),)))
+    violations = [Violation("diagonal", (i,), (_shown(exact[i][i]),)) for i in range(n) if m[i][i] != 0]
+    # symmetric, nothing negative and the diagonal the only zeros: no pair can fail, so only a failing screen loops
+    if violations or m != tuple(zip(*m)) or min(map(min, m)) < 0 or sum(row.count(0) for row in m) != n:
+        for i in range(n):
+            for j in range(n):
+                if i < j and m[i][j] != m[j][i]:
+                    violations.append(Violation("symmetry", (i, j), (_shown(exact[i][j]), _shown(exact[j][i]))))
+                if i != j and m[i][j] <= 0:
+                    violations.append(Violation("positivity", (i, j), (_shown(exact[i][j]),)))
     for i, j in _triangle_screen(m):
         for k in range(n):
             if k == i or k == j:

@@ -1,7 +1,8 @@
 """A map keeps its facts on a space: each derived fact is computed once and reused.
 
-The counts below are the contract.  `scan_calls` lists, for each pass of the
-scan loop (`contraction._walk`), the number of reports it fills.  `verify`
+The counts below are the contract.  `scan_calls` lists, for each pass of a
+scan kernel (through their one entry point, `contraction._walk`), the number
+of reports it fills.  `verify`
 fills its 7 reports (six oriented kinds and the certified symmetric one) in
 1 pass; the hierarchy check fills its five oriented kinds in 1 pass; the
 audit reuses the filter's symmetric scan for the hypothesis check and for
@@ -45,7 +46,7 @@ FIVE_POINT = str(Path(__file__).resolve().parent.parent / "data" / "five_point.j
 
 @pytest.fixture
 def scan_calls(monkeypatch):
-    calls = []  # the number of reports each pass of the scan loop fills
+    calls = []  # the number of reports each pass of a scan kernel fills
     walk = contraction._walk
 
     def counted(pairs, m, t, slots, *rows):

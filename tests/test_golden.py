@@ -19,41 +19,15 @@ alters a default report on purpose regenerates the file, for example
 
     PYTHONPATH=src python -m orthofix.cli corpus --json > tests/golden/corpus.json
 
-and says why in CHANGES.md.
+and says why in CHANGES.md.  The cases live in `golden_cases.py`, which
+`run_goldens.py` also reads to run them under other interpreters.
 """
-
-from pathlib import Path
 
 import pytest
 
 from orthofix.cli import main
 from cli_runner import CliRunner
-
-ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "tests" / "golden"
-
-CASES = [
-    ("verify_five_point.json", ["verify", "--json", "data/five_point.json"], 0),
-    ("verify_preservation_violations.json", ["verify", "--json", "data/preservation_violations.json"], 1),
-    ("verify_infeasible.json", ["verify", "--json", "data/infeasible.json"], 1),
-    ("verify_infeasible.txt", ["verify", "data/infeasible.json"], 1),
-    ("estimate_k_kannan_infeasible.json", ["estimate-k", "--kind", "kannan", "--json", "data/infeasible.json"], 1),
-    ("estimate_k_kannan_infeasible.txt", ["estimate-k", "--kind", "kannan", "data/infeasible.json"], 1),
-    ("solve_five_point.json", ["solve", "--start", "0", "--json", "data/five_point.json"], 0),
-    (
-        "solve_five_point_any_start.json",
-        ["solve", "--start", "4", "--allow-any-start", "--k", "1/2", "--json", "data/five_point.json"],
-        0,
-    ),
-    ("corpus.json", ["corpus", "--json"], 0),
-    ("audit_50_seed0.json", ["audit", "--trials", "50", "--seed", "0", "--json"], 0),
-    ("audit_500_seed42.json", ["audit", "--trials", "500", "--seed", "42", "--json"], 0),
-    (
-        "audit_200_seed5_maxpts32.json",
-        ["audit", "--trials", "200", "--seed", "5", "--max-points", "32", "--density", "1/3", "--json"],
-        0,
-    ),
-]
+from golden_cases import CASES, GOLDEN, ROOT
 
 
 @pytest.mark.parametrize("name, args, exit_code", CASES, ids=[name for name, _, _ in CASES])
