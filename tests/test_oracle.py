@@ -85,6 +85,48 @@ def test_generate_map_returns_accepted_candidate():
     assert hypothesis_check(space, mapping).all_hold
 
 
+def _generate_space_reference(params, rng):
+    """The generator written plainly: one `randrange` per draw and the textbook triple-loop closure.
+
+    Returns the metric as a list of rows and the relation as a set of pairs.
+    """
+    n = 2 + rng.randrange(params.max_points - 1)
+    lo, hi = params.weight_range
+    w = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i][j] = w[j][i] = rng.randrange(lo, hi + 1)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                w[i][j] = min(w[i][j], w[i][k] + w[k][j])
+    num, den = params.relation_density.as_integer_ratio()
+    relation = set()
+    for i in range(n):
+        for j in range(n):
+            if rng.randrange(den) < num:
+                relation.add((i, j))
+    x0 = rng.randrange(n)
+    for y in range(n):
+        if (x0, y) not in relation and (y, x0) not in relation:
+            relation.add((x0, y) if rng.getrandbits(1) else (y, x0))
+    return w, relation
+
+
+@pytest.mark.parametrize("max_points", [2, 8, 32])
+@pytest.mark.parametrize("density", [Fraction(0), Fraction(1, 4), Fraction(1)], ids=str)
+def test_generator_draws_the_reference_stream(max_points, density):
+    # The same metric, the same relation, and the stream left at the same state.
+    for seed in range(33):
+        params = GenParams(seed=seed, max_points=max_points, relation_density=density)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        space = generate_space(params, ours)
+        metric, relation = _generate_space_reference(params, theirs)
+        assert [list(row) for row in space.metric] == metric, seed
+        assert list(space.sorted_relation) == sorted(relation), seed
+        assert ours.getstate() == theirs.getstate(), seed
+
+
 def _sample_map_reference(params, space, rng):
     """The sampler as it was before its preservation prescreen: every candidate built and judged as a map.
 
