@@ -103,6 +103,9 @@ _ORIENTED = (
 # are doubled, so that their half-sum terms stay exact
 _SCALE = (1, 2, 1, 1, 2)
 
+# each kind's admissible bound k < p / q as (p, q)
+_BOUND = {kind: kind.k_bound.as_integer_ratio() for kind in ContractionKind}
+
 # the pair sets, largest first: every ordered pair, the symmetric closure, the stored relation
 _EVERY, _CLOSURE, _RELATION = 0, 1, 2
 
@@ -234,21 +237,27 @@ def _ratio(num, den) -> Scalar:
 
 def _report(slot: list, pair_at: Callable[[int], tuple], count: int) -> ContractionReport:
     """Build the report from a slot filled by `_walk`; `pair_at` maps a walk position to its pair."""
-    _, _, num, den, best_pos, inf_pos, kind = slot
+    fid, _, num, den, best_pos, inf_pos, kind = slot
     feasible = inf_pos < 0
     if not feasible:
-        minimal_k = None
+        minimal_k, admissible = None, False
     elif best_pos < 0:
-        minimal_k = Fraction(0)
+        minimal_k, admissible = Fraction(0), True
     else:
-        minimal_k = _ratio(_SCALE[slot[0]] * num, den)
+        num *= _SCALE[fid]
+        minimal_k = _ratio(num, den)
+        if isinstance(num, int):  # num / den < p / q, decided on ints (den > 0)
+            p, q = _BOUND[kind]
+            admissible = num * q < p * den
+        else:
+            admissible = minimal_k < kind.k_bound
     return ContractionReport(
         kind=kind,
         feasible=feasible,
         minimal_k=minimal_k,
         witness_max=tuple(pair_at(best_pos)) if best_pos >= 0 else None,
         infeasible_witness=tuple(pair_at(inf_pos)) if inf_pos >= 0 else None,
-        admissible=feasible and minimal_k < kind.k_bound,
+        admissible=admissible,
         pairs_scanned=count,
     )
 
@@ -419,10 +428,11 @@ def hierarchy_check(space: FiniteSpace, mapping: SelfMap) -> tuple[HierarchyVerd
     def implication(name: str, premise: ContractionReport, conclusion: ContractionReport, factor: int) -> HierarchyVerdict:
         if not premise.admissible:
             return HierarchyVerdict(name, True, None, "premise not admissible; implication vacuous")
+        k, kp = conclusion.minimal_k, premise.minimal_k  # Fractions, as every kept report reads ints
         ok = (
             conclusion.feasible
-            and conclusion.minimal_k is not None
-            and conclusion.minimal_k <= factor * premise.minimal_k
+            and k is not None
+            and k.numerator * kp.denominator <= factor * kp.numerator * k.denominator
         )
         return HierarchyVerdict(
             name,

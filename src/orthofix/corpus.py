@@ -16,11 +16,13 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .contraction import (
+    _ORIENTED,
     ContractionKind,
     hierarchy_check,
     m_value,
     preservation,
     report,
+    reports,
     scan_value_pairs,
 )
 from .errors import InputError
@@ -127,7 +129,8 @@ def _case_five_point(rec: _Recorder) -> str:
     rec.check("M(3,4)", Fraction(4), m_value(ContractionKind.GENERALIZED_PERP, space, mapping, 3, 4), "stated")
     rec.check("M(0,4)", Fraction(4), m_value(ContractionKind.GENERALIZED_PERP, space, mapping, 0, 4), "derived")
 
-    gen = report(ContractionKind.GENERALIZED_PERP, space, mapping)
+    # the five oriented kinds in one pass, the hierarchy check's (see `hierarchy_check`)
+    ban, _, _, _, gen = reports(space, mapping, [(kind, False) for kind in _ORIENTED])
     rec.check("generalized minimal k", Fraction(1, 2), gen.minimal_k, "derived")
     rec.check_true("generalized admissible", gen.admissible, "derived")
     rec.check("generalized max-ratio witness", (0, 2), gen.witness_max, "derived")
@@ -136,7 +139,6 @@ def _case_five_point(rec: _Recorder) -> str:
     rec.check("orientation-complete minimal k", Fraction(2, 3), gen_sym.minimal_k, "derived")
     rec.check("orientation-complete witness", (4, 3), gen_sym.witness_max, "derived")
 
-    ban = report(ContractionKind.BANACH_PERP, space, mapping)
     rec.check("banach minimal k", Fraction(2), ban.minimal_k, "derived")
     rec.check("banach admissible", False, ban.admissible, "stated")
     rec.check("banach max-ratio witness", (3, 4), ban.witness_max, "stated")

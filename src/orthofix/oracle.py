@@ -20,9 +20,12 @@ inequality re-checked here in exact arithmetic, independently of the
 solver's own runtime certificates.  Any discrepancy is recorded with full
 reproduction data.
 
-Randomness comes from ``random.Random`` (MT19937) through getrandbits only
-(see `_below`), so instance streams depend on MT19937's output alone and
-are stable across platforms, Python versions and runs for a given seed.
+Randomness comes from ``random.Random`` (MT19937) through getrandbits only:
+a draw below n is the rejection loop of CPython's ``randrange(n)``, which
+`_below` runs for a single draw and the edge weights, the relation and the
+candidate images run inline, one loop per entry and no call.  So instance
+streams depend on MT19937's output alone and are stable across platforms,
+Python versions and runs for a given seed.
 
 Each trial is a pure function of its seed, drawn from the master stream,
 and reports one record (`_Trial`).  The audit draws its seeds in batches,
@@ -40,7 +43,6 @@ import pickle
 import random
 import signal
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import BinaryIO, NamedTuple
 
@@ -55,10 +57,8 @@ from .space import FiniteSpace, SelfMap, validate_metric
 from .spacefile import space_to_dict
 
 
-@dataclass(frozen=True)
-class GenParams:
-    """Deterministic instance-generation parameters (identical params, identical stream)."""
-
+class _GenFields(NamedTuple):
+    # GenParams's fields and defaults; a NamedTuple may not define `__new__`, so its checks live on the subclass
     seed: int = 0
     trials: int = 500
     max_points: int = 8
@@ -66,23 +66,38 @@ class GenParams:
     relation_density: Fraction = Fraction(1, 4)
     map_attempts: int = 64
 
-    def __post_init__(self):
-        for name in ("seed", "trials", "max_points", "map_attempts"):
-            if not _is_index(getattr(self, name)):
-                raise InputError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if not (2 <= self.max_points <= 32):
+
+class GenParams(_GenFields):
+    """Deterministic instance-generation parameters (identical params, identical stream).
+
+    The constructor checks every field and stores `relation_density` as a
+    Fraction; `_make`, and so `_replace` and unpickling, go through it too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        seed, trials, max_points, weight_range, density, map_attempts = _GenFields(*args, **kwargs)
+        for name, value in (("seed", seed), ("trials", trials), ("max_points", max_points), ("map_attempts", map_attempts)):
+            if not _is_index(value):
+                raise InputError(f"{name} must be an int, got {value!r}")
+        if not (2 <= max_points <= 32):
             raise InputError("max_points must lie in [2, 32]")
-        lo, hi = self.weight_range
+        lo, hi = weight_range
         if not (_is_index(lo) and _is_index(hi) and 1 <= lo <= hi):
             raise InputError("weight_range must be two ints with 1 <= lo <= hi")
-        density = as_rational(self.relation_density, "relation_density")
+        density = as_rational(density, "relation_density")
         if not (0 <= density <= 1):
             raise InputError("relation_density must lie in [0, 1]")
-        object.__setattr__(self, "relation_density", density)
-        if self.trials < 0:
+        if trials < 0:
             raise InputError("trials must be non-negative")
-        if self.map_attempts < 1:
+        if map_attempts < 1:
             raise InputError("map_attempts must be positive")
+        return tuple.__new__(cls, (seed, trials, max_points, weight_range, density, map_attempts))
+
+    @classmethod
+    def _make(cls, iterable) -> GenParams:
+        return cls(*iterable)
 
     to_dict = to_dict
 
@@ -97,16 +112,21 @@ def _below(rng: random.Random, n: int) -> int:
 
 
 def _shortest_path_metric(n: int, rng: random.Random, lo: int, hi: int) -> list[list[int]]:
+    getrandbits, width = rng.getrandbits, hi - lo + 1
+    bits = width.bit_length()
     w = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            w[i][j] = w[j][i] = lo + _below(rng, hi - lo + 1)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                via = w[i][k] + w[k][j]
-                if via < w[i][j]:
-                    w[i][j] = via
+            r = getrandbits(bits)
+            while r >= width:  # `_below(rng, width)`, inline
+                r = getrandbits(bits)
+            w[i][j] = w[j][i] = lo + r
+    for k, row_k in enumerate(w):  # in place: step k changes no entry of row k or column k, as w[k][k] = 0
+        for row_i in w:
+            via_k = row_i[k]
+            for j, b in enumerate(row_k):
+                if via_k + b < row_i[j]:
+                    row_i[j] = via_k + b
     return w
 
 
@@ -123,11 +143,19 @@ def generate_space(params: GenParams, rng: random.Random | None = None) -> Finit
     lo, hi = params.weight_range
     metric = _shortest_path_metric(n, rng, lo, hi)
     num, den = params.relation_density.as_integer_ratio()
-    relation = {(i, j) for i in range(n) for j in range(n) if _below(rng, den) < num}
+    getrandbits, bits = rng.getrandbits, den.bit_length()
+    relation = set()
+    for i in range(n):
+        for j in range(n):
+            r = getrandbits(bits)
+            while r >= den:  # `_below(rng, den)`, inline
+                r = getrandbits(bits)
+            if r < num:
+                relation.add((i, j))
     x0 = _below(rng, n)
     for y in range(n):
         if (x0, y) not in relation and (y, x0) not in relation:
-            relation.add((x0, y) if rng.getrandbits(1) else (y, x0))
+            relation.add((x0, y) if getrandbits(1) else (y, x0))
     return FiniteSpace([str(i) for i in range(n)], metric, relation)
 
 
@@ -142,9 +170,18 @@ def _sample_map(params: GenParams, space: FiniteSpace, rng: random.Random) -> tu
     generalized report, which stays on the map, is admissible.
     """
     n, weak = space.n, bool(space.weak_elements)
+    getrandbits, bits = rng.getrandbits, n.bit_length()
     for attempt in range(params.map_attempts):
         attractor = _below(rng, n)
-        images = [attractor if rng.getrandbits(1) else _below(rng, n) for _ in range(n)]
+        images = []
+        for _ in range(n):
+            if getrandbits(1):
+                images.append(attractor)
+                continue
+            r = getrandbits(bits)
+            while r >= n:  # `_below(rng, n)`, inline
+                r = getrandbits(bits)
+            images.append(r)
         if not weak or next(_violations(space, images), None) is not None:
             continue
         candidate = SelfMap(images, n)

@@ -1,9 +1,8 @@
 """The JSON form of every result record, by one rule.
 
 `to_dict(record)` is the `to_dict` of every record class but `PicardTrace`,
-whose `to_dict(space)` builds on it.  A record is a NamedTuple, or an object
-whose `vars()` are its fields (`GenParams`); its dict holds those fields,
-then the properties its class names in `_json_extra`.  Values convert
+whose `to_dict(space)` builds on it.  A record is a NamedTuple; its dict
+holds its fields, then the properties its class names in `_json_extra`.  Values convert
 recursively: a record or a dict the same way, an enum member to its value,
 a tuple or list to a list, a frozenset to a sorted list, None, bool, int
 and str as they are, and any other value, an exact scalar (a Fraction or a
@@ -19,8 +18,7 @@ _AS_IS = frozenset([type(None), bool, int, str])
 
 def to_dict(record) -> dict:
     """The JSON-ready dict of `record`: its fields, then the properties named in `_json_extra`."""
-    fields = record._asdict() if isinstance(record, tuple) else vars(record)
-    out = {name: _value(value) for name, value in fields.items()}
+    out = {name: _value(value) for name, value in record._asdict().items()}
     for name in getattr(record, "_json_extra", ()):
         out[name] = _value(getattr(record, name))
     return out

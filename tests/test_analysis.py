@@ -103,9 +103,9 @@ def test_audit_builds_only_preserving_candidates(monkeypatch):
 
 def test_corpus_five_point_shares_one_analysis(scan_calls):
     assert run_case("five-point").ok
-    # M(3,4) and M(0,4) (one pair each), generalized (oriented, symmetric) and banach, then the
-    # hierarchy's ciric, kannan and chatterjea in one pass; 15 reports without sharing
-    assert scan_calls == [1, 1, 1, 1, 1, 3]
+    # M(3,4) and M(0,4) (one pair each), the five oriented kinds in one pass (the hierarchy check's
+    # configuration, so no kernel of its own), then the symmetric generalized; 15 reports without sharing
+    assert scan_calls == [1, 1, 5, 1]
 
 
 def test_hypotheses_solve_and_hierarchy_share_the_maps_scans(five_point, scan_calls):

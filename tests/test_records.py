@@ -6,8 +6,9 @@ Each record refuses attribute assignment, survives `pickle` (an
 `AuditFailure` crosses the audit's pipe that way) and keeps the
 `Name(field=...)` repr: the audit embeds a `Violation` repr in its
 discrepancy strings.  A command that builds records loads no
-`dataclasses`: only the audit's `GenParams`, which validates its fields on
-construction, is a dataclass.
+`dataclasses` (nor `inspect`, which it imports): the audit's `GenParams`
+is a NamedTuple too, whose constructor, `_make` and `_replace` check every
+field.
 """
 
 import json
@@ -15,6 +16,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ import pytest
 from orthofix import (
     ContractionKind,
     GenParams,
+    InputError,
     PicardTrace,
     check_contraction,
     classify_orthogonality,
@@ -197,15 +200,42 @@ def test_record_repr_names_each_field(record):
 def test_record_modules_load_no_dataclasses():
     script = (
         "import json, sys\n"
-        "import orthofix.cli, orthofix.spacefile, orthofix.solver, orthofix.corpus\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m == 'dataclasses' or m.startswith('orthofix'))))\n"
+        "import orthofix.cli, orthofix.spacefile, orthofix.solver, orthofix.corpus, orthofix.oracle\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect') or m.startswith('orthofix'))))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout)
-    assert "orthofix.corpus" in loaded and "orthofix.solver" in loaded
-    assert "dataclasses" not in loaded
+    assert "orthofix.corpus" in loaded and "orthofix.solver" in loaded and "orthofix.oracle" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+@pytest.mark.parametrize(
+    ("name", "value"),
+    [
+        ("seed", 1.5), ("trials", True), ("trials", -1), ("max_points", 1), ("max_points", 33), ("map_attempts", 0),
+        ("weight_range", (0, 5)), ("weight_range", (1.0, 10)), ("relation_density", 0.25),
+        ("relation_density", Fraction(3, 2)),
+    ],
+)
+def test_params_check_every_way_in(name, value):
+    # the constructor (which unpickling calls), `_make` and `_replace` (which calls `_make`) all check the field
+    fields = dict(GenParams()._asdict(), **{name: value})
+    with pytest.raises(InputError):
+        GenParams(**{name: value})
+    with pytest.raises(InputError):
+        GenParams()._replace(**{name: value})
+    with pytest.raises(InputError):
+        GenParams._make(fields.values())
+
+
+def test_params_convert_and_pickle():
+    params = GenParams(seed=3, relation_density=1)
+    assert type(params.relation_density) is Fraction
+    assert params._replace(relation_density=Fraction(1, 2)).relation_density == Fraction(1, 2)
+    copy = pickle.loads(pickle.dumps(params, pickle.HIGHEST_PROTOCOL))
+    assert type(copy) is GenParams and copy == params and copy.to_dict() == params.to_dict()
 
 
 def test_every_record_encodes_by_the_one_rule():
