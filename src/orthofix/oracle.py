@@ -70,17 +70,18 @@ class _GenFields(NamedTuple):
 class GenParams(_GenFields):
     """Deterministic instance-generation parameters (identical params, identical stream).
 
-    The constructor checks every field and stores `relation_density` as a
-    Fraction; `_make`, and so `_replace` and unpickling, go through it too.
+    The constructor, which unpickling calls, checks every field and stores
+    `relation_density` as a Fraction; `_make`, and so `_replace`, go through it.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        seed, trials, max_points, weight_range, density, map_attempts = _GenFields(*args, **kwargs)
-        for name, value in (("seed", seed), ("trials", trials), ("max_points", max_points), ("map_attempts", map_attempts)):
-            if not _is_index(value):
-                raise InputError(f"{name} must be an int, got {value!r}")
+        fields = _GenFields(*args, **kwargs)
+        for name in ("seed", "trials", "max_points", "map_attempts"):
+            if not _is_index(getattr(fields, name)):
+                raise InputError(f"{name} must be an int, got {getattr(fields, name)!r}")
+        seed, trials, max_points, weight_range, density, map_attempts = fields
         if not (2 <= max_points <= 32):
             raise InputError("max_points must lie in [2, 32]")
         lo, hi = weight_range

@@ -2,11 +2,11 @@
 
 `to_dict(record)` is the `to_dict` of every record class but `PicardTrace`,
 whose `to_dict(space)` builds on it.  A record is a NamedTuple; its dict
-holds its fields, then the properties its class names in `_json_extra`.  Values convert
-recursively: a record or a dict the same way, an enum member to its value,
-a tuple or list to a list, a frozenset to a sorted list, None, bool, int
-and str as they are, and any other value, an exact scalar (a Fraction or a
-QuadExt), to its `str()`.
+holds its fields, then the properties its class names in `_json_extra`.
+Values convert recursively: a record or a dict the same way, an enum member
+to its value, a tuple or list to a list, a frozenset to a sorted list,
+None, bool, int and str as they are, and any other value, an exact scalar
+(a Fraction or a QuadExt), to its `str()`.
 """
 
 from __future__ import annotations
