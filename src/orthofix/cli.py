@@ -3,7 +3,7 @@
 Exit codes: 0 all checks passed / solve converged; 1 a verification failed
 or the iteration did not converge; 2 input error (bad file, bad flag, bad
 index).  Reports are deterministic: identical invocations on identical
-files produce byte-identical output, and JSON reports carry "schema": 1.
+files produce byte-identical output, and JSON reports carry "schema": 2.
 Rationals are written and read as integers or "p/q" only; a report with a
 rational past the interpreter's digit limit (`rational._past_digit_limit`)
 is an input error, and nothing of it is written.  An integer option takes
@@ -25,10 +25,10 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import CertificateError, InputError, OrthofixError
-from .kinds import MODE_O1, MODE_ORBITAL_CONTINUITY, ContractionKind, list_cases
+from .kinds import ContractionKind, list_cases
 from .rational import _past_digit_limit, parse_rational
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 def _emit_json(payload: dict) -> None:
@@ -86,7 +86,7 @@ def _writable(named_values) -> None:
             raise InputError(f"{what} has more digits than the interpreter's limit of {limit} for integer string conversion")
 
 
-def verify(file, mode, as_json):
+def verify(file, as_json):
     """Run every check on a space file: classification, preservation,
     contraction constants, hierarchy implications and theorem hypotheses."""
     from .contraction import hierarchy_check, preservation, reports
@@ -102,7 +102,7 @@ def verify(file, mode, as_json):
     )
     contractions = dict(zip(ContractionKind, oriented))
     verdicts = hierarchy_check(space, mapping)
-    hyp = hypothesis_check(space, mapping, mode)
+    hyp = hypothesis_check(space, mapping)
     ok = hyp.all_hold and all(v.holds for v in verdicts)
     _writable([*((f"{kind.value} k", rep.minimal_k) for kind, rep in contractions.items()), ("certified k", certified.minimal_k)])
 
@@ -142,7 +142,7 @@ def verify(file, mode, as_json):
             print(f"hierarchy {v.name}: {mark}")
         for note in hyp.notes:
             print(note)
-        print(f"hypotheses ({mode}): {'all hold' if hyp.all_hold else 'NOT satisfied'}")
+        print(f"hypotheses: {'all hold' if hyp.all_hold else 'NOT satisfied'}")
     return 0 if ok else 1
 
 
@@ -280,8 +280,8 @@ def audit(trials, seed, max_points, density, map_attempts, dump_dir, as_json):
         _emit_json({"command": "audit", **summary.to_dict()})
     else:
         d = summary.to_dict()
-        for key in ("trials_run", "hypotheses_satisfied", "conclusion_verified", "spaces_generated", "maps_tried",
-                    "acceptance_rate", "spaces_without_accepted_map", "traces_checked", "hierarchy_failures"):
+        for key in ("trials_run", "conclusion_verified", "spaces_generated", "maps_tried", "acceptance_rate",
+                    "spaces_without_accepted_map", "traces_checked", "hierarchy_failures"):
             print(f"{key.replace('_', ' ')}: {d[key]}")
         for failure in summary.failures:
             print(f"FAILURE seed={failure.seed}: {failure.discrepancy}")
@@ -290,9 +290,7 @@ def audit(trials, seed, max_points, density, map_attempts, dump_dir, as_json):
 
 
 _COMMANDS = (  # (the function that runs it, its name, whether it reads a space FILE, its options but --json and --help)
-    (verify, "verify", True, {
-        "--mode": dict(choices=[MODE_ORBITAL_CONTINUITY, MODE_O1], default=MODE_ORBITAL_CONTINUITY, help="the continuity hypothesis to check (default: %(default)s)"),
-    }),
+    (verify, "verify", True, {}),
     (classify, "classify", True, {
         "--seq": dict(metavar="LABELS", help="comma-separated point labels to check as a weak orthogonal sequence"),
         "--orbit": dict(dest="orbit_start", metavar="LABEL", help="point label whose orbit to print (needs a map)"),

@@ -1,4 +1,4 @@
-"""The named choices of the library: contraction kinds, hypothesis-check modes and corpus cases.
+"""The named choices of the library: contraction kinds and corpus cases.
 
 Kept apart from the code that uses them (`contraction`, `solver`, `corpus`),
 so that the command line can offer them as choices, and `corpus --list` can
@@ -13,9 +13,6 @@ from fractions import Fraction
 from .errors import InputError
 
 _HALF, _ONE = Fraction(1, 2), Fraction(1)
-
-MODE_ORBITAL_CONTINUITY = "orbital-continuity"
-MODE_O1 = "O1"
 
 
 class ContractionKind(str, Enum):

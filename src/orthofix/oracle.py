@@ -11,7 +11,9 @@ preservation violation, so a candidate rejected there never becomes a map;
 only a preserving one is built as a `SelfMap`, and it is accepted when its
 symmetric generalized report is admissible.  `hypothesis_check` stays the
 one definition of the hypotheses: the audit runs it on accepted maps only,
-so their full preservation report is computed once, there.
+so their full preservation report is computed once, there, and an accepted
+map it rejects is a discrepancy of its trial.  Edge weights are drawn from
+`_WEIGHTS`.
 
 For each accepted instance the audit verifies the theorem's conclusion
 against exhaustive enumeration: exactly one fixed point, reached by Picard
@@ -62,7 +64,6 @@ class _GenFields(NamedTuple):
     seed: int = 0
     trials: int = 500
     max_points: int = 8
-    weight_range: tuple[int, int] = (1, 10)
     relation_density: Fraction = Fraction(1, 4)
     map_attempts: int = 64
 
@@ -81,12 +82,9 @@ class GenParams(_GenFields):
         for name in ("seed", "trials", "max_points", "map_attempts"):
             if not _is_index(getattr(fields, name)):
                 raise InputError(f"{name} must be an int, got {getattr(fields, name)!r}")
-        seed, trials, max_points, weight_range, density, map_attempts = fields
+        seed, trials, max_points, density, map_attempts = fields
         if not (2 <= max_points <= 32):
             raise InputError("max_points must lie in [2, 32]")
-        lo, hi = weight_range
-        if not (_is_index(lo) and _is_index(hi) and 1 <= lo <= hi):
-            raise InputError("weight_range must be two ints with 1 <= lo <= hi")
         density = as_rational(density, "relation_density")
         if not (0 <= density <= 1):
             raise InputError("relation_density must lie in [0, 1]")
@@ -94,13 +92,16 @@ class GenParams(_GenFields):
             raise InputError("trials must be non-negative")
         if map_attempts < 1:
             raise InputError("map_attempts must be positive")
-        return tuple.__new__(cls, (seed, trials, max_points, weight_range, density, map_attempts))
+        return tuple.__new__(cls, (seed, trials, max_points, density, map_attempts))
 
     @classmethod
     def _make(cls, iterable) -> GenParams:
         return cls(*iterable)
 
     to_dict = to_dict
+
+
+_WEIGHTS = (1, 10)  # the edge weights' range, both ends included
 
 
 def _below(rng: random.Random, n: int) -> int:
@@ -141,8 +142,7 @@ def generate_space(params: GenParams, rng: random.Random | None = None) -> Finit
     """
     rng = rng if rng is not None else random.Random(params.seed)
     n = 2 + _below(rng, params.max_points - 1)
-    lo, hi = params.weight_range
-    metric = _shortest_path_metric(n, rng, lo, hi)
+    metric = _shortest_path_metric(n, rng, *_WEIGHTS)
     num, den = params.relation_density.as_integer_ratio()
     getrandbits, bits = rng.getrandbits, den.bit_length()
     relation = set()
@@ -215,7 +215,6 @@ class AuditFailure(NamedTuple):
 class AuditSummary(NamedTuple):
     params: GenParams
     trials_run: int
-    hypotheses_satisfied: int
     conclusion_verified: int
     failures: tuple[AuditFailure, ...]
     spaces_generated: int
@@ -245,7 +244,8 @@ def _audit_instance(space: FiniteSpace, mapping: SelfMap) -> tuple[list[str], in
     solver's internal enforcement; the hypothesis check and the traces reuse
     the scan the instance filter kept on the map.  A trace the solver
     refuses with CertificateError is recorded as a discrepancy, so the
-    trial keeps its reproduction data; it is not counted as checked.
+    trial keeps its reproduction data; it is not counted as checked.  So is
+    an accepted map that fails `hypothesis_check`, and then no trace runs.
     """
     problems: list[str] = []
     validation = validate_metric(space)
@@ -257,6 +257,9 @@ def _audit_instance(space: FiniteSpace, mapping: SelfMap) -> tuple[list[str], in
         return problems, 0
     (z,) = fixed
     hyp = hypothesis_check(space, mapping)
+    if not hyp.all_hold:  # the sampler accepted a map that the one definition of the hypotheses rejects
+        held = ", ".join(f"{name}={getattr(hyp, name)}" for name in ("has_weak_element", "preserving", "contraction_feasible"))
+        return problems + [f"accepted map fails the hypotheses: {held}"], 0
     k = hyp.minimal_k
     traces = 0
     for w in sorted(space.weak_elements):
@@ -427,7 +430,6 @@ def theorem_audit(params: GenParams) -> AuditSummary:
     return AuditSummary(
         params=params,
         trials_run=len(accepted),
-        hypotheses_satisfied=len(accepted),
         conclusion_verified=len(accepted) - len(failures),
         failures=failures,
         spaces_generated=len(trials),

@@ -56,12 +56,6 @@ class OrbitInfo(NamedTuple):
     def enters_fixed_point(self) -> bool:
         return len(self.cycle) == 1
 
-    def term(self, k: int) -> int:
-        """k-th iterate reproduced from prefix + repeated cycle."""
-        if k < len(self.prefix):
-            return self.prefix[k]
-        return self.cycle[(k - len(self.prefix)) % len(self.cycle)]
-
 
 def strong_orthogonal_elements(space: PointRelation) -> frozenset[int]:
     """Points related to every point uniformly in one direction."""

@@ -36,10 +36,9 @@ from typing import NamedTuple
 
 from .contraction import preservation, report
 from .errors import CertificateError, InputError
-from .kinds import MODE_O1, MODE_ORBITAL_CONTINUITY, ContractionKind  # the mode names are re-exported
+from .kinds import ContractionKind
 from .rational import _is_index, _shown, as_rational
 from .records import to_dict
-from .relational import orbit
 from .space import FiniteSpace, SelfMap, _check_point
 
 
@@ -210,23 +209,17 @@ def picard_solve(
 
 
 class HypothesisReport(NamedTuple):
-    mode: str
     has_weak_element: bool
     preserving: bool
     contraction_feasible: bool     # an admissible constant k in [0, 1) exists
     minimal_k: Fraction | None     # certificate-grade constant (both orientations)
-    o1_mode_holds: bool
     all_hold: bool
     notes: tuple[str, ...] = ()
 
     to_dict = to_dict
 
 
-def hypothesis_check(
-    space: FiniteSpace,
-    mapping: SelfMap,
-    mode: str = MODE_ORBITAL_CONTINUITY,
-) -> HypothesisReport:
+def hypothesis_check(space: FiniteSpace, mapping: SelfMap) -> HypothesisReport:
     """Evaluate the fixed point theorem's hypotheses on a finite instance.
 
     Checked: a weak orthogonal element exists; the map preserves orthogonal
@@ -234,47 +227,21 @@ def hypothesis_check(
     exists (scanned over both orientations of every related pair, which is
     what the convergence certificates require).
 
-    Orbital completeness and, in mode "orbital-continuity", orbital
-    continuity hold automatically on finite spaces (every Cauchy sequence is
-    eventually constant) and are recorded as such.  Mode "O1" instead checks
-    the finite reading of the subsequence condition: whenever the orbit of a
-    weak element settles at a fixed point z, the constant tail must be
-    orthogonally related to its limit, i.e. z related to z; orbits that do
-    not settle impose nothing.  Preservation and the scan are those kept on
-    the map (see `contraction.report`).
+    Orbital completeness and orbital continuity hold automatically on finite
+    spaces (every Cauchy sequence is eventually constant) and are recorded as
+    such in `notes`.  (O1), the subsequence condition's finite reading,
+    holds on every preserving map (README proves it), so it needs no check
+    of its own.  Preservation and the scan are those kept on the map (see
+    `contraction.report`).
     """
-    if mode not in (MODE_ORBITAL_CONTINUITY, MODE_O1):
-        raise InputError(f"unknown mode {mode!r}")
     weak = space.weak_elements
     preserving = preservation(space, mapping).preserving
     rep = report(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
-    contraction_ok = rep.admissible
-    notes = ["orbital O_w-completeness: holds (finite space)"]
-    if mode == MODE_ORBITAL_CONTINUITY:
-        o1 = True
-        notes.append("orbital O_w-continuity: holds (finite space)")
-    else:
-        o1 = True
-        for w in sorted(weak):
-            info = orbit(space, mapping, w)
-            if info.enters_fixed_point:
-                z = info.cycle[0]
-                if not space.related(z, z):
-                    o1 = False
-                    notes.append(
-                        f"(O1) fails from weak element {space.points[w]}: limit "
-                        f"{space.points[z]} is not orthogonally related to itself"
-                    )
-        if o1:
-            notes.append("(O1): orbit tails from weak elements are related to their limits")
-    all_hold = bool(weak) and preserving and contraction_ok and o1
     return HypothesisReport(
-        mode=mode,
         has_weak_element=bool(weak),
         preserving=preserving,
-        contraction_feasible=contraction_ok,
+        contraction_feasible=rep.admissible,
         minimal_k=rep.minimal_k if rep.feasible else None,
-        o1_mode_holds=o1,
-        all_hold=all_hold,
-        notes=tuple(notes),
+        all_hold=bool(weak) and preserving and rep.admissible,
+        notes=("orbital O_w-completeness: holds (finite space)", "orbital O_w-continuity: holds (finite space)"),
     )

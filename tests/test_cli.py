@@ -97,7 +97,7 @@ def test_verify_json_schema(runner, five_point_file):
     result = runner.invoke(main, ["verify", five_point_file, "--json"])
     assert result.exit_code == 0
     data = json.loads(result.output)
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     assert data["classification"]["verdict"] == "O_w-set-only"
     assert data["contractions"]["generalized_perp"]["minimal_k"] == "1/2"
     assert data["hypotheses"]["all_hold"] is True
@@ -169,7 +169,7 @@ def test_solve_json_trace(runner, five_point_file):
     )
     assert result.exit_code == 0
     data = json.loads(result.output)
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     trace = data["trace"]
     assert trace["iterates"] == ["4", "2", "1", "0"]
     assert trace["fixed_point"] == "0"
@@ -349,7 +349,7 @@ def test_audit_json_deterministic(runner):
     assert first.exit_code == 0
     assert first.output == second.output
     data = json.loads(first.output)
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     assert data["conclusion_verified"] == 30
     assert data["failures"] == []
 
@@ -427,7 +427,6 @@ _KINDS = ("banach_perp", "ciric", "kannan", "chatterjea", "generalized_perp", "u
 _CASES = ("five-point", "rational-product", "r2-counterexample", "leq-relation", "orbit-space")
 SURFACE = {
     "verify": {
-        "--mode": ("mode", "orbital-continuity", ("orbital-continuity", "O1"), False),
         "--json": ("as_json", False, None, False),
     },
     "classify": {

@@ -20,6 +20,7 @@ from orthofix import (
     validate_metric,
     weak_orthogonal_elements,
 )
+from orthofix import oracle
 from orthofix.oracle import _below, _sample_map
 from orthofix.spacefile import space_to_dict
 
@@ -91,7 +92,7 @@ def _generate_space_reference(params, rng):
     Returns the metric as a list of rows and the relation as a set of pairs.
     """
     n = 2 + rng.randrange(params.max_points - 1)
-    lo, hi = params.weight_range
+    lo, hi = (1, 10)  # the edge weights' range, written out here, so a changed `oracle._WEIGHTS` fails
     w = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -178,13 +179,24 @@ def test_audit_zero_trials_is_empty():
 def test_audit_small_run_verifies_everything():
     summary = theorem_audit(GenParams(seed=7, trials=40))
     assert summary.trials_run == 40
-    assert summary.hypotheses_satisfied == 40
     assert summary.conclusion_verified == 40
     assert summary.failures == ()
     assert summary.hierarchy_failures == 0
     assert summary.traces_checked >= 40
     assert summary.maps_tried >= 40
-    assert summary.conclusion_verified + len(summary.failures) == summary.hypotheses_satisfied
+    assert summary.conclusion_verified + len(summary.failures) == summary.trials_run
+
+
+def test_accepted_map_failing_the_hypotheses_is_a_discrepancy(monkeypatch):
+    # A sampler that accepts a non-preserving map with one fixed point: 0 settles at 1, which is unrelated to itself.
+    space = FiniteSpace(["0", "1"], [[0, 1], [1, 0]], [(0, 0), (0, 1)])
+    monkeypatch.setattr(oracle, "generate_space", lambda params, rng: space)
+    monkeypatch.setattr(oracle, "_sample_map", lambda params, space, rng: (SelfMap([1, 1], 2), 1))
+    summary = theorem_audit(GenParams(seed=3, trials=2))
+    assert not summary.ok and summary.trials_run == 2 and summary.conclusion_verified == 0
+    assert [failure.discrepancy for failure in summary.failures] == [
+        "accepted map fails the hypotheses: has_weak_element=True, preserving=False, contraction_feasible=True"
+    ] * 2
 
 
 def test_audit_replay_is_bit_identical():
@@ -198,8 +210,8 @@ def test_params_validation():
         GenParams(max_points=1)
     with pytest.raises(InputError):
         GenParams(max_points=33)
-    with pytest.raises(InputError):
-        GenParams(weight_range=(0, 5))
+    with pytest.raises(TypeError):
+        GenParams(weight_range=(1, 10))  # the edge weights are the generator's `_WEIGHTS`, not a parameter
     with pytest.raises(InputError):
         GenParams(relation_density=Fraction(3, 2))
     with pytest.raises(InputError):
@@ -217,7 +229,6 @@ def test_params_validation():
         {"max_points": 8.0},
         {"seed": 1.5},
         {"map_attempts": True},
-        {"weight_range": (1.0, 10)},
     ],
 )
 def test_params_reject_floats_and_bools(kwargs):

@@ -16,11 +16,12 @@ from orthofix import (
     check_contraction,
     generate_space,
     hypothesis_check,
+    is_ow_preserving,
     load_space_file,
+    orbit,
     picard_solve,
     weak_orthogonal_elements,
 )
-from orthofix.solver import MODE_O1
 
 
 @pytest.mark.parametrize("kwargs", [{"k": 0.7}, {"k": False}, {"k": "2/3"}, {"eps": 0.001}, {"eps": True}])
@@ -145,19 +146,21 @@ def _non_preserving_instances(count):
     return found
 
 
-def test_o1_mode_never_changes_the_verdict(accepted_instances):
-    # On a finite space preservation implies (O1): if w's orbit settles at z, then w ~ z, and T^m gives z ~ z.
+def test_preservation_implies_o1_on_finite_spaces(accepted_instances):
+    # (O1), read on a finite space: when a weak element's orbit settles at a fixed point z, z is related to itself.
+    # Preservation implies it: if z = T^m w, then w ~ z, as w is weak, and T^m carries that to z ~ z.
     data = Path(__file__).resolve().parent.parent / "data"
     files = [load_space_file(data / name) for name in ("five_point.json", "infeasible.json", "preservation_violations.json")]
-    instances = [*accepted_instances, *files, *_non_preserving_instances(20)]
-    o1_failures = 0
-    for space, mapping in instances:
-        default = hypothesis_check(space, mapping)
-        o1 = hypothesis_check(space, mapping, MODE_O1)
-        assert o1.all_hold == default.all_hold
-        assert o1.o1_mode_holds or not o1.preserving
-        o1_failures += not o1.o1_mode_holds
-    assert o1_failures  # the non-preserving maps do reach the (O1) failure branch
+    unrelated_limit = FiniteSpace(["0", "1"], [[0, 1], [1, 0]], [(0, 0), (0, 1)]), SelfMap([1, 1], 2)  # 0 settles at 1
+    broken = []
+    for instance in [*accepted_instances, *files, *_non_preserving_instances(20), unrelated_limit]:
+        space, mapping = instance
+        for w in sorted(space.weak_elements):
+            info = orbit(space, mapping, w)
+            if info.enters_fixed_point and not space.related(info.cycle[0], info.cycle[0]):
+                assert not is_ow_preserving(space, mapping).preserving
+                broken.append(instance)
+    assert broken[-1] is unrelated_limit and broken[0] is not unrelated_limit  # generated maps break it too
 
 
 def test_identity_map_converges_at_step_zero(five_point):
@@ -213,9 +216,6 @@ def test_hypothesis_check_five_point(five_point):
     assert rep.all_hold
     assert rep.has_weak_element and rep.preserving and rep.contraction_feasible
     assert rep.minimal_k == Fraction(2, 3)
-    assert rep.o1_mode_holds
-    rep1 = hypothesis_check(space, mapping, MODE_O1)
-    assert rep1.all_hold and rep1.mode == MODE_O1
 
 
 def test_hypothesis_check_with_pair_removed(five_point):
@@ -233,18 +233,11 @@ def test_hypothesis_check_empty_relation():
     assert not rep.has_weak_element and not rep.all_hold
 
 
-def test_o1_mode_detects_unrelated_limit():
-    metric = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-    space = FiniteSpace(["0", "1"], metric, [(0, 0), (0, 1)])
-    mapping = SelfMap([1, 1], 2)  # weak element 0 settles at 1, but 1 is unrelated to itself
-    rep = hypothesis_check(space, mapping, MODE_O1)
-    assert not rep.o1_mode_holds and not rep.all_hold
-
-
 def test_hypothesis_check_bad_mode(five_point):
+    # There is one reading of the hypotheses: a mode argument is refused like any other extra argument.
     space, mapping = five_point
-    with pytest.raises(InputError):
-        hypothesis_check(space, mapping, "banach")
+    with pytest.raises(TypeError):
+        hypothesis_check(space, mapping, "O1")
 
 
 def test_traces_reach_brute_force_fixed_point(accepted_instances):
