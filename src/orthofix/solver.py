@@ -234,14 +234,14 @@ def hypothesis_check(space: FiniteSpace, mapping: SelfMap) -> HypothesisReport:
     of its own.  Preservation and the scan are those kept on the map (see
     `contraction.report`).
     """
-    weak = space.weak_elements
+    has_weak = bool(space.weak_elements)
     preserving = preservation(space, mapping).preserving
     rep = report(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
     return HypothesisReport(
-        has_weak_element=bool(weak),
+        has_weak_element=has_weak,
         preserving=preserving,
         contraction_feasible=rep.admissible,
         minimal_k=rep.minimal_k if rep.feasible else None,
-        all_hold=bool(weak) and preserving and rep.admissible,
+        all_hold=has_weak and preserving and rep.admissible,
         notes=("orbital O_w-completeness: holds (finite space)", "orbital O_w-continuity: holds (finite space)"),
     )
