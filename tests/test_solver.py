@@ -146,21 +146,39 @@ def _non_preserving_instances(count):
     return found
 
 
-def test_preservation_implies_o1_on_finite_spaces(accepted_instances):
-    # (O1), read on a finite space: when a weak element's orbit settles at a fixed point z, z is related to itself.
-    # Preservation implies it: if z = T^m w, then w ~ z, as w is weak, and T^m carries that to z ~ z.
+def _breaks_o1(space, mapping):
+    """Whether some weak element's orbit settles at a fixed point z that is not related to itself.
+
+    This is (O1), read on a finite space: the (O1) reading of the hypotheses added it to the default ones.
+    """
+    for w in sorted(space.weak_elements):
+        info = orbit(space, mapping, w)
+        if info.enters_fixed_point and not space.related(info.cycle[0], info.cycle[0]):
+            return True
+    return False
+
+
+def test_o1_mode_never_changes_the_verdict(accepted_instances):
+    # Adding (O1) to the hypotheses never changes the verdict, as preservation implies it on a finite space:
+    # if z = T^m w for a weak w, then w ~ z, and T^m carries that to z ~ z.
     data = Path(__file__).resolve().parent.parent / "data"
     files = [load_space_file(data / name) for name in ("five_point.json", "infeasible.json", "preservation_violations.json")]
-    unrelated_limit = FiniteSpace(["0", "1"], [[0, 1], [1, 0]], [(0, 0), (0, 1)]), SelfMap([1, 1], 2)  # 0 settles at 1
     broken = []
-    for instance in [*accepted_instances, *files, *_non_preserving_instances(20), unrelated_limit]:
+    for instance in [*accepted_instances, *files, *_non_preserving_instances(20)]:
         space, mapping = instance
-        for w in sorted(space.weak_elements):
-            info = orbit(space, mapping, w)
-            if info.enters_fixed_point and not space.related(info.cycle[0], info.cycle[0]):
-                assert not is_ow_preserving(space, mapping).preserving
-                broken.append(instance)
-    assert broken[-1] is unrelated_limit and broken[0] is not unrelated_limit  # generated maps break it too
+        if _breaks_o1(space, mapping):
+            assert not is_ow_preserving(space, mapping).preserving
+            assert not hypothesis_check(space, mapping).all_hold
+            broken.append(instance)
+    assert broken  # the generated non-preserving maps do break (O1)
+
+
+def test_o1_mode_detects_unrelated_limit():
+    space = FiniteSpace(["0", "1"], [[0, 1], [1, 0]], [(0, 0), (0, 1)])
+    mapping = SelfMap([1, 1], 2)  # weak element 0 settles at 1, but 1 is unrelated to itself
+    assert _breaks_o1(space, mapping)
+    rep = hypothesis_check(space, mapping)
+    assert not rep.preserving and not rep.all_hold
 
 
 def test_identity_map_converges_at_step_zero(five_point):
