@@ -259,20 +259,21 @@ def plane_map(point: tuple[Fraction, Fraction], max_n: int = 10**6) -> tuple[Fra
     Sends (1/n, 1/(n+1)) to (x1*x2 / (x1^2 + x2^2), 0) and everything else
     to the origin.  Membership in the special sequence is decided exactly:
     both coordinates must be unit fractions with consecutive denominators.
+    The image is evaluated on integers and one Fraction is built for it:
+    with x1 = a/b and x2 = c/d, x1*x2 / (x1^2 + x2^2) = a*c*b*d / (a^2*d^2 + c^2*b^2).
     """
     x1, x2 = point
-    if (
-        x1.numerator == 1
-        and x2.numerator == 1
-        and x2.denominator == x1.denominator + 1
-        and x1.denominator <= max_n
-    ):
-        return (x1 * x2 / (x1 * x1 + x2 * x2), Fraction(0))
+    a, b, c, d = x1.numerator, x1.denominator, x2.numerator, x2.denominator
+    if a == 1 and c == 1 and d == b + 1 and b <= max_n:
+        return (Fraction(a * c * b * d, a * a * d * d + c * c * b * b), Fraction(0))
     return (Fraction(0), Fraction(0))
 
 
 def _inner(p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]) -> Fraction:
-    return p[0] * q[0] + p[1] * q[1]
+    """p . q evaluated on integers, with one Fraction built for the result."""
+    (x1, x2), (y1, y2) = p, q
+    den1, den2 = x1.denominator * y1.denominator, x2.denominator * y2.denominator
+    return Fraction(x1.numerator * y1.numerator * den2 + x2.numerator * y2.numerator * den1, den1 * den2)
 
 
 def _case_r2_counterexample(rec: _Recorder, max_n: int = 1000) -> str:

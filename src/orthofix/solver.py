@@ -32,6 +32,8 @@ rationals with `rational._shown`, safe past the interpreter's digit limit.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import NamedTuple
 
 from .contraction import preservation, report
@@ -150,6 +152,7 @@ def picard_solve(
     stop_reason = "max_iter"
     d0 = None
     one_minus_k = 1 - k
+    tail = None  # the tail bound k**len(steps) / (1 - k) * d0 of the eps stop, kept as a running product
 
     while True:
         x = iterates[-1]
@@ -176,16 +179,18 @@ def picard_solve(
         seen.add(nxt)
         if d0 is None:
             d0 = step
+            tail = d0 / one_minus_k
         if eps is not None and certified:
-            n = len(steps)
-            if k**n / one_minus_k * d0 <= eps:
+            tail *= k
+            if tail <= eps:
                 stop_reason = "bound_below_eps"
                 break
 
     bounds = None
     if enforced:
         base = d0 if d0 is not None else Fraction(0)
-        bounds = tuple(k**n / one_minus_k * base for n in range(len(iterates)))
+        # bound(n) = k**n / (1 - k) * d0, each one k times the one before
+        bounds = tuple(accumulate(repeat(k, len(iterates) - 1), mul, initial=base / one_minus_k))
         # Tail bound audited over every recorded pair: d(x_n, x_m) <= bound(n).
         for n in range(len(iterates)):
             for m in range(n + 1, len(iterates)):

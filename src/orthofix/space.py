@@ -23,8 +23,10 @@ entry multiplied by the lcm of the denominators.  Scaling by a positive
 constant preserves every order, sum and ratio comparison, so metric
 validation and the contraction scans run on plain ints; values are rendered
 from the exact metric.  Validation screens the triangle inequality with each
-row of the integer form packed into one int, one lane per entry (see
-`validate_metric`).  Relations, spaces and maps refuse attribute assignment.
+row of the integer form packed into one int, one lane per entry, and tests
+only the lanes above the diagonal: on a symmetric form the pairs below it
+mirror those above, and on any other form a pass over the transpose covers
+them (see `validate_metric`).  Relations, spaces and maps refuse attribute assignment.
 Pickling or copying one rebuilds it from its constructor arguments (a map's
 memo of facts is not carried over), so each can be sent to worker processes.
 """
@@ -269,8 +271,8 @@ class SelfMap:
         return f"SelfMap({list(self.images)})"
 
 
-def _triangle_screen(m: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
-    """The sorted pairs (i, j), i != j, whose lane loses its guard bit in the packed test of `validate_metric`."""
+def _upper_lanes_lost(m: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
+    """The pairs (i, j), j > i, in sorted order, whose lane loses its guard bit in the packed test of `validate_metric`."""
     n, low = len(m), min(map(min, m))
     bits = max(-low, max(map(max, m))).bit_length()
     byte_lanes = low >= 0 and bits <= 5  # each row is then one from_bytes, and its offsets one add
@@ -288,16 +290,32 @@ def _triangle_screen(m: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
     guards = ones << (width - 1)
     flagged = []
     for i, row in enumerate(m):
-        lower = guards - packed[i]
-        kept = guards
-        for lanes, entry in zip(packed, row):
-            kept &= lanes + lower + entry * ones
-        lost = guards & ~kept & ~(1 << (width * i + width - 1))
+        first = i - i % 8  # rows first to first + 7 share one shift, which drops the lanes up to first
+        if i == first:
+            shift = width * (first + 1)
+            shifted, upper_guards, upper_ones = [lanes >> shift for lanes in packed], guards >> shift, ones >> shift
+        lower = upper_guards - shifted[i]
+        kept = upper_guards
+        for lanes, entry in zip(shifted, row):
+            kept &= lanes + lower + entry * upper_ones
+        skip = width * (i - first)  # lanes first + 1 to i are still there, and not read
+        lost = upper_guards >> skip << skip & ~kept
         while lost:
             low = lost & -lost
-            flagged.append((i, (low.bit_length() - 1) // width))
+            flagged.append((i, first + 1 + (low.bit_length() - 1) // width))
             lost ^= low
     return flagged
+
+
+def _triangle_screen(m: tuple[tuple[int, ...], ...], symmetric: bool) -> list[tuple[int, int]]:
+    """The sorted pairs (i, j), i != j, whose lane loses its guard bit in the packed test of `validate_metric`.
+
+    Only the lanes j > i of row i are tested.  On a symmetric `m` each flagged (i, j) is also
+    reported as (j, i); otherwise the lower pairs are the upper pairs of the transpose.
+    """
+    upper = _upper_lanes_lost(m)
+    mirrored = upper if symmetric else _upper_lanes_lost(tuple(zip(*m)))
+    return sorted(upper + [(j, i) for i, j in mirrored])
 
 
 def validate_metric(space: FiniteSpace) -> ValidationReport:
@@ -326,22 +344,37 @@ def validate_metric(space: FiniteSpace) -> ValidationReport:
     then m[i][k] keeps it within 3 * offset of guard, inside the 2 * guard
     values a lane holds.  Whatever the signs of the entries, and with or
     without symmetry, lane j keeps its guard bit exactly when
-    m[i][k] + m[k][j] >= m[i][j] for every k.  The terms k = i and k = j
-    fail only on a negative diagonal entry, and lane j = i is
-    skipped, so the exact loop decides each flagged pair.
+    m[i][k] + m[k][j] >= m[i][j] for every k.
+
+    Row i tests only its lanes j > i (`_upper_lanes_lost`).  Rows i0 to
+    i0 + 7, i0 a multiple of 8, share one shift of every P_k, of G and of
+    ONES right by i0 + 1 lanes: whole lanes drop off the bottom and, since
+    no lane borrows or carries, every lane left holds what it held before,
+    at half the width on average; lanes i0 + 1 to i are then left unread.
+    On a symmetric form, (i, j, k) breaks exactly when (j, i, k) does, and
+    the terms k = i and k = j fail for (i, j) exactly when they fail for
+    (j, i), so each flagged (i, j) is also flagged as (j, i).  On any other
+    form, lane i of row j is lane j of row i in the test of the transpose
+    (m[j][k] + m[k][i] >= m[j][i] reads m'[i][k] + m'[k][j] >= m'[i][j]
+    with m' the transpose), so one more pass over the transpose's upper
+    lanes flags the pairs below the diagonal.  Either way the screen flags
+    exactly the pairs a test of every lane would.  The terms k = i and
+    k = j fail only on a negative diagonal entry, and lane j = i is never
+    read, so the exact loop decides each flagged pair.
     """
     exact, m = space.metric, space.int_metric
     n = space.n
     violations = [Violation("diagonal", (i,), (_shown(exact[i][i]),)) for i in range(n) if m[i][i] != 0]
+    symmetric = m == tuple(zip(*m))
     # symmetric, nothing negative and the diagonal the only zeros: no pair can fail, so only a failing screen loops
-    if violations or m != tuple(zip(*m)) or min(map(min, m)) < 0 or sum(row.count(0) for row in m) != n:
+    if violations or not symmetric or min(map(min, m)) < 0 or sum(row.count(0) for row in m) != n:
         for i in range(n):
             for j in range(n):
                 if i < j and m[i][j] != m[j][i]:
                     violations.append(Violation("symmetry", (i, j), (_shown(exact[i][j]), _shown(exact[j][i]))))
                 if i != j and m[i][j] <= 0:
                     violations.append(Violation("positivity", (i, j), (_shown(exact[i][j]),)))
-    for i, j in _triangle_screen(m):
+    for i, j in _triangle_screen(m, symmetric):
         for k in range(n):
             if k == i or k == j:
                 continue

@@ -1,4 +1,4 @@
-"""An independent reference for the contraction scans, shared by the tests.
+"""Independent references for the contraction scans and the triangle screen, shared by the tests.
 
 Every functional is recomputed from its definition with plain Fraction
 arithmetic, max() and division, and the scan is a plain loop over the pairs
@@ -72,3 +72,41 @@ def oracle_report(kind, space, mapping, symmetric=False):
     feasible = infeasible is None
     minimal = (best if best is not None else Fraction(0)) if feasible else None
     return feasible, minimal, witness, infeasible
+
+
+def full_lane_screen(m):
+    """The triangle screen over every lane: the sorted pairs (i, j), i != j, whose lane loses its guard bit.
+
+    Row k of the integer form `m` is packed into one int, entry j in lane j raised by an offset, and for
+    each i the AND over k of P_k + (G - P_i) + m[i][k] * ONES keeps lane j's guard bit exactly when
+    m[i][k] + m[k][j] >= m[i][j] for every k (the lane argument is in `validate_metric`'s docstring).
+    `orthofix.space._triangle_screen` tests only the lanes j > i and mirrors or transposes for the
+    rest, so it must flag exactly these pairs.
+    """
+    n, low = len(m), min(map(min, m))
+    bits = max(-low, max(map(max, m))).bit_length()
+    byte_lanes = low >= 0 and bits <= 5
+    width, offset = (8 if byte_lanes else bits + 3), 1 << bits
+    ones = ((1 << width * n) - 1) // ((1 << width) - 1)
+    if byte_lanes:
+        packed = [int.from_bytes(bytes(row), "little") + offset * ones for row in m]
+    else:
+        packed = []
+        for row in m:
+            lanes = 0
+            for entry in reversed(row):
+                lanes = lanes << width | entry + offset
+            packed.append(lanes)
+    guards = ones << (width - 1)
+    flagged = []
+    for i, row in enumerate(m):
+        lower = guards - packed[i]
+        kept = guards
+        for lanes, entry in zip(packed, row):
+            kept &= lanes + lower + entry * ones
+        lost = guards & ~kept & ~(1 << (width * i + width - 1))
+        while lost:
+            bit = lost & -lost
+            flagged.append((i, (bit.bit_length() - 1) // width))
+            lost ^= bit
+    return flagged

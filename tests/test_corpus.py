@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from orthofix import InputError, corpus, list_cases, run_case
 from orthofix.corpus import plane_map, run_all
@@ -52,6 +53,48 @@ def test_plane_map_values():
     assert plane_map((Fraction(1, 2), Fraction(1, 4))) == (Fraction(0), Fraction(0))
     assert plane_map((Fraction(2, 3), Fraction(1, 2))) == (Fraction(0), Fraction(0))
     assert plane_map((Fraction(0), Fraction(0))) == (Fraction(0), Fraction(0))
+
+
+def _is_special(x1, x2, max_n=10**6):
+    """(x1, x2) = (1/n, 1/(n+1)) for an integer n in [1, max_n], decided by inverting x1."""
+    if x1 == 0:
+        return False
+    n = 1 / x1
+    return n.denominator == 1 and 1 <= n <= max_n and x2 * (n + 1) == 1
+
+
+def _point(a, n, c, shift):
+    return Fraction(a, n), Fraction(c, n + 1 + shift)
+
+
+# Unit fractions with consecutive denominators, next to them (another numerator, a sign, zero, a skipped
+# denominator, n past 10^6), and arbitrary rationals.
+_units = st.integers(1, 10**6).map(lambda n: _point(1, n, 1, 0))
+_near = st.builds(_point, st.integers(-3, 3), st.integers(1, 10**6 + 2), st.integers(-3, 3), st.integers(-1, 2))
+_anywhere = st.tuples(st.fractions(), st.fractions())
+
+
+@given(st.one_of(_units, _near, _anywhere))
+@example(_point(1, 10**6, 1, 0))
+@example(_point(1, 10**6 + 1, 1, 0))
+@example((Fraction(0), Fraction(1, 2)))
+@example((Fraction(-1, 2), Fraction(-1, 3)))
+@example((Fraction(2, 3), Fraction(1, 4)))
+def test_plane_map_is_the_formula_at_special_points_and_the_origin_elsewhere(point):
+    x1, x2 = point
+    expected = (x1 * x2 / (x1 * x1 + x2 * x2), 0) if _is_special(x1, x2) else (0, 0)
+    image = plane_map(point)
+    assert image == expected
+    assert all(type(v) is Fraction for v in image)
+
+
+_rationals = st.one_of(st.integers(-(10**6), 10**6), st.fractions())
+
+
+@given(st.tuples(_rationals, _rationals), st.tuples(_rationals, _rationals))
+@example((Fraction(0), Fraction(-1, 3)), (Fraction(5, 2), Fraction(-7, 4)))
+def test_inner_is_the_dot_product(p, q):
+    assert corpus._inner(p, q) == p[0] * q[0] + p[1] * q[1]
 
 
 def test_five_point_case_reports_expected_and_actual():

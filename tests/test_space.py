@@ -32,6 +32,7 @@ from orthofix import (
 )
 from orthofix.oracle import _shortest_path_metric
 from orthofix.space import _triangle_screen
+from reference import full_lane_screen
 
 
 def _space(matrix, relation=()):
@@ -427,8 +428,14 @@ def _axiom_reads(matrix):
     return n + (2 * n * n - 2 * n if broken else 0)
 
 
+def _int_form(matrix):
+    return FiniteSpace([str(i) for i in range(len(matrix))], matrix, []).int_metric
+
+
 def _screened(matrix):
-    return _triangle_screen(FiniteSpace([str(i) for i in range(len(matrix))], matrix, []).int_metric)
+    """The screen's flags on `matrix`, given the symmetry flag that `validate_metric` computes."""
+    m = _int_form(matrix)
+    return _triangle_screen(m, m == tuple(zip(*m)))
 
 
 def _violated_pairs(matrix):
@@ -454,22 +461,40 @@ def _matrices(draw):
 
 
 @st.composite
-def _extreme_matrices(draw):
-    """Entries at +-(2^b - 1) and next to 0, so d(i, k) + d(k, j) - d(i, j) nears 3 * 2^b."""
+def _extreme_matrices(draw, symmetric=False):
+    """Entries at +-(2^b - 1) and next to 0, so d(i, k) + d(k, j) - d(i, j) nears 3 * 2^b; mirrored when `symmetric`.
+
+    n reaches 12, past the blocks of 8 rows in which the screen shifts its packed rows."""
     top = 2 ** draw(st.integers(1, 70)) - 1
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
     values = st.sampled_from((-top, 1 - top, -1, 0, 1, top - 1, top))
-    return [[Fraction(draw(values)) for _ in range(n)] for _ in range(n)]
+    rows = [[Fraction(draw(values)) for _ in range(n)] for _ in range(n)]
+    if symmetric:
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    return rows
 
 
-@given(st.one_of(_matrices(), _extreme_matrices()), st.sampled_from(["fraction", "int"]))
+_screen_draws = st.one_of(_matrices(), _extreme_matrices(), _extreme_matrices(symmetric=True))
+
+
+@given(_screen_draws, st.sampled_from(["fraction", "int"]))
 def test_validation_matches_reference_loop(matrix, domain):
     if domain == "int":
         matrix = [[int(v * 6) for v in row] for row in matrix]
     assert _reported(matrix) == reference_violations(matrix)
 
 
-@given(st.one_of(_matrices(), _extreme_matrices()))
+@given(_screen_draws)
+def test_upper_lane_screen_flags_what_the_full_lane_screen_flags(matrix):
+    # Mirroring the upper lanes is exact on a symmetric form, and the transpose's upper lanes are the
+    # lower lanes of any other, so the flags, negative diagonals included, are the full screen's.
+    m = _int_form(matrix)
+    assert _screened(matrix) == full_lane_screen(m)
+
+
+@given(_screen_draws)
 def test_screen_over_flags_only_at_negative_diagonals(matrix):
     # The terms k = i and k = j fail only on a negative diagonal entry; the exact loop discards them.
     flagged = _screened(matrix)
@@ -493,6 +518,25 @@ def test_validation_matches_reference_on_wide_entries(n, seed, symmetric, negati
             for j in range(i):
                 matrix[i][j] = matrix[j][i]
     assert _reported(matrix) == reference_violations(matrix)
+
+
+def _ratio_chain(n):
+    """A line metric whose gaps shrink by 1/2, 1/3, 2/5, 3/7 and 4/9 in turn: its integer form is wide."""
+    ratios = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(4, 9))
+    xs, gap = [Fraction(0)], Fraction(1)
+    for i in range(n - 1):
+        xs.append(xs[-1] + gap)
+        gap *= ratios[i % len(ratios)]
+    return [[abs(x - y) for y in xs] for x in xs]
+
+
+def test_screen_flags_nothing_on_a_wide_ratio_chain():
+    # 64 points whose integer entries pass 2^100, so every lane is wider than 100 bits and each row
+    # spans thousands of bits; a line metric meets the triangle inequality, so the exact loop never runs.
+    metric = _ratio_chain(64)
+    assert max(map(max, _int_form(metric))) > 2**100
+    assert _screened(metric) == []
+    assert _row_reads(metric) == _axiom_reads(metric)
 
 
 def _directed_closure(n, rng, lo=1, hi=10):
