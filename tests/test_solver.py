@@ -111,18 +111,12 @@ def test_picard_max_iter_and_eps(five_point):
 
 
 @pytest.mark.parametrize("eps", [None, Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10**6), Fraction(1, 10**9)])
-def test_certified_bounds_and_the_eps_stop_follow_the_closed_form(eps):
-    # A 16-point line whose gaps shrink by 1/2, 1/3, 2/5, 3/7, 4/9 in turn, related by <= and shifted one
-    # point right: k = 1/2 and the certified trace runs up to 15 steps.  bound(n) = k^n / (1 - k) * d0 is
-    # computed here from its definition; the trace keeps it as a running product.
-    ratios = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(4, 9))
-    xs, gap = [Fraction(0)], Fraction(1)
-    for i in range(15):
-        xs.append(xs[-1] + gap)
-        gap *= ratios[i % len(ratios)]
-    n = len(xs)
-    metric = [[abs(x - y) for y in xs] for x in xs]
-    space = FiniteSpace([str(i) for i in range(n)], metric, [(i, j) for i in range(n) for j in range(i, n)])
+def test_certified_bounds_and_the_eps_stop_follow_the_closed_form(ratio_chain, eps):
+    # The 16-point ratio chain, related by <= and shifted one point right: k = 1/2 and the certified trace
+    # runs up to 15 steps.  bound(n) = k^n / (1 - k) * d0 is computed here from its definition; the trace
+    # keeps it as a running product.
+    n = 16
+    space = FiniteSpace([str(i) for i in range(n)], ratio_chain(n), [(i, j) for i in range(n) for j in range(i, n)])
     trace = picard_solve(space, SelfMap([min(i + 1, n - 1) for i in range(n)]), 0, eps=eps)
     k, d0 = trace.k, trace.step_distances[0]
     assert trace.certified and k == Fraction(1, 2)

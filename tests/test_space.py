@@ -520,20 +520,10 @@ def test_validation_matches_reference_on_wide_entries(n, seed, symmetric, negati
     assert _reported(matrix) == reference_violations(matrix)
 
 
-def _ratio_chain(n):
-    """A line metric whose gaps shrink by 1/2, 1/3, 2/5, 3/7 and 4/9 in turn: its integer form is wide."""
-    ratios = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(4, 9))
-    xs, gap = [Fraction(0)], Fraction(1)
-    for i in range(n - 1):
-        xs.append(xs[-1] + gap)
-        gap *= ratios[i % len(ratios)]
-    return [[abs(x - y) for y in xs] for x in xs]
-
-
-def test_screen_flags_nothing_on_a_wide_ratio_chain():
+def test_screen_flags_nothing_on_a_wide_ratio_chain(ratio_chain):
     # 64 points whose integer entries pass 2^100, so every lane is wider than 100 bits and each row
     # spans thousands of bits; a line metric meets the triangle inequality, so the exact loop never runs.
-    metric = _ratio_chain(64)
+    metric = ratio_chain(64)
     assert max(map(max, _int_form(metric))) > 2**100
     assert _screened(metric) == []
     assert _row_reads(metric) == _axiom_reads(metric)
