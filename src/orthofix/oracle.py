@@ -30,20 +30,23 @@ streams depend on MT19937's output alone and are stable across platforms,
 Python versions and runs for a given seed.
 
 Each trial is a pure function of its seed, drawn from the master stream,
-and reports one record (`_Trial`).  The audit draws its seeds in batches,
-splits each batch across the usable CPUs in forked processes (one process
-when there is no ``os.fork``, one CPU, a small batch or a second live
-thread), and keeps the records in seed order; every count of the summary
-is a `len` or a `sum` over them, so its output does not depend on the
-number of CPUs.
+and reports one record (`_Trial`).  The audit draws a list of seeds, and
+the usable CPUs walk it in forked processes, each its own stride of
+positions, until a shared board of status bytes shows the target met (one
+process when there is no ``os.fork``, one CPU, a small target or a second
+live thread).  A child sends its records as plain tuples with ``marshal``;
+only an exception is pickled.  The records are kept in seed order up to the
+seed that completes the target, and every count of the summary is a `len`
+or a `sum` over them, so its output does not depend on the number of CPUs.
+`spacefile`, ``pickle`` and ``signal`` are imported only on the paths that
+use them: a failed trial, an exception and killing a child.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
-import pickle
 import random
-import signal
 import threading
 from fractions import Fraction
 from typing import BinaryIO, NamedTuple
@@ -56,7 +59,6 @@ from .records import to_dict
 from .relational import _violations, brute_force_fixed_points
 from .solver import hypothesis_check, picard_solve
 from .space import FiniteSpace, SelfMap, validate_metric
-from .spacefile import space_to_dict
 
 
 class _GenFields(NamedTuple):
@@ -308,11 +310,15 @@ def _trial(params: GenParams, trial_seed: int) -> _Trial:
     problems += [f"hierarchy implication {verdict.name} fails at {verdict.witness}" for verdict in failed]
     failure = None
     if problems:
+        from .spacefile import space_to_dict
+
         failure = AuditFailure(trial_seed, space_to_dict(space), list(mapping.images), "; ".join(problems))
     return _Trial(tried, True, traces, len(failed), failure)
 
 
 _SEEDS_PER_PROCESS = 32  # below this a forked process costs more than it saves
+
+_NO_MAP, _ACCEPTED, _RAISED = 1, 2, 3  # a position's status byte on the board; 0 is pending
 
 
 def _usable_cpus() -> int:
@@ -330,48 +336,92 @@ def _single_threaded() -> bool:
         return threading.active_count() == 1
 
 
-def _processes(batch: int) -> int:
-    """How many processes share a batch of `batch` seeds; 1 runs it in this process."""
+def _processes(missing: int) -> int:
+    """How many processes share a phase that still misses `missing` trials; 1 runs it in this process."""
     if not hasattr(os, "fork") or not _single_threaded():
         return 1
-    return max(1, min(_usable_cpus(), batch // _SEEDS_PER_PROCESS))
+    return max(1, min(_usable_cpus(), missing // _SEEDS_PER_PROCESS))
 
 
-def _run_child(params: GenParams, seeds: list[int], write_fd: int) -> None:
-    """A forked process's share: pickle its trials, or its exception, to the pipe and exit."""
+def _walk(params: GenParams, seeds: list[int], first: int, step: int, board, missing: int) -> tuple[list[_Trial], Exception | None]:
+    """One worker's share of a phase: `_trial` of seeds[first::step] in order, up to the stop.
+
+    `board` holds one status byte per position of `seeds` and, last, the stop
+    byte.  After each trial the worker marks its position and advances its
+    own view of the done prefix, and it sets the stop byte once that prefix
+    holds `missing` accepted trials or reaches a raised position.  Every
+    position up to there is then done, so a worker that reads the stop byte
+    before its next position has no need to run it.  A trial's exception ends the
+    walk and is returned with the records before it: only the caller knows
+    whether an earlier position completed the target or raised first.
+    """
+    trials = []
+    stop = len(seeds)
+    prefix = accepted = 0
+    for position in range(first, stop, step):
+        if board[stop]:
+            break
+        try:
+            trial = _trial(params, seeds[position])
+        except Exception as exc:
+            board[position] = _RAISED
+            return trials, exc
+        board[position] = _NO_MAP + trial.accepted
+        trials.append(trial)
+        while prefix < stop and (status := board[prefix]):
+            prefix += 1
+            accepted += status == _ACCEPTED
+            if status == _RAISED or accepted == missing:
+                board[stop] = 1
+                break
+    return trials, None
+
+
+def _run_child(params: GenParams, seeds: list[int], first: int, step: int, board, missing: int, write_fd: int) -> None:
+    """A forked worker: its walk's records as plain tuples, and its exception pickled, through the pipe with marshal; then exit."""
     status = 1
     try:
-        try:
-            payload = (True, [_trial(params, seed) for seed in seeds])
-        except BaseException as exc:
+        trials, exc = _walk(params, seeds, first, step, board, missing)
+        error = None
+        if exc is not None:
+            import pickle
             import traceback
 
+            child_traceback = "".join(traceback.format_exception(exc))
             try:  # an exception that would not unpickle still reports its type and message
                 pickle.loads(pickle.dumps(exc))
             except Exception:
                 exc = OrthofixError(f"{type(exc).__name__}: {exc}")
-            payload = (False, (exc, traceback.format_exc()))
+            error = pickle.dumps((exc, child_traceback), pickle.HIGHEST_PROTOCOL)
+        records = [(*trial[:4], trial.failure and tuple(trial.failure)) for trial in trials]
         with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+            marshal.dump((records, error), pipe)
         status = 0
     finally:
         os._exit(status)
 
 
-def _run_trials(params: GenParams, seeds: list[int]) -> list[_Trial]:
-    """`_trial` of every seed, in seed order.
+def _run_phase(params: GenParams, seeds: list[int], missing: int) -> list[_Trial]:
+    """`_trial` of `seeds` in seed order, up to the one that completes `missing` accepted trials, or all of them.
 
-    With W processes the caller takes positions 0::W and forked child i
-    takes i::W, returning its results pickled over a pipe; W = 1 runs the
-    same code with no child.  A child's exception is raised here with its
-    type and message.  Any exception kills and reaps every child still
-    running.  When several seeds raise, the one raised may not be the first
-    in seed order.
+    W processes walk the seed list (`_walk`), the caller as worker 0.  The
+    board decides only how early a worker stops; the result is built from
+    the records alone, so a stale read costs at most an extra trial.  As in
+    a one-at-a-time loop, the exception raised is the first in seed order
+    before the target is met, a child's with its traceback as the cause.  A
+    child that ends without results is an error, and any exception kills
+    and reaps every child still running.
     """
-    workers = _processes(len(seeds))
+    workers = _processes(missing)
+    if workers == 1:
+        board = bytearray(len(seeds) + 1)
+    else:
+        import mmap
+
+        board = mmap.mmap(-1, len(seeds) + 1)  # anonymous and shared, so every forked worker sees every write
     children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe, in stride order
     try:
-        for i in range(1, workers):
+        for first in range(1, workers):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -381,12 +431,11 @@ def _run_trials(params: GenParams, seeds: list[int]) -> list[_Trial]:
                 raise
             if pid == 0:
                 os.close(read_fd)
-                _run_child(params, seeds[i::workers], write_fd)
+                _run_child(params, seeds, first, workers, board, missing, write_fd)
             os.close(write_fd)
             children[pid] = os.fdopen(read_fd, "rb")
-        results: list = [None] * len(seeds)
-        results[0::workers] = [_trial(params, seed) for seed in seeds[0::workers]]
-        for i, (pid, pipe) in enumerate(list(children.items()), start=1):
+        shares = [_walk(params, seeds, 0, workers, board, missing)]
+        for pid, pipe in list(children.items()):
             with pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
@@ -394,13 +443,16 @@ def _run_trials(params: GenParams, seeds: list[int]) -> list[_Trial]:
             if not data:
                 code = os.waitstatus_to_exitcode(status)
                 raise OrthofixError(f"audit process {pid} ended without results (exit code {code})")
-            done, value = pickle.loads(data)
-            if not done:
-                exc, child_traceback = value
-                raise exc from OrthofixError(f"raised in audit process {pid}:\n{child_traceback}")
-            results[i::workers] = value
-        return results
+            records, error = marshal.loads(data)
+            if error is not None:
+                import pickle
+
+                error, child_traceback = pickle.loads(error)
+                error.__cause__ = OrthofixError(f"raised in audit process {pid}:\n{child_traceback}")
+            shares.append(([_Trial(*record[:4], record[4] and AuditFailure(*record[4])) for record in records], error))
     finally:
+        if children:
+            import signal
         for pid, pipe in children.items():
             pipe.close()
             try:
@@ -408,33 +460,58 @@ def _run_trials(params: GenParams, seeds: list[int]) -> list[_Trial]:
             except ProcessLookupError:
                 pass
             os.waitpid(pid, 0)
+        if workers > 1:
+            board.close()
+    done: list[_Trial] = []
+    for position in range(len(seeds)):
+        trials, error = shares[position % workers]
+        if position // workers == len(trials):  # the worker stopped before this position, or raised at it
+            if error is None:
+                break
+            raise error
+        done.append(trials[position // workers])
+        missing -= done[-1].accepted
+        if not missing:
+            break
+    return done
 
 
 def theorem_audit(params: GenParams) -> AuditSummary:
     """Generate, filter and audit instances until `params.trials` are verified.
 
-    A trial is a pure function of its seed (`_trial`).  The master stream's
-    seeds are drawn in batches of the trials still missing; a seed yields at
-    most one trial, so no batch overshoots and the seeds drawn are the ones a
-    one-at-a-time loop would draw.  A batch is split across the usable CPUs
-    in forked processes, and its records are kept in seed order.  Every count
-    of the summary is a `len` or a `sum` over the records, so the summary,
-    byte for byte, does not depend on the number of CPUs.
+    A trial is a pure function of its seed (`_trial`), and the seeds come
+    from the master stream in order.  A phase (`_run_phase`) keeps the
+    records a one-at-a-time loop would make, up to the seed that completes
+    the target.  The first draws 2 × missing + 16 seeds; a further phase,
+    needed only when few spaces yield a map, draws twice the seeds the
+    acceptance seen so far predicts, plus 16, and keeps any seed the last
+    left unrun.  Every count of the summary is a `len` or a `sum` over the
+    records, so the summary, byte for byte, does not depend on the number
+    of CPUs.
     """
     master = random.Random(params.seed)
     trials: list[_Trial] = []
-    while (missing := params.trials - sum(trial.accepted for trial in trials)) > 0:
-        trials += _run_trials(params, [master.getrandbits(64) for _ in range(missing)])
-    accepted = [trial for trial in trials if trial.accepted]
-    failures = tuple(trial.failure for trial in accepted if trial.failure is not None)
+    seeds: list[int] = []
+    accepted = 0
+    while (missing := params.trials - accepted) > 0:
+        if accepted:
+            size = 2 * -(-missing * len(trials) // accepted) + 16
+        else:  # no acceptance seen yet: twice the target at first, then twice the seeds run
+            size = 2 * max(missing, len(trials)) + 16
+        seeds += [master.getrandbits(64) for _ in range(size - len(seeds))]
+        done = _run_phase(params, seeds, missing)
+        trials += done
+        accepted += sum(trial.accepted for trial in done)
+        del seeds[: len(done)]
+    failures = tuple(trial.failure for trial in trials if trial.failure is not None)
     return AuditSummary(
         params=params,
-        trials_run=len(accepted),
-        conclusion_verified=len(accepted) - len(failures),
+        trials_run=accepted,
+        conclusion_verified=accepted - len(failures),
         failures=failures,
         spaces_generated=len(trials),
         maps_tried=sum(trial.maps_tried for trial in trials),
-        spaces_without_accepted_map=len(trials) - len(accepted),
-        hierarchy_failures=sum(trial.hierarchy_failures for trial in accepted),
-        traces_checked=sum(trial.traces_checked for trial in accepted),
+        spaces_without_accepted_map=len(trials) - accepted,
+        hierarchy_failures=sum(trial.hierarchy_failures for trial in trials),
+        traces_checked=sum(trial.traces_checked for trial in trials),
     )

@@ -22,7 +22,7 @@ from itertools import chain
 from pathlib import Path
 
 from .errors import InputError
-from .rational import _is_rational, parse_rational
+from .rational import _RAT_RE, _is_rational, parse_rational
 from .space import FiniteSpace, SelfMap, validate_metric
 
 _ALLOWED_KEYS = {"points", "metric", "relation", "map"}
@@ -75,14 +75,26 @@ def parse_space_data(data: dict) -> tuple[FiniteSpace, SelfMap | None]:
 
 
 def _parse_metric(rows: list, n: int) -> list[list[int | Fraction]]:
-    """The metric's entries, an int as it is and a string parsed as a Fraction; equal entries share one value."""
+    """The metric's entries, an int as it is and a string parsed as a Fraction; equal entries share one value.
+
+    The fast path parses each distinct string inline, as `parse_rational`
+    does: one `_RAT_RE` match, `int` of each group and one Fraction.  Any
+    entry it cannot parse sends the whole metric to the loop, which names
+    the first bad entry with `parse_rational`'s message.
+    """
     if all([isinstance(row, list) and len(row) == n for row in rows]):
         flat = list(chain.from_iterable(rows))
         if set(map(type, flat)) <= {int, str}:
+            shared, match = {}, _RAT_RE.match
             try:
-                shared = {e: e if e.__class__ is int else parse_rational(e) for e in set(flat)}
+                for e in set(flat):
+                    if e.__class__ is int:
+                        shared[e] = e
+                    else:
+                        num, den = match(e).groups()  # AttributeError: no match
+                        shared[e] = Fraction(int(num), 1 if den is None else int(den))  # ValueError: past the digit limit
                 return [list(map(shared.__getitem__, row)) for row in rows]
-            except InputError:
+            except (AttributeError, ValueError, ZeroDivisionError):
                 pass  # the loop below names the first bad entry
     # The type is part of the key, so True and 1.0 never reuse the value parsed for 1.
     parsed: dict[tuple[type, object], int | Fraction] = {}

@@ -1,17 +1,23 @@
-"""The audit's batches split across forked processes and fold back in seed order.
+"""The audit's phases split across forked processes and fold back in seed order.
 
 A trial is a pure function of its seed, so the summary must not depend on
-how many processes ran the batch: every test compares a split run with the
-one-process run (`_usable_cpus` patched to 1).  Three processes give an
-uneven stride.  Failures must cross the pipe in order (a certificate failure
-of the solver is a failure of its trial, not an abort), a child's exception
-must surface in the parent, and no child may outlive the call.
+how many processes walked the seed list or on how early the shared board
+stopped them: the tests compare a split run with the one-process run
+(`_usable_cpus` patched to 1) and with a loop, written here, that runs one
+seed at a time.  Three processes give an uneven stride.  Failures must
+cross the pipe in order (a certificate failure of the solver is a failure
+of its trial, not an abort), the exception raised must be the first in seed
+order, as the one-at-a-time loop raises it, and no child may outlive the
+call.
 """
 
 import json
+import mmap
 import os
 import random
 import threading
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -41,9 +47,32 @@ def _cpus(monkeypatch, n):
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: n)
 
 
-def _first_batch(params):
+def _first_seeds(params, count=None):
+    """The master stream's first `count` seeds, by default `params.trials` of them."""
     master = random.Random(params.seed)
-    return [master.getrandbits(64) for _ in range(params.trials)]
+    return [master.getrandbits(64) for _ in range(params.trials if count is None else count)]
+
+
+def _one_at_a_time(params):
+    """The audit's summary from a loop that runs one seed at a time until the target is met."""
+    master = random.Random(params.seed)
+    trials = []
+    accepted = 0
+    while accepted < params.trials:
+        trials.append(oracle._trial(params, master.getrandbits(64)))
+        accepted += trials[-1].accepted
+    failures = tuple(trial.failure for trial in trials if trial.failure is not None)
+    return oracle.AuditSummary(
+        params=params,
+        trials_run=accepted,
+        conclusion_verified=accepted - len(failures),
+        failures=failures,
+        spaces_generated=len(trials),
+        maps_tried=sum(trial.maps_tried for trial in trials),
+        spaces_without_accepted_map=len(trials) - accepted,
+        hierarchy_failures=sum(trial.hierarchy_failures for trial in trials),
+        traces_checked=sum(trial.traces_checked for trial in trials),
+    ).to_dict()
 
 
 def _key(space):
@@ -68,7 +97,7 @@ def _assert_reaped(pids):
     ids=lambda p: f"seed{p.seed}-n{p.max_points}",
 )
 def test_split_run_equals_in_process_run(params, monkeypatch, forks):
-    # Every batch of two or more seeds splits, down to the last few missing trials.
+    # Every phase that misses two or more trials splits, down to the last few missing trials.
     monkeypatch.setattr(oracle, "_SEEDS_PER_PROCESS", 1)
     _cpus(monkeypatch, 1)
     serial = theorem_audit(params).to_dict()
@@ -86,7 +115,7 @@ def test_default_split_needs_enough_seeds_per_process(monkeypatch, forks):
     theorem_audit(GenParams(seed=0, trials=31))
     assert forks == []  # 31 seeds: one process
     theorem_audit(GenParams(seed=0, trials=100))
-    assert len(forks) == 2  # 100 seeds, then 20: three processes, then one
+    assert len(forks) == 2  # one phase of 216 seeds for 100 trials: three processes, and no second phase
 
 
 def _failing_audit_at_1_and_2_cpus(monkeypatch, tmp_path):
@@ -104,7 +133,7 @@ def _failing_audit_at_1_and_2_cpus(monkeypatch, tmp_path):
 
 def test_planted_failures_cross_the_pipe_in_seed_order(monkeypatch, tmp_path, forks):
     params = GenParams(seed=4, trials=64)
-    odd = [s for s in _first_batch(params)[1::2] if oracle._trial(params, s).accepted]
+    odd = [s for s in _first_seeds(params)[1::2] if oracle._trial(params, s).accepted]
     chosen = odd[:3:2]  # two accepted trials at odd positions, in the second process's share
     planted_spaces = {_key(oracle.generate_space(params, random.Random(seed))) for seed in chosen}
     audit_instance = oracle._audit_instance
@@ -127,7 +156,7 @@ def test_planted_failures_cross_the_pipe_in_seed_order(monkeypatch, tmp_path, fo
 def test_certificate_failure_is_recorded_with_its_seed(monkeypatch, tmp_path, forks):
     # A trace the solver refuses is a discrepancy of its trial, not an abort of the audit.
     params = GenParams(seed=4, trials=64)
-    odd = [s for s in _first_batch(params)[1::2] if oracle._trial(params, s).accepted]
+    odd = [s for s in _first_seeds(params)[1::2] if oracle._trial(params, s).accepted]
     chosen = odd[0]  # an accepted trial in the second process's share
     planted_space = _key(oracle.generate_space(params, random.Random(chosen)))
     solve = oracle.picard_solve
@@ -149,12 +178,13 @@ def test_certificate_failure_is_recorded_with_its_seed(monkeypatch, tmp_path, fo
     assert sorted(outputs[2][1]) == [f"failure_{chosen}.json"]
 
 
-def _failing_trial(monkeypatch, position, params, fail):
-    target = _first_batch(params)[position]
+def _failing_trial(monkeypatch, positions, params, fail):
+    seeds = _first_seeds(params)
+    targets = {seeds[position] for position in positions}
     trial = oracle._trial
 
     def failing(params, seed):
-        if seed == target:
+        if seed in targets:
             fail(seed)
         return trial(params, seed)
 
@@ -167,7 +197,7 @@ def _raise_input_error(seed):
 
 def test_child_exception_is_raised_in_the_parent(monkeypatch, forks):
     params = GenParams(seed=3, trials=96)
-    _failing_trial(monkeypatch, 5, params, _raise_input_error)  # position 5: the share 2::3 of the second child
+    _failing_trial(monkeypatch, (5,), params, _raise_input_error)  # position 5: the share 2::3 of the second child
     _cpus(monkeypatch, 3)
     with pytest.raises(InputError, match=r"^planted failure at seed \d+$") as caught:
         theorem_audit(params)
@@ -178,11 +208,153 @@ def test_child_exception_is_raised_in_the_parent(monkeypatch, forks):
 
 def test_parent_exception_kills_and_reaps_every_child(monkeypatch, forks):
     params = GenParams(seed=3, trials=96)
-    _failing_trial(monkeypatch, 0, params, _raise_input_error)  # the parent's first seed
+    _failing_trial(monkeypatch, (0,), params, _raise_input_error)  # the parent's first seed
     _cpus(monkeypatch, 3)
     with pytest.raises(InputError, match="planted failure"):
         theorem_audit(params)
     assert len(forks) == 2
+    _assert_reaped(forks)
+
+
+def test_first_exception_in_seed_order_is_raised_at_every_cpu_count(monkeypatch, forks):
+    # Positions 1 and 2 raise: at 2 CPUs the parent runs position 2 and a child position 1, at 3 two children do.
+    params = GenParams(seed=3, trials=96)
+    first = _first_seeds(params)[1]
+    _failing_trial(monkeypatch, (1, 2), params, _raise_input_error)
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(InputError, match=rf"^planted failure at seed {first}$") as caught:
+            theorem_audit(params)
+        assert ("raised in audit process" in str(caught.value.__cause__)) == (cpus > 1)
+    assert len(forks) == 3
+    _assert_reaped(forks)
+
+
+@pytest.mark.parametrize("seeds_per_process", [1, oracle._SEEDS_PER_PROCESS])
+@pytest.mark.parametrize(
+    "params",
+    [
+        GenParams(seed=11, trials=1),
+        GenParams(seed=12, trials=31),
+        GenParams(seed=13, trials=32),
+        GenParams(seed=14, trials=33),
+        GenParams(seed=15, trials=64),
+        GenParams(seed=16, trials=40, max_points=32),  # acceptance below a half: a second phase
+        GenParams(seed=17, trials=64, relation_density=Fraction(1, 10)),
+    ],
+    ids=lambda p: f"trials{p.trials}-n{p.max_points}-d{p.relation_density}",
+)
+def test_summary_equals_a_one_at_a_time_loop(params, seeds_per_process, monkeypatch, forks):
+    monkeypatch.setattr(oracle, "_SEEDS_PER_PROCESS", seeds_per_process)
+    expected = _one_at_a_time(params)
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        assert theorem_audit(params).to_dict() == expected
+    if forks:
+        _assert_reaped(forks)
+
+
+@pytest.mark.parametrize("raise_past", [False, True], ids=["run-past", "raise-past"])
+def test_workers_that_never_read_the_stop_byte_give_the_same_summary(raise_past, monkeypatch, forks):
+    # Every worker walks its whole stride past the target.  With `raise_past` each raises at its first seed past
+    # the target instead: dropped, as the one-at-a-time loop never runs those seeds.
+    params = GenParams(seed=8, trials=64)
+    expected = _one_at_a_time(params)
+    past = set(_first_seeds(params, 2 * params.trials + 16)[expected["spaces_generated"]:])
+    parent, ran_past = os.getpid(), []
+    trial = oracle._trial
+
+    def watched(params, seed):
+        if seed in past:
+            if os.getpid() == parent:
+                ran_past.append(seed)
+            if raise_past:
+                raise InputError(f"planted failure past the target at seed {seed}")
+        return trial(params, seed)
+
+    class BlindBoard(mmap.mmap):
+        def __getitem__(self, index):
+            return 0 if index == len(self) - 1 else super().__getitem__(index)
+
+    monkeypatch.setattr(oracle, "_trial", watched)
+    monkeypatch.setattr(mmap, "mmap", BlindBoard)
+    monkeypatch.setattr(oracle, "_SEEDS_PER_PROCESS", 1)
+    for cpus in (2, 3):
+        _cpus(monkeypatch, cpus)
+        ran_past.clear()
+        assert theorem_audit(params).to_dict() == expected
+        # The parent ran every seed of its stride past the target, or up to the first, which raised.
+        stride = range(0, 2 * params.trials + 16, cpus)
+        assert len(ran_past) == (1 if raise_past else sum(p >= expected["spaces_generated"] for p in stride))
+    assert len(forks) == 3
+    _assert_reaped(forks)
+
+
+@pytest.mark.parametrize("stop", ["target", "raise"])
+def test_workers_stop_at_the_first_position_past_the_stop(stop, monkeypatch, forks):
+    # The stop is the position that completes the target, or a raise at position 0 in the parent.  At its first
+    # position past the stop each worker waits until the board shows that stop, which must come without any
+    # position past it, and then runs that position; a worker that runs a second one fails the test.
+    params = GenParams(seed=8, trials=64)
+    seeds = _first_seeds(params, 2 * params.trials + 16)
+    expected = _one_at_a_time(params)
+    past = set(seeds[1:] if stop == "raise" else seeds[expected["spaces_generated"]:])
+    boards, parent, ran_past = [], os.getpid(), []  # a forked worker appends to its own copy of `ran_past`
+
+    class WatchedBoard(mmap.mmap):
+        def __init__(self, *args):
+            boards.append(self)
+
+    def fail(message):
+        if os.getpid() == parent:
+            pytest.fail(message)  # a BaseException, so the walk does not return it as the trial's exception
+        os._exit(3)  # the parent reports a child that ends without results
+
+    trial = oracle._trial
+
+    def planted(params, seed):
+        if stop == "raise" and seed == seeds[0]:
+            raise InputError("planted failure at position 0")
+        if seed in past:
+            if ran_past:
+                fail("a worker ran a second position past the stop")
+            ran_past.append(seed)
+            deadline = time.monotonic() + 10
+            while not boards[-1][-1 if stop == "target" else 0]:
+                if time.monotonic() > deadline:
+                    fail("the board never showed the stop")
+                time.sleep(0.001)
+        return trial(params, seed)
+
+    monkeypatch.setattr(oracle, "_trial", planted)
+    monkeypatch.setattr(mmap, "mmap", WatchedBoard)
+    monkeypatch.setattr(oracle, "_SEEDS_PER_PROCESS", 1)
+    _cpus(monkeypatch, 3)
+    if stop == "raise":
+        with pytest.raises(InputError, match="planted failure at position 0"):
+            theorem_audit(params)
+    else:
+        assert theorem_audit(params).to_dict() == expected
+    assert len(forks) == 2
+    _assert_reaped(forks)
+
+
+def test_one_fork_per_phase(monkeypatch, forks):
+    phases = []
+    run_phase = oracle._run_phase
+
+    def counted(params, seeds, missing):
+        phases.append(missing)
+        return run_phase(params, seeds, missing)
+
+    monkeypatch.setattr(oracle, "_run_phase", counted)
+    _cpus(monkeypatch, 2)
+    theorem_audit(GenParams(seed=7, trials=500))
+    assert phases == [500]  # 2 x 500 + 16 seeds, enough at this acceptance, and no phase stops short
+    assert len(forks) == 1
+    forks.clear()
+    theorem_audit(GenParams(seed=5, trials=200, max_points=32))  # acceptance near a half: two phases at most
+    assert 1 <= len(forks) <= 2
     _assert_reaped(forks)
 
 
@@ -194,7 +366,7 @@ def test_child_that_dies_without_results_is_reported(monkeypatch, forks):
         if os.getpid() != parent:
             os._exit(3)
 
-    _failing_trial(monkeypatch, 1, params, die)
+    _failing_trial(monkeypatch, (1,), params, die)
     _cpus(monkeypatch, 2)
     with pytest.raises(OrthofixError, match="ended without results"):
         theorem_audit(params)

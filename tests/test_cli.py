@@ -419,6 +419,11 @@ def test_cli_start_up_imports_only_stdlib():
     assert not listed & {
         "orthofix.contraction", "orthofix.solver", "orthofix.relational", "orthofix.space", "orthofix.spacefile"
     }
+    # The audit imports `spacefile` only for a failed trial, `pickle` only for an exception and `signal` only to
+    # kill a child.
+    audited = imported_by("audit", "--trials", "5", "--json")
+    assert "orthofix.oracle" in audited
+    assert not audited & {"orthofix.spacefile", "pickle", "signal"}
 
 
 # Every command and option as the click command line defined them: option -> (parameter, default, choices,

@@ -1,11 +1,14 @@
 import json
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
-from orthofix import InputError, PointRelation, load_space_file, parse_space_data, space_to_dict
+from orthofix import InputError, PointRelation, load_space_file, parse_space_data, space_to_dict, spacefile
 from orthofix.corpus import five_point_example
+from orthofix.rational import parse_rational
 
 FIVE_POINT = {
     "points": ["0", "1", "2", "3", "4"],
@@ -202,6 +205,34 @@ def test_json_number_over_the_digit_limit_rejected(tmp_path):
     path.write_text('{"points": ["0", "1"], "metric": [[0, %s], [1, 0]], "relation": []}' % ("1" * _OVER_LIMIT), encoding="utf-8")
     with pytest.raises(InputError, match=f"long.json: a JSON number exceeds the interpreter's limit of {_OVER_LIMIT - 1} digits"):
         load_space_file(path)
+
+
+def _rational_texts():
+    """Metric strings near the "p/q" syntax: non-ASCII digits, `_` and `+`, blanks, zero denominators, long numerals."""
+    blank = st.sampled_from(["", " ", "\t", "\n", "\u00a0", "\u2003"])
+    sign = st.sampled_from(["", "-", "+"])
+    digits = st.one_of(
+        st.text("0123456789", min_size=1, max_size=6),
+        st.sampled_from(["0", "00", "\u0663", "\uff11", "1_0", "_1", "1" * _OVER_LIMIT, "0" * _OVER_LIMIT]),
+    )
+    denominator = st.one_of(st.just(""), st.builds("/{}{}{}{}".format, blank, sign, digits, blank))
+    structured = st.builds("{}{}{}{}{}".format, blank, sign, digits, blank, denominator)
+    pieces = st.sampled_from(["0", "7", "-", "+", "_", "/", " ", "\n", "\u2003", "\u0663", ".", "e"])
+    return st.one_of(structured, st.lists(pieces, max_size=8).map("".join))
+
+
+@given(_rational_texts())
+def test_metric_fast_path_parses_as_parse_rational(text):
+    try:
+        expected = parse_rational(text)
+    except InputError as exc:
+        with pytest.raises(InputError) as raised:
+            spacefile._parse_metric([[text]], 1)
+        assert str(raised.value) == f"metric entry (0, 0): {exc}"
+    else:
+        with mock.patch.object(spacefile, "parse_rational", side_effect=AssertionError("not on the fast path")):
+            ((value,),) = spacefile._parse_metric([[text]], 1)
+        assert value == expected and type(value) is Fraction
 
 
 def test_missing_file():
