@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import CertificateError, InputError, OrthofixError
-from .kinds import ContractionKind, list_cases
+from .kinds import _AUDIT_DEFAULTS, _MAX_POINTS, ContractionKind, list_cases
 from .rational import _past_digit_limit, parse_rational
 
 SCHEMA = 2
@@ -312,11 +312,12 @@ _COMMANDS = (  # (the function that runs it, its name, whether it reads a space 
         "--list": dict(dest="list_only", action="store_true", help="list registered cases"),
     }),
     (audit, "audit", False, {
-        "--trials": dict(type=_int_option, default=500, metavar="N", help="number of accepted instances to audit (default: %(default)s)"),
-        "--seed": dict(type=_int_option, default=0, metavar="N", help="seed of the audit's random stream (default: %(default)s)"),
-        "--max-points": dict(type=_int_option, default=8, metavar="N", help="largest generated space, 2 to 32 points (default: %(default)s)"),
-        "--density": dict(default="1/4", metavar="RATIONAL", help="relation density as a rational in [0, 1] (default: %(default)s)"),
-        "--map-attempts": dict(type=_int_option, default=64, metavar="N", help="candidate maps drawn per generated space (default: %(default)s)"),
+        "--trials": dict(type=_int_option, default=_AUDIT_DEFAULTS["trials"], metavar="N", help="number of accepted instances to audit (default: %(default)s)"),
+        "--seed": dict(type=_int_option, default=_AUDIT_DEFAULTS["seed"], metavar="N", help="seed of the audit's random stream (default: %(default)s)"),
+        "--max-points": dict(type=_int_option, default=_AUDIT_DEFAULTS["max_points"], metavar="N",
+                             help="largest generated space, %d to %d points (default: %%(default)s)" % _MAX_POINTS),
+        "--density": dict(default=str(_AUDIT_DEFAULTS["relation_density"]), metavar="RATIONAL", help="relation density as a rational in [0, 1] (default: %(default)s)"),
+        "--map-attempts": dict(type=_int_option, default=_AUDIT_DEFAULTS["map_attempts"], metavar="N", help="candidate maps drawn per generated space (default: %(default)s)"),
         "--dump-dir": dict(metavar="PATH", help="write failure reproduction files here"),
     }),
 )

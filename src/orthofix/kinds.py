@@ -1,8 +1,8 @@
-"""The named choices of the library: contraction kinds and corpus cases.
+"""The named choices of the library: contraction kinds, corpus cases and the audit's parameters.
 
-Kept apart from the code that uses them (`contraction`, `solver`, `corpus`),
-so that the command line can offer them as choices, and `corpus --list` can
-list the cases, without importing that code.
+Kept apart from the code that uses them (`contraction`, `solver`, `corpus`,
+`oracle`), so that the command line can offer them as choices and defaults,
+and `corpus --list` can list the cases, without importing that code.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ CASES = {
     "leq-relation": "total order sample under <=",
     "orbit-space": "positive-reals sample with a two-cycle orbit",
 }
+
+
+# the fields of `oracle.GenParams` in order, with their defaults, and the range of `max_points`
+_AUDIT_DEFAULTS = {"seed": 0, "trials": 500, "max_points": 8, "relation_density": Fraction(1, 4), "map_attempts": 64}
+_MAX_POINTS = (2, 32)
 
 
 def list_cases() -> list[tuple[str, str]]:

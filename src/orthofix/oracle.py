@@ -32,28 +32,30 @@ Python versions and runs for a given seed.
 Each trial is a pure function of its seed, drawn from the master stream,
 and reports one record (`_Trial`).  The audit draws a list of seeds, and
 the usable CPUs walk it in forked processes, each its own stride of
-positions, until a shared board of status bytes shows the target met (one
-process when there is no ``os.fork``, one CPU, a small target or a second
-live thread).  A child sends its records as plain tuples with ``marshal``;
-only an exception is pickled.  The records are kept in seed order up to the
-seed that completes the target, and every count of the summary is a `len`
-or a `sum` over them, so its output does not depend on the number of CPUs.
-`spacefile`, ``pickle`` and ``signal`` are imported only on the paths that
-use them: a failed trial, an exception and killing a child.
+positions, until a shared board shows the target met (one process when
+there is no ``os.fork``, one CPU, a small target or a second live thread).
+The board is the only channel: each position's counts and status are ints
+on it, and a position whose trial failed or raised is run again in the
+parent, which rebuilds the failure or raises the exception itself.  The
+records are kept in seed order up to the seed that completes the target,
+and every count of the summary is a `len` or a `sum` over them, so its
+output does not depend on the number of CPUs.  `spacefile`, ``mmap`` and
+``signal`` are imported only on the paths that use them: a failed trial,
+a forked phase and killing a child.
 """
 
 from __future__ import annotations
 
-import marshal
 import os
 import random
 import threading
+from collections import namedtuple
 from fractions import Fraction
-from typing import BinaryIO, NamedTuple
+from typing import NamedTuple
 
 from .contraction import hierarchy_check, report
 from .errors import CertificateError, InputError, OrthofixError
-from .kinds import ContractionKind
+from .kinds import _AUDIT_DEFAULTS, _MAX_POINTS, ContractionKind
 from .rational import _is_index, as_rational
 from .records import to_dict
 from .relational import _violations, brute_force_fixed_points
@@ -61,20 +63,16 @@ from .solver import hypothesis_check, picard_solve
 from .space import FiniteSpace, SelfMap, validate_metric
 
 
-class _GenFields(NamedTuple):
-    # GenParams's fields and defaults; a NamedTuple may not define `__new__`, so its checks live on the subclass
-    seed: int = 0
-    trials: int = 500
-    max_points: int = 8
-    relation_density: Fraction = Fraction(1, 4)
-    map_attempts: int = 64
+_GenFields = namedtuple("_GenFields", _AUDIT_DEFAULTS, defaults=_AUDIT_DEFAULTS.values())
 
 
 class GenParams(_GenFields):
     """Deterministic instance-generation parameters (identical params, identical stream).
 
-    The constructor, which unpickling calls, checks every field and stores
-    `relation_density` as a Fraction; `_make`, and so `_replace`, go through it.
+    The fields and defaults are `kinds._AUDIT_DEFAULTS`, which the command
+    line reads too.  The constructor, which unpickling calls, checks every
+    field and stores `relation_density` as a Fraction; `_make`, and so
+    `_replace`, go through it.
     """
 
     __slots__ = ()
@@ -85,8 +83,8 @@ class GenParams(_GenFields):
             if not _is_index(getattr(fields, name)):
                 raise InputError(f"{name} must be an int, got {getattr(fields, name)!r}")
         seed, trials, max_points, density, map_attempts = fields
-        if not (2 <= max_points <= 32):
-            raise InputError("max_points must lie in [2, 32]")
+        if not (_MAX_POINTS[0] <= max_points <= _MAX_POINTS[1]):
+            raise InputError("max_points must lie in [{}, {}]".format(*_MAX_POINTS))
         density = as_rational(density, "relation_density")
         if not (0 <= density <= 1):
             raise InputError("relation_density must lie in [0, 1]")
@@ -318,7 +316,7 @@ def _trial(params: GenParams, trial_seed: int) -> _Trial:
 
 _SEEDS_PER_PROCESS = 32  # below this a forked process costs more than it saves
 
-_NO_MAP, _ACCEPTED, _RAISED = 1, 2, 3  # a position's status byte on the board; 0 is pending
+_DONE, _ACCEPTED, _FAILED, _RAISED = 1, 2, 3, 4  # a position's status on the board; 0 is pending
 
 
 def _usable_cpus() -> int:
@@ -343,133 +341,98 @@ def _processes(missing: int) -> int:
     return max(1, min(_usable_cpus(), missing // _SEEDS_PER_PROCESS))
 
 
-def _walk(params: GenParams, seeds: list[int], first: int, step: int, board, missing: int) -> tuple[list[_Trial], Exception | None]:
+def _walk(params: GenParams, seeds: list[int], first: int, step: int, board, missing: int) -> None:
     """One worker's share of a phase: `_trial` of seeds[first::step] in order, up to the stop.
 
-    `board` holds one status byte per position of `seeds` and, last, the stop
-    byte.  After each trial the worker marks its position and advances its
-    own view of the done prefix, and it sets the stop byte once that prefix
-    holds `missing` accepted trials or reaches a raised position.  Every
-    position up to there is then done, so a worker that reads the stop byte
-    before its next position has no need to run it.  A trial's exception ends the
-    walk and is returned with the records before it: only the caller knows
-    whether an earlier position completed the target or raised first.
+    `board` holds four ints per position of `seeds` (its status, then the
+    trial's `maps_tried`, `traces_checked` and `hierarchy_failures`) and,
+    last, the stop slot.  After each trial the worker writes its fields, the
+    status last, and advances its own view of the done prefix, and it sets
+    the stop slot once that prefix holds `missing` accepted trials or reaches
+    a raised position.  Every position up to there is then done, so a worker
+    that reads the stop slot before its next position has no need to run it.
+    A trial's exception is marked on the board and ends the walk: only the
+    reader of the whole board knows whether an earlier position completed the
+    target or raised first.
     """
-    trials = []
-    stop = len(seeds)
+    stop = 4 * len(seeds)
     prefix = accepted = 0
-    for position in range(first, stop, step):
+    for position in range(first, len(seeds), step):
         if board[stop]:
             break
+        slot = 4 * position
         try:
             trial = _trial(params, seeds[position])
-        except Exception as exc:
-            board[position] = _RAISED
-            return trials, exc
-        board[position] = _NO_MAP + trial.accepted
-        trials.append(trial)
+        except Exception:
+            board[slot] = _RAISED
+            return
+        board[slot + 1] = trial.maps_tried
+        board[slot + 2] = trial.traces_checked
+        board[slot + 3] = trial.hierarchy_failures
+        board[slot] = (_FAILED if trial.failure else _ACCEPTED) if trial.accepted else _DONE
         while prefix < stop and (status := board[prefix]):
-            prefix += 1
-            accepted += status == _ACCEPTED
+            prefix += 4
+            accepted += _ACCEPTED <= status <= _FAILED
             if status == _RAISED or accepted == missing:
                 board[stop] = 1
                 break
-    return trials, None
-
-
-def _run_child(params: GenParams, seeds: list[int], first: int, step: int, board, missing: int, write_fd: int) -> None:
-    """A forked worker: its walk's records as plain tuples, and its exception pickled, through the pipe with marshal; then exit."""
-    status = 1
-    try:
-        trials, exc = _walk(params, seeds, first, step, board, missing)
-        error = None
-        if exc is not None:
-            import pickle
-            import traceback
-
-            child_traceback = "".join(traceback.format_exception(exc))
-            try:  # an exception that would not unpickle still reports its type and message
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                exc = OrthofixError(f"{type(exc).__name__}: {exc}")
-            error = pickle.dumps((exc, child_traceback), pickle.HIGHEST_PROTOCOL)
-        records = [(*trial[:4], trial.failure and tuple(trial.failure)) for trial in trials]
-        with os.fdopen(write_fd, "wb") as pipe:
-            marshal.dump((records, error), pipe)
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def _run_phase(params: GenParams, seeds: list[int], missing: int) -> list[_Trial]:
     """`_trial` of `seeds` in seed order, up to the one that completes `missing` accepted trials, or all of them.
 
-    W processes walk the seed list (`_walk`), the caller as worker 0.  The
-    board decides only how early a worker stops; the result is built from
-    the records alone, so a stale read costs at most an extra trial.  As in
-    a one-at-a-time loop, the exception raised is the first in seed order
-    before the target is met, a child's with its traceback as the cause.  A
-    child that ends without results is an error, and any exception kills
-    and reaps every child still running.
+    W processes walk the seed list (`_walk`), the caller as worker 0, on one
+    board: a ``bytearray`` when W is 1, else a shared anonymous ``mmap``.
+    After its own walk the caller reaps every child and reads the board in
+    seed order; the board decides only how early a worker stops, so a stale
+    read costs at most an extra trial.  A position marked failed or raised is
+    run again here: a trial is a pure function of its seed, so the re-run
+    rebuilds its `AuditFailure`, or raises its exception, which is then the
+    first in seed order before the target is met, as in a one-at-a-time
+    loop.  A child that exits with a nonzero status is an error, and any
+    exception kills and reaps every child still running.
     """
     workers = _processes(missing)
+    size = 8 * (4 * len(seeds) + 1)
     if workers == 1:
-        board = bytearray(len(seeds) + 1)
+        board = memoryview(bytearray(size)).cast("q")
     else:
         import mmap
 
-        board = mmap.mmap(-1, len(seeds) + 1)  # anonymous and shared, so every forked worker sees every write
-    children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe, in stride order
+        board = memoryview(mmap.mmap(-1, size)).cast("q")  # anonymous and shared, so every forked worker sees every write
+    children: list[int] = []
     try:
         for first in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
+            pid = os.fork()
             if pid == 0:
-                os.close(read_fd)
-                _run_child(params, seeds, first, workers, board, missing, write_fd)
-            os.close(write_fd)
-            children[pid] = os.fdopen(read_fd, "rb")
-        shares = [_walk(params, seeds, 0, workers, board, missing)]
-        for pid, pipe in list(children.items()):
-            with pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del children[pid]
-            if not data:
+                try:
+                    _walk(params, seeds, first, workers, board, missing)
+                    os._exit(0)
+                finally:  # reached only when the walk raised
+                    os._exit(1)
+            children.append(pid)
+        _walk(params, seeds, 0, workers, board, missing)
+        while children:
+            _, status = os.waitpid(children[0], 0)
+            pid = children.pop(0)
+            if status:
                 code = os.waitstatus_to_exitcode(status)
                 raise OrthofixError(f"audit process {pid} ended without results (exit code {code})")
-            records, error = marshal.loads(data)
-            if error is not None:
-                import pickle
-
-                error, child_traceback = pickle.loads(error)
-                error.__cause__ = OrthofixError(f"raised in audit process {pid}:\n{child_traceback}")
-            shares.append(([_Trial(*record[:4], record[4] and AuditFailure(*record[4])) for record in records], error))
     finally:
         if children:
             import signal
-        for pid, pipe in children.items():
-            pipe.close()
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+        for pid in children:  # not reaped yet, so none of these pids can have been reused
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        if workers > 1:
-            board.close()
     done: list[_Trial] = []
-    for position in range(len(seeds)):
-        trials, error = shares[position % workers]
-        if position // workers == len(trials):  # the worker stopped before this position, or raised at it
-            if error is None:
-                break
-            raise error
-        done.append(trials[position // workers])
+    fields = iter(board.tolist())
+    for seed, status, maps_tried, traces, hierarchy in zip(seeds, fields, fields, fields, fields):
+        if not status:  # no worker ran it: a stop came before it
+            break
+        if status >= _FAILED:
+            done.append(_trial(params, seed))
+        else:
+            done.append(_Trial(maps_tried, status == _ACCEPTED, traces, hierarchy))
         missing -= done[-1].accepted
         if not missing:
             break

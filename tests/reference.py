@@ -52,16 +52,17 @@ def oracle_report(kind, space, mapping, symmetric=False):
     else:
         pairs = sorted(space.relation)
     exact = [[Fraction(v) for v in row] for row in space.metric]
+    return scan_pairs(kind, pairs, lambda i, j: exact[i][j], mapping)
 
-    def d(i, j):
-        return exact[i][j]
 
+def scan_pairs(kind, pairs, d, t):
+    """(feasible, minimal_k, witness, infeasible_witness) of `kind` over `pairs`, in their order, by definition."""
     best = None
     witness = None
     infeasible = None
     for (x, y) in pairs:
-        num = d(mapping(x), mapping(y))
-        den = oracle_functional(kind, d, mapping, x, y)
+        num = d(t(x), t(y))
+        den = oracle_functional(kind, d, t, x, y)
         if den == 0:
             if num > 0 and infeasible is None:
                 infeasible = (x, y)

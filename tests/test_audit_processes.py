@@ -5,10 +5,10 @@ how many processes walked the seed list or on how early the shared board
 stopped them: the tests compare a split run with the one-process run
 (`_usable_cpus` patched to 1) and with a loop, written here, that runs one
 seed at a time.  Three processes give an uneven stride.  Failures must
-cross the pipe in order (a certificate failure of the solver is a failure
+come back in seed order (a certificate failure of the solver is a failure
 of its trial, not an abort), the exception raised must be the first in seed
-order, as the one-at-a-time loop raises it, and no child may outlive the
-call.
+order, as the one-at-a-time loop raises it, with its own type at every CPU
+count, and no child may outlive the call.
 """
 
 import json
@@ -196,13 +196,16 @@ def _raise_input_error(seed):
 
 
 def test_child_exception_is_raised_in_the_parent(monkeypatch, forks):
+    # Position 5 is a child's at 2 CPUs (the share 1::2) and at 3 (2::3); the parent re-runs the seed the child marked.
     params = GenParams(seed=3, trials=96)
-    _failing_trial(monkeypatch, (5,), params, _raise_input_error)  # position 5: the share 2::3 of the second child
-    _cpus(monkeypatch, 3)
-    with pytest.raises(InputError, match=r"^planted failure at seed \d+$") as caught:
-        theorem_audit(params)
-    assert "raised in audit process" in str(caught.value.__cause__)
-    assert len(forks) == 2
+    seed = _first_seeds(params)[5]
+    _failing_trial(monkeypatch, (5,), params, _raise_input_error)
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(InputError, match=rf"^planted failure at seed {seed}$") as caught:
+            theorem_audit(params)
+        assert caught.value.__cause__ is None
+    assert len(forks) == 3
     _assert_reaped(forks)
 
 
@@ -225,8 +228,43 @@ def test_first_exception_in_seed_order_is_raised_at_every_cpu_count(monkeypatch,
         _cpus(monkeypatch, cpus)
         with pytest.raises(InputError, match=rf"^planted failure at seed {first}$") as caught:
             theorem_audit(params)
-        assert ("raised in audit process" in str(caught.value.__cause__)) == (cpus > 1)
+        assert caught.value.__cause__ is None
     assert len(forks) == 3
+    _assert_reaped(forks)
+
+
+def test_an_exception_pickle_cannot_carry_keeps_its_type_at_every_cpu_count(monkeypatch, forks):
+    class Local(Exception):  # defined here, so pickle cannot find it by name
+        pass
+
+    def raise_local(seed):
+        raise Local("planted")
+
+    params = GenParams(seed=3, trials=96)
+    _failing_trial(monkeypatch, (1,), params, raise_local)  # position 1: a child's at 2 and 3 CPUs
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(Local, match="^planted$"):
+            theorem_audit(params)
+    assert len(forks) == 3
+    _assert_reaped(forks)
+
+
+def test_a_raise_the_parent_does_not_repeat_counts_as_its_trial(monkeypatch, forks):
+    # Position 1 raises in the child only: the child's walk ends there and the stop comes at position 1, so the
+    # parent's re-run returns the trial, and the positions past the stop that no worker ran go to the next phase.
+    params = GenParams(seed=3, trials=96)
+    expected = _one_at_a_time(params)
+    parent = os.getpid()
+
+    def in_a_child(seed):
+        if os.getpid() != parent:
+            raise InputError("planted failure in a child")
+
+    _failing_trial(monkeypatch, (1,), params, in_a_child)
+    _cpus(monkeypatch, 2)
+    assert theorem_audit(params).to_dict() == expected
+    assert len(forks) >= 1
     _assert_reaped(forks)
 
 
@@ -272,12 +310,25 @@ def test_workers_that_never_read_the_stop_byte_give_the_same_summary(raise_past,
                 raise InputError(f"planted failure past the target at seed {seed}")
         return trial(params, seed)
 
-    class BlindBoard(mmap.mmap):
+    class BlindBoard:
+        """The board as a worker sees it, but for the stop slot, its last, which always reads 0."""
+
+        def __init__(self, board):
+            self.board = board
+
         def __getitem__(self, index):
-            return 0 if index == len(self) - 1 else super().__getitem__(index)
+            return 0 if index == len(self.board) - 1 else self.board[index]
+
+        def __setitem__(self, index, value):
+            self.board[index] = value
+
+    walk = oracle._walk
+
+    def blind_walk(params, seeds, first, step, board, missing):
+        return walk(params, seeds, first, step, BlindBoard(board), missing)
 
     monkeypatch.setattr(oracle, "_trial", watched)
-    monkeypatch.setattr(mmap, "mmap", BlindBoard)
+    monkeypatch.setattr(oracle, "_walk", blind_walk)
     monkeypatch.setattr(oracle, "_SEEDS_PER_PROCESS", 1)
     for cpus in (2, 3):
         _cpus(monkeypatch, cpus)
@@ -290,12 +341,21 @@ def test_workers_that_never_read_the_stop_byte_give_the_same_summary(raise_past,
     _assert_reaped(forks)
 
 
-@pytest.mark.parametrize("stop", ["target", "raise"])
+@pytest.mark.parametrize("stop", ["target", "raise", "target-all-failed"])
 def test_workers_stop_at_the_first_position_past_the_stop(stop, monkeypatch, forks):
     # The stop is the position that completes the target, or a raise at position 0 in the parent.  At its first
     # position past the stop each worker waits until the board shows that stop, which must come without any
-    # position past it, and then runs that position; a worker that runs a second one fails the test.
+    # position past it, and then runs that position; a worker that runs a second one fails the test.  With
+    # "target-all-failed" every accepted trial has a discrepancy, and still counts toward the target.
     params = GenParams(seed=8, trials=64)
+    if stop == "target-all-failed":
+        audit_instance = oracle._audit_instance
+
+        def planted(space, mapping):
+            problems, traces = audit_instance(space, mapping)
+            return problems + ["planted discrepancy"], traces
+
+        monkeypatch.setattr(oracle, "_audit_instance", planted)
     seeds = _first_seeds(params, 2 * params.trials + 16)
     expected = _one_at_a_time(params)
     past = set(seeds[1:] if stop == "raise" else seeds[expected["spaces_generated"]:])
@@ -320,7 +380,7 @@ def test_workers_stop_at_the_first_position_past_the_stop(stop, monkeypatch, for
                 fail("a worker ran a second position past the stop")
             ran_past.append(seed)
             deadline = time.monotonic() + 10
-            while not boards[-1][-1 if stop == "target" else 0]:
+            while not memoryview(boards[-1]).cast("q")[0 if stop == "raise" else -1]:  # position 0's status, or the stop slot
                 if time.monotonic() > deadline:
                     fail("the board never showed the stop")
                 time.sleep(0.001)

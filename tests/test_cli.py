@@ -11,10 +11,13 @@ from pathlib import Path
 
 import pytest
 
+from orthofix import GenParams, InputError, oracle
 from orthofix.cli import _parser, main
 from orthofix.contraction import ContractionKind, check_contraction
 from orthofix.corpus import five_point_example
+from orthofix.kinds import list_cases
 from orthofix.oracle import _shortest_path_metric
+from orthofix.rational import parse_rational
 from orthofix.space import SelfMap
 from orthofix.spacefile import load_space_file, space_to_dict
 from cli_runner import CliRunner
@@ -342,6 +345,23 @@ def test_corpus_list(runner):
     assert len(result.output.strip().splitlines()) == 5
 
 
+def test_corpus_list_json(runner):
+    result = runner.invoke(main, ["corpus", "--list", "--json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {
+        "schema": 2, "command": "corpus", "cases": [{"name": name, "summary": summary} for name, summary in list_cases()]
+    }
+
+
+def test_verify_needs_a_map(runner, tmp_path):
+    path = tmp_path / "no_map.json"
+    path.write_text(json.dumps({"points": ["a", "b"], "metric": [[0, 1], [1, 0]], "relation": [[0, 1]]}), encoding="utf-8")
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"input error: {path} has no 'map' entry, required by this command\n"
+
+
 def test_audit_json_deterministic(runner):
     args = ["audit", "--trials", "30", "--seed", "42", "--json"]
     first = runner.invoke(main, args)
@@ -358,6 +378,40 @@ def test_audit_text_output(runner):
     result = runner.invoke(main, ["audit", "--trials", "10", "--seed", "3"])
     assert result.exit_code == 0
     assert "all conclusions verified" in result.output
+
+
+def test_audit_text_output_names_each_failure(runner, monkeypatch):
+    # One discrepancy planted on the second accepted trial's space, keyed by its JSON form.
+    params = GenParams(seed=4, trials=5)
+    master = random.Random(params.seed)
+    accepted = [seed for seed in (master.getrandbits(64) for _ in range(10)) if oracle._trial(params, seed).accepted]
+    key = lambda space: json.dumps(space_to_dict(space), sort_keys=True)  # noqa: E731
+    planted_space = key(oracle.generate_space(params, random.Random(accepted[1])))
+    audit_instance = oracle._audit_instance
+
+    def planted(space, mapping):
+        problems, traces = audit_instance(space, mapping)
+        return problems + ["planted discrepancy"] * (key(space) == planted_space), traces
+
+    monkeypatch.setattr(oracle, "_audit_instance", planted)
+    result = runner.invoke(main, ["audit", "--trials", "5", "--seed", "4"])
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    assert [line for line in lines if line.startswith("FAILURE")] == [f"FAILURE seed={accepted[1]}: planted discrepancy"]
+    assert lines[-1] == "audit: DISCREPANCIES FOUND"
+
+
+def test_audit_defaults_are_the_library_defaults(runner):
+    parsed = _parser().parse_args(["audit"])
+    given = (parsed.seed, parsed.trials, parsed.max_points, parse_rational(parsed.density), parsed.map_attempts)
+    assert given == tuple(GenParams())
+    # The help text's range of --max-points is the one GenParams accepts.
+    shown = re.search(r"largest generated space, (\d+) to (\d+) points", runner.invoke(main, ["audit", "--help"]).stdout)
+    low, high = map(int, shown.groups())
+    assert GenParams(max_points=low).max_points == low and GenParams(max_points=high).max_points == high
+    for outside in (low - 1, high + 1):
+        with pytest.raises(InputError, match=rf"^max_points must lie in \[{low}, {high}\]$"):
+            GenParams(max_points=outside)
 
 
 def test_audit_rejects_bad_density(runner):
@@ -392,6 +446,7 @@ def test_cli_start_up_imports_only_stdlib():
     ).stdout
     loaded = json.loads(out)
     assert "orthofix.cli" in loaded
+    assert "orthofix.oracle" not in loaded  # the audit's defaults come from `kinds`
     allowed = set(sys.stdlib_module_names) | {"orthofix"}
     outside = sorted(name for name in loaded if name.split(".")[0] not in allowed)
     assert outside == []
@@ -419,11 +474,11 @@ def test_cli_start_up_imports_only_stdlib():
     assert not listed & {
         "orthofix.contraction", "orthofix.solver", "orthofix.relational", "orthofix.space", "orthofix.spacefile"
     }
-    # The audit imports `spacefile` only for a failed trial, `pickle` only for an exception and `signal` only to
-    # kill a child.
+    # The audit imports `spacefile` only for a failed trial, `mmap` only for a forked phase and `signal` only to
+    # kill a child, and never `pickle`.
     audited = imported_by("audit", "--trials", "5", "--json")
     assert "orthofix.oracle" in audited
-    assert not audited & {"orthofix.spacefile", "pickle", "signal"}
+    assert not audited & {"orthofix.spacefile", "mmap", "signal", "pickle"}
 
 
 # Every command and option as the click command line defined them: option -> (parameter, default, choices,

@@ -21,7 +21,7 @@ import pytest
 
 from orthofix import ContractionKind, FiniteSpace, SelfMap, contraction, scan_value_pairs
 from orthofix.corpus import rational_product_sample
-from reference import oracle_functional, oracle_report
+from reference import oracle_report, scan_pairs
 from test_backends import BATCHES, KEYS, OFF_CONTRACT, _off_contract_space
 
 # what `verify`, the hierarchy check and `solve` fill in one pass, and every key at once
@@ -77,25 +77,12 @@ def _value_scan(pairs, dist, apply_map, keys):
     return [contraction._report(slot, pairs.__getitem__, len(pairs)) for slot in slots]
 
 
-def _value_reference(kind, pairs, dist, apply_map):
-    best = witness = infeasible = None
-    for x, y in pairs:
-        num, den = dist(apply_map(x), apply_map(y)), oracle_functional(kind, dist, apply_map, x, y)
-        if den == 0:
-            if num > 0 and infeasible is None:
-                infeasible = (x, y)
-        elif best is None or num / den > best:
-            best, witness = num / den, (x, y)
-    feasible = infeasible is None
-    return feasible, (best if best is not None else Fraction(0)) if feasible else None, witness, infeasible
-
-
 def test_slot_lists_match_the_reference_on_the_quadext_sample():
     _, values, dist, rel, apply_map = rational_product_sample()
     related = [(x, y) for x in values for y in values if rel(x, y)]
     every = [(x, y) for x in values for y in values]
     for pairs in (related, every):
-        expected = {kind: _value_reference(kind, pairs, dist, apply_map) for kind in ContractionKind}
+        expected = {kind: scan_pairs(kind, pairs, dist, apply_map) for kind in ContractionKind}
         for keys in SLOT_LISTS:
             got = [(r.feasible, r.minimal_k, r.witness_max, r.infeasible_witness) for r in _value_scan(pairs, dist, apply_map, keys)]
             assert got == [expected[kind] for kind, _ in keys], keys

@@ -317,3 +317,12 @@ def test_certificate_holds_at_the_symmetric_constant(instance):
     for w in sorted(space.weak_elements):
         trace = picard_solve(space, mapping, w, k=k)
         assert trace.certified and trace.converged and trace.fixed_point == z
+
+
+def test_tail_bound_is_audited_past_the_step_inequality():
+    # Not a metric (5 > 2 + 1), built through the library, which does not validate: every step shrinks by
+    # k = 1/2, but d(x_0, x_2) = 5 exceeds the a-priori bound d(x_0, x_1) / (1 - k) = 4.
+    every = [(i, j) for i in range(3) for j in range(3)]
+    space = FiniteSpace(["0", "1", "2"], [[0, 2, 5], [2, 0, 1], [5, 1, 0]], every)
+    with pytest.raises(CertificateError, match=r"^tail bound violated: d\(x_0, x_2\) = 5 > 4 with k = 1/2$"):
+        picard_solve(space, SelfMap([1, 2, 2], 3), 0, k=Fraction(1, 2), allow_inadmissible_k=True)

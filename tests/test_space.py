@@ -48,21 +48,6 @@ def _views(value, names=_RELATION_VIEWS) -> list:
     return [getattr(value, name) for name in names]
 
 
-def naive_is_metric(matrix) -> bool:
-    """Independent oracle: definition checked directly over all index triples."""
-    n = len(matrix)
-    if any(matrix[i][i] != 0 for i in range(n)):
-        return False
-    for i in range(n):
-        for j in range(n):
-            if i != j and (matrix[i][j] <= 0 or matrix[i][j] != matrix[j][i]):
-                return False
-    return all(
-        matrix[i][j] <= matrix[i][k] + matrix[k][j]
-        for i, j, k in permutations(range(n), 3)
-    )
-
-
 def test_five_point_distance_matrix_is_accepted(five_point):
     space, _ = five_point
     assert validate_metric(space).ok
@@ -113,7 +98,7 @@ def test_violation_values_past_the_digit_limit_are_named_not_raised():
 def test_validator_agrees_with_naive_oracle(matrix):
     sym = [[Fraction(matrix[i][j]) for j in range(len(matrix))] for i in range(len(matrix))]
     space = FiniteSpace([str(i) for i in range(len(matrix))], sym, [])
-    assert validate_metric(space).ok == naive_is_metric(sym)
+    assert validate_metric(space).ok == (not reference_violations(sym))
 
 
 def test_related_uses_symmetric_closure(five_point):
@@ -623,3 +608,8 @@ def test_spaces_maps_and_numbers_round_trip(five_point, clone):
     value = QuadExt(Fraction(1, 3), -2, 11)
     copied = clone(value)
     assert copied == value and (copied.a, copied.b, copied.d) == (value.a, value.b, value.d)
+
+
+def test_a_space_needs_a_point():
+    with pytest.raises(InputError, match="^space needs at least one point$"):
+        FiniteSpace([], [], [])

@@ -304,3 +304,10 @@ def test_bad_metric_entry_is_named_as_it_always_was(rule, place):
     with pytest.raises(InputError) as raised:
         parse_space_data(data)
     assert str(raised.value) == f"metric entry ({i}, {j}): {message}"
+
+
+def test_a_top_level_array_is_refused(tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([{"points": ["a"], "metric": [[0]], "relation": []}]), encoding="utf-8")
+    with pytest.raises(InputError, match="^space definition must be a JSON object$"):
+        load_space_file(path)
