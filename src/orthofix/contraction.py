@@ -428,12 +428,8 @@ def hierarchy_check(space: FiniteSpace, mapping: SelfMap) -> tuple[HierarchyVerd
     def implication(name: str, premise: ContractionReport, conclusion: ContractionReport, factor: int) -> HierarchyVerdict:
         if not premise.admissible:
             return HierarchyVerdict(name, True, None, "premise not admissible; implication vacuous")
-        k, kp = conclusion.minimal_k, premise.minimal_k  # Fractions, as every kept report reads ints
-        ok = (
-            conclusion.feasible
-            and k is not None
-            and k.numerator * kp.denominator <= factor * kp.numerator * k.denominator
-        )
+        k, kp = conclusion.minimal_k, premise.minimal_k  # Fractions on feasible reports, as every kept report reads ints
+        ok = conclusion.feasible and k.numerator * kp.denominator <= factor * kp.numerator * k.denominator
         return HierarchyVerdict(
             name,
             ok,

@@ -10,10 +10,12 @@ covers *both orientations* of every related pair guarantees
 
 Such traces are *certified*: both inequalities are enforced at runtime in
 exact arithmetic, and a violation aborts with CertificateError because it
-falsifies the supplied k.  A trace started elsewhere (allow_any_start), or
-run with a k below the both-orientation constant, still records iterates
-and step distances but carries no bounds; the inequalities simply are not
-theorems there.
+falsifies the supplied k.  The bounds k^n / (1 - k) * d(x_0, T x_0) are one
+list, grown by a factor k per step, which the eps stop, the tail audit and
+`apriori_bounds` all read: bound(0) is there whatever stops the trace.  A
+trace started elsewhere (allow_any_start), or run with a k below the
+both-orientation constant, still records iterates and step distances but
+carries no bounds; the inequalities simply are not theorems there.
 
 On finite spaces the orbit enters a cycle within n steps.  A trace that is
 not enforced ends with its first repeated iterate (stop_reason "cycle").  An
@@ -32,8 +34,6 @@ rationals with `rational._shown`, safe past the interpreter's digit limit.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul
 from typing import NamedTuple
 
 from .contraction import preservation, report
@@ -49,7 +49,7 @@ class PicardTrace(NamedTuple):
     iterates: tuple[int, ...]
     step_distances: tuple
     k: Fraction
-    apriori_bounds: tuple | None   # k^n/(1-k) * d(x0, x1); only on certified traces
+    apriori_bounds: tuple | None   # k^n/(1-k) * d(x0, T x0), one per iterate; only on certified traces
     converged: bool
     fixed_point: int | None
     certified: bool
@@ -147,19 +147,14 @@ def picard_solve(
     iterates = [start]
     seen = {start}
     steps: list = []
-    converged = False
-    fixed_point: int | None = None
+    # bound(n) = k**n / (1 - k) * d(x_0, T x_0): one per iterate, each k times the one before; enforced traces only
+    bounds = [space.d(start, mapping(start)) / (1 - k)] if enforced else None
     stop_reason = "max_iter"
-    d0 = None
-    one_minus_k = 1 - k
-    tail = None  # the tail bound k**len(steps) / (1 - k) * d0 of the eps stop, kept as a running product
 
     while True:
         x = iterates[-1]
         nxt = mapping(x)
         if nxt == x:
-            converged = True
-            fixed_point = x
             stop_reason = "fixed_point"
             break
         if len(iterates) > max_iter:
@@ -173,24 +168,17 @@ def picard_solve(
             )
         iterates.append(nxt)
         steps.append(step)
-        if not enforced and nxt in seen:
+        if enforced:
+            bounds.append(bounds[-1] * k)
+            if eps is not None and certified and bounds[-1] <= eps:
+                stop_reason = "bound_below_eps"
+                break
+        elif nxt in seen:
             stop_reason = "cycle"
             break
         seen.add(nxt)
-        if d0 is None:
-            d0 = step
-            tail = d0 / one_minus_k
-        if eps is not None and certified:
-            tail *= k
-            if tail <= eps:
-                stop_reason = "bound_below_eps"
-                break
 
-    bounds = None
     if enforced:
-        base = d0 if d0 is not None else Fraction(0)
-        # bound(n) = k**n / (1 - k) * d0, each one k times the one before
-        bounds = tuple(accumulate(repeat(k, len(iterates) - 1), mul, initial=base / one_minus_k))
         # Tail bound audited over every recorded pair: d(x_n, x_m) <= bound(n).
         for n in range(len(iterates)):
             for m in range(n + 1, len(iterates)):
@@ -200,14 +188,15 @@ def picard_solve(
                         f"{_shown(space.d(iterates[n], iterates[m]))} > {_shown(bounds[n])} with k = {_shown(k)}"
                     )
 
+    converged = stop_reason == "fixed_point"
     return PicardTrace(
         start=start,
         iterates=tuple(iterates),
         step_distances=tuple(steps),
         k=k,
-        apriori_bounds=bounds if certified else None,
+        apriori_bounds=tuple(bounds) if certified else None,
         converged=converged,
-        fixed_point=fixed_point,
+        fixed_point=iterates[-1] if converged else None,
         certified=certified,
         stop_reason=stop_reason,
     )
@@ -246,7 +235,7 @@ def hypothesis_check(space: FiniteSpace, mapping: SelfMap) -> HypothesisReport:
         has_weak_element=has_weak,
         preserving=preserving,
         contraction_feasible=rep.admissible,
-        minimal_k=rep.minimal_k if rep.feasible else None,
+        minimal_k=rep.minimal_k,
         all_hold=has_weak and preserving and rep.admissible,
         notes=("orbital O_w-completeness: holds (finite space)", "orbital O_w-continuity: holds (finite space)"),
     )

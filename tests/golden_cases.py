@@ -22,6 +22,7 @@ CASES = [
         ["solve", "--start", "4", "--allow-any-start", "--k", "1/2", "--json", "data/five_point.json"],
         0,
     ),
+    ("solve_ratio_chain_max_iter0.json", ["solve", "--start", "0", "--max-iter", "0", "--json", "data/ratio_chain.json"], 1),
     ("corpus.json", ["corpus", "--json"], 0),
     ("audit_50_seed0.json", ["audit", "--trials", "50", "--seed", "0", "--json"], 0),
     ("audit_500_seed42.json", ["audit", "--trials", "500", "--seed", "42", "--json"], 0),

@@ -7,10 +7,12 @@ both orientations and on a pair stored only as (j, i) with j > i, so its
 report pins the order and orientation of preservation violations.
 `data/infeasible.json` (identity map on three points) makes kannan
 infeasible with three moving zero-denominator pairs, so its reports pin the
-first of them, (a, b), as `infeasible_witness` in JSON and in text.  The
-two `solve` reports pin a certified trace (from the weak element 0, where
+first of them, (a, b), as `infeasible_witness` in JSON and in text.  Two
+`solve` reports on `data/five_point.json` pin a certified trace (from the weak element 0, where
 it stops at once) and an uncertified one (from 4 at k = 1/2, three steps,
-its integer step distances written as strings).  The
+its integer step distances written as strings); a third, on the 8-point
+ratio chain `data/ratio_chain.json` cut at `--max-iter 0`, pins a certified
+trace with no step and its bound(0) = d(x_0, T x_0) / (1 - k) = 2.  The
 500-trial audit pins the sampler's whole candidate stream at seed 42 (13,751
 candidate maps, ten times the 50-trial case's); the 200-trial audit at
 `--max-points 32 --density 1/3` pins it on spaces of up to 32 points and at

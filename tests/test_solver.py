@@ -110,21 +110,37 @@ def test_picard_max_iter_and_eps(five_point):
         picard_solve(space, mapping, 0, eps=Fraction(0))
 
 
-@pytest.mark.parametrize("eps", [None, Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10**6), Fraction(1, 10**9)])
-def test_certified_bounds_and_the_eps_stop_follow_the_closed_form(ratio_chain, eps):
+_EPS = (None, Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10**6), Fraction(1, 10**9))
+
+
+# The default max_iter (1000) keeps the bare ids "None", "eps1", ...; a cut adds "-max_iterN".
+@pytest.mark.parametrize(
+    "eps, max_iter",
+    [
+        pytest.param(
+            eps, max_iter, id=("None" if eps is None else f"eps{i}") + ("" if max_iter == 1000 else f"-max_iter{max_iter}")
+        )
+        for max_iter in (1000, 0, 1, 3)
+        for i, eps in enumerate(_EPS)
+    ],
+)
+def test_certified_bounds_and_the_eps_stop_follow_the_closed_form(ratio_chain, eps, max_iter):
     # The 16-point ratio chain, related by <= and shifted one point right: k = 1/2 and the certified trace
-    # runs up to 15 steps.  bound(n) = k^n / (1 - k) * d0 is computed here from its definition; the trace
-    # keeps it as a running product.
+    # runs up to 15 steps.  bound(n) = k^n / (1 - k) * d(x_0, x_1) is computed here from its definition, with
+    # d(x_0, x_1) read from the space (a trace cut at max_iter=0 records no step); the trace keeps it as a
+    # running product, and reports one bound per iterate whatever stops it.
     n = 16
     space = FiniteSpace([str(i) for i in range(n)], ratio_chain(n), [(i, j) for i in range(n) for j in range(i, n)])
-    trace = picard_solve(space, SelfMap([min(i + 1, n - 1) for i in range(n)]), 0, eps=eps)
-    k, d0 = trace.k, trace.step_distances[0]
+    trace = picard_solve(space, SelfMap([min(i + 1, n - 1) for i in range(n)]), 0, eps=eps, max_iter=max_iter)
+    k, d0 = trace.k, space.d(0, 1)
     assert trace.certified and k == Fraction(1, 2)
     bound = [k**i / (1 - k) * d0 for i in range(n)]
     assert trace.apriori_bounds == tuple(bound[: len(trace.iterates)])
     below = [i for i in range(1, n) if bound[i] <= eps] if eps is not None else []
-    if below:
+    if below and below[0] <= max_iter:
         assert trace.stop_reason == "bound_below_eps" and len(trace.step_distances) == below[0]
+    elif max_iter < n - 1:
+        assert trace.stop_reason == "max_iter" and len(trace.step_distances) == max_iter
     else:
         assert trace.stop_reason == "fixed_point" and len(trace.step_distances) == n - 1
 
