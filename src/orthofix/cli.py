@@ -1,9 +1,12 @@
 """Command-line front end, on the standard library's argparse.
 
-Exit codes: 0 all checks passed / solve converged; 1 a verification failed
-or the iteration did not converge; 2 input error (bad file, bad flag, bad
-index).  Reports are deterministic: identical invocations on identical
-files produce byte-identical output, and JSON reports carry "schema": 2.
+Exit codes: 0 all checks passed / solve converged; 1 a verification failed,
+the iteration did not converge or a write failed (one `error:` line, none
+for a closed pipe); 2 input error (bad file, bad flag, bad index).  A
+process (`process_main`) ends with `os._exit` once stdout and stderr are
+flushed, so no teardown or `atexit` hook runs; `main` raises SystemExit.
+Reports are deterministic: identical invocations on identical files
+produce byte-identical output, and JSON reports carry "schema": 2.
 Rationals are written and read as integers or "p/q" only; a report with a
 rational past the interpreter's digit limit (`rational._past_digit_limit`)
 is an input error, and nothing of it is written.  An integer option takes
@@ -346,26 +349,48 @@ def _parser() -> argparse.ArgumentParser:
 _ERRORS = {InputError: ("input error", 2), CertificateError: ("certificate failure", 1), OrthofixError: ("error", 1)}
 
 
+def _write_failed(exc: OSError) -> int:
+    """Exit code 1 for a failed write: quiet for a closed pipe, else an `error:` line; stdout's rest goes to /dev/null."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if not isinstance(exc, BrokenPipeError):
+        print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
 def main(args: list[str] | None = None, prog_name: str = "orthofix", standalone_mode: bool = True):
-    """Run one command line (`sys.argv[1:]` by default) and exit with its code.  The other two
-    parameters are ignored; they are there for the `main.main` alias below."""
+    """Run one command line (`sys.argv[1:]` by default) and raise SystemExit with its code; `process_main` ends
+    the process.  The other two parameters are ignored; they are there for the `main.main` alias below."""
     options = vars(_parser().parse_args(args))
     run = options.pop("run")
     try:
         code = run(**options)
-        sys.stdout.flush()  # a closed stdout shows here, inside the handlers, not at interpreter exit
+        sys.stdout.flush()  # a closed or full stdout shows here, inside the handlers, not at exit
     except OrthofixError as exc:
         prefix, code = next(entry for cls, entry in _ERRORS.items() if isinstance(exc, cls))  # the most specific first
         print(f"{prefix}: {exc}", file=sys.stderr)
-    except BrokenPipeError:
-        # The reader went away (`orthofix verify ... | head -1`): exit quietly, and keep the
-        # interpreter's own final flush of the unwritten rest from reporting the pipe again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
+    except OSError as exc:
+        code = _write_failed(exc)
     except KeyboardInterrupt:
         print("\nAborted!", file=sys.stderr)
         code = 1
     sys.exit(code)
+
+
+def process_main() -> None:
+    """The process entry point (`python -m orthofix.cli`, the `orthofix` script): run `main`, flush both streams and
+    end with `os._exit`, skipping the teardown.  Another exception or a non-int exit code ends the process as usual."""
+    try:
+        main()
+    except SystemExit as exc:
+        if not isinstance(exc.code, (int, type(None))):
+            raise
+        code = exc.code or 0
+        try:  # stdout may still hold argparse's --help or --version; a stream is None if its descriptor was closed
+            sys.stdout and sys.stdout.flush()
+        except OSError as error:
+            code = _write_failed(error)
+        sys.stderr and sys.stderr.flush()
+        os._exit(code)
 
 
 # The benchmark harness still calls click's spelling, `cli.main.main(args=..., prog_name="orthofix",
@@ -374,4 +399,4 @@ main.main = main
 
 
 if __name__ == "__main__":
-    main()
+    process_main()

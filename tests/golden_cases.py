@@ -1,9 +1,13 @@
 """The pinned command-line reports: (golden file, arguments, exit code), run from the repository root.
 
 Standard library only, so that `run_goldens.py` can run the cases under an
-interpreter without the test tools; `test_golden.py` runs them in process.
+interpreter without the test tools; `test_golden.py` runs them in process
+and, through `run_process`, as processes.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,3 +36,15 @@ CASES = [
         0,
     ),
 ]
+
+
+def run_process(args, python=sys.executable, **kwargs) -> subprocess.CompletedProcess:
+    """Run `PYTHON -m orthofix.cli ARGS` from the repository root with PYTHONPATH=src, capturing what it writes.
+
+    PYTHONUNBUFFERED is dropped, so stdout is block-buffered as a user's usually
+    is, and the flush before the process exits is what delivers the report.
+    Keywords go to `subprocess.run` (`stdout=` replaces the capture)."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = "src"
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "timeout": 120, **kwargs}
+    return subprocess.run([python, "-m", "orthofix.cli", *args], cwd=ROOT, env=env, **options)

@@ -3,8 +3,10 @@
     python3 tests/run_goldens.py [PYTHON ...]
 
 Each case of `golden_cases.py` runs as `PYTHON -m orthofix.cli ARGS` from the
-repository root with PYTHONPATH=src (PYTHON defaults to this interpreter);
-its exit code and standard output must match the golden file byte for byte.
+repository root with PYTHONPATH=src and stdout block-buffered
+(`golden_cases.run_process`; PYTHON defaults to this interpreter);
+its exit code and standard output must match the golden file byte for byte,
+and its standard error must be empty.
 An `audit` case runs twice: on this process's CPUs, and with the command
 pinned to one of them, so that it walks its seeds in one process on the
 one-process board; the second run is skipped where `os.sched_setaffinity`
@@ -12,10 +14,9 @@ does not exist.  Prints one line per run, and exits 1 if any differs.
 """
 
 import os
-import subprocess
 import sys
 
-from golden_cases import CASES, GOLDEN, ROOT
+from golden_cases import CASES, GOLDEN, run_process
 
 
 def _one_cpu() -> None:
@@ -24,15 +25,13 @@ def _one_cpu() -> None:
 
 
 def main(pythons: list[str]) -> int:
-    env = dict(os.environ, PYTHONPATH="src")
     pins = (None, _one_cpu) if hasattr(os, "sched_setaffinity") else (None,)
     failed = 0
     for python in pythons:
         for name, args, exit_code in CASES:
             for pin in pins if args[0] == "audit" else (None,):
-                command = [python, "-m", "orthofix.cli", *args]
-                run = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, preexec_fn=pin)
-                ok = run.returncode == exit_code and run.stdout == (GOLDEN / name).read_bytes()
+                run = run_process(args, python, preexec_fn=pin)
+                ok = (run.returncode, run.stdout, run.stderr) == (exit_code, (GOLDEN / name).read_bytes(), b"")
                 failed += not ok
                 print(f"{'ok  ' if ok else 'DIFF'} {python} {name}{' (one CPU)' if pin else ''}")
     return 1 if failed else 0

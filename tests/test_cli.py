@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -21,6 +22,7 @@ from orthofix.rational import parse_rational
 from orthofix.space import SelfMap
 from orthofix.spacefile import load_space_file, space_to_dict
 from cli_runner import CliRunner
+from golden_cases import ROOT, run_process
 
 
 @pytest.fixture
@@ -615,3 +617,102 @@ def test_the_benchmark_harness_spelling_exits_with_the_code(monkeypatch, args, c
     assert done.value.code == code
     assert out.getvalue().startswith({0: "five-point: ", 1: "metric: valid ", 2: ""}[code])
     assert bool(out.getvalue()) == (code != 2)
+
+
+# As a process (`python -m orthofix.cli`, the `orthofix` script) a command ends with os._exit once stdout and stderr
+# are flushed.  These run it so, with stdout block-buffered (`run_process`), and compare it with `main` in process.
+_ENDINGS = {
+    "passing report": (["verify", "--json", "data/five_point.json"], 0),
+    "failing report": (["verify", "data/preservation_violations.json"], 1),
+    "input error": (["verify", "data/missing.json"], 2),
+    "usage error": (["verify", "data/five_point.json", "--frobnicate"], 2),
+    "help": (["--help"], 0),
+    "version": (["--version"], 0),
+}
+_ENOSPC = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("args, code", _ENDINGS.values(), ids=_ENDINGS)
+def test_a_process_ends_as_main_does(runner, monkeypatch, args, code):
+    monkeypatch.chdir(ROOT)
+    inside = runner.invoke(main, args)
+    done = run_process(args)
+    assert (done.returncode, done.stdout, done.stderr) == (code, inside.stdout.encode(), inside.stderr.encode())
+    assert bool(done.stderr) == (code == 2)
+
+
+@pytest.mark.parametrize("args", [["verify", "--json", "data/five_point.json"], ["--help"]], ids=["report", "help"])
+def test_a_process_writing_to_a_closed_pipe_exits_one_quietly(args):
+    # `main` flushes a report inside its handlers; argparse's help is still buffered when the process flushes.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_process(args, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose every write fails with ENOSPC")
+@pytest.mark.parametrize("args", [["verify", "--json", "data/five_point.json"], ["--help"]], ids=["report", "help"])
+def test_a_process_writing_to_a_full_device_prints_one_error_line(args):
+    with open("/dev/full", "wb") as full:
+        done = run_process(args, stdout=full)
+    assert (done.returncode, done.stderr) == (1, f"error: {_ENOSPC}\n".encode())
+
+
+@pytest.mark.parametrize(
+    "closed, args, code, streams",
+    [(1, ["--version"], 0, (b"", b"orthofix, version 0.1.0\n")), (2, ["verify"], 2, (b"usage: orthofix verify [--json] [--help] FILE\n", b""))],
+    ids=["stdout", "stderr"],
+)
+def test_a_process_started_with_a_stream_closed_exits_with_its_code(closed, args, code, streams):
+    # Its `sys` stream is None, and argparse writes what it would have written there to the other one.
+    done = run_process(args, preexec_fn=lambda: os.close(closed))
+    assert (done.returncode, (done.stdout, done.stderr)) == (code, streams)
+
+
+class _FullStdout(io.TextIOWrapper):
+    """A stdout on a real file whose every write fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_write_error_on_stdout_is_one_error_line(tmp_path, monkeypatch):
+    # Like an OrthofixError, not a traceback; the rest of stdout then goes to /dev/null.
+    monkeypatch.chdir(ROOT)
+    err = io.StringIO()
+    with open(tmp_path / "out", "wb") as raw, _FullStdout(raw) as full:
+        with contextlib.redirect_stdout(full), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as done:
+            main(["verify", "--json", "data/five_point.json"])
+    assert (done.value.code, err.getvalue()) == (1, f"error: {_ENOSPC}\n")
+
+
+def test_a_process_delivers_a_report_larger_than_a_pipe_buffer(runner, monkeypatch):
+    # 10,000 sequence indices make about 90 KB of JSON, more than a pipe holds (64 KiB).
+    monkeypatch.chdir(ROOT)
+    args = ["classify", "data/five_point.json", "--json", "--seq", ",".join(["0", "3"] * 5000)]
+    inside = runner.invoke(main, args)
+    done = run_process(args)
+    assert len(done.stdout) > 65536
+    assert (done.returncode, done.stdout, done.stderr) == (inside.exit_code, inside.stdout.encode(), b"")
+
+
+_HOOK_THEN_RUN = """
+import atexit, runpy, sys
+atexit.register(print, "atexit hook ran", file=sys.stderr)
+sys.argv = ["orthofix", "--version"]
+runpy.run_module("orthofix.cli", run_name="__main__")
+"""
+
+
+def test_a_process_skips_the_exit_hooks():
+    done = subprocess.run(
+        [sys.executable, "-c", _HOOK_THEN_RUN], cwd=ROOT, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"orthofix, version 0.1.0\n", b"")
+
+
+def test_the_console_script_is_the_process_entry_point():
+    assert 'orthofix = "orthofix.cli:process_main"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8")

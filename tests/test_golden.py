@@ -22,14 +22,17 @@ alters a default report on purpose regenerates the file, for example
     PYTHONPATH=src python -m orthofix.cli corpus --json > tests/golden/corpus.json
 
 and says why in CHANGES.md.  The cases live in `golden_cases.py`, which
-`run_goldens.py` also reads to run them under other interpreters.
+`run_goldens.py` also reads to run them under other interpreters.  Each
+case also runs as a process, `python -m orthofix.cli`, which ends with
+`os._exit` once its streams are flushed: its exit code and stdout bytes must
+be the same, and its stderr empty.
 """
 
 import pytest
 
 from orthofix.cli import main
 from cli_runner import CliRunner
-from golden_cases import CASES, GOLDEN, ROOT
+from golden_cases import CASES, GOLDEN, ROOT, run_process
 
 
 @pytest.mark.parametrize("name, args, exit_code", CASES, ids=[name for name, _, _ in CASES])
@@ -38,3 +41,10 @@ def test_default_report_is_pinned(name, args, exit_code, monkeypatch):
     result = CliRunner().invoke(main, args)
     assert result.exit_code == exit_code, result.output
     assert result.stdout == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, args, exit_code", CASES, ids=[name for name, _, _ in CASES])
+def test_default_report_is_pinned_as_a_process(name, args, exit_code):
+    done = run_process(args)
+    assert (done.returncode, done.stderr) == (exit_code, b"")
+    assert done.stdout == (GOLDEN / name).read_bytes()
