@@ -33,7 +33,7 @@ _EXPORTS = {
     "FiniteSpace": "space",
     "GenParams": "oracle",
     "HierarchyVerdict": "contraction",
-    "HypothesisReport": "solver",
+    "HypothesisReport": "contraction",
     "InputError": "errors",
     "OrbitInfo": "relational",
     "OrthoClassification": "relational",
@@ -50,7 +50,7 @@ _EXPORTS = {
     "generate_map": "oracle",
     "generate_space": "oracle",
     "hierarchy_check": "contraction",
-    "hypothesis_check": "solver",
+    "hypothesis_check": "contraction",
     "is_ow_preserving": "relational",
     "is_ow_sequence": "relational",
     "list_cases": "kinds",

@@ -59,13 +59,16 @@ preservation report, and `reports` is the only code that fills contraction
 reports: those not kept yet, in one pass (`verify` fills its seven reports
 in one pass, the hierarchy check its five oriented kinds in one).  `report`
 is its one-key form.  `check_contraction` is the public scan that keeps
-nothing: it always scans.
+nothing: it always scans.  `hypothesis_check` reads the theorem's
+hypotheses off the kept facts and the space's weak elements; it lives here,
+not in `solver`, so that `verify` compiles no Picard iteration.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import InputError
 from .kinds import ContractionKind  # re-exported: its home is `kinds`
@@ -117,15 +120,10 @@ _SLOT = {
 }
 
 
-class ContractionReport(NamedTuple):
-    kind: ContractionKind
-    feasible: bool
-    minimal_k: Scalar | None
-    witness_max: tuple | None
-    infeasible_witness: tuple | None
-    admissible: bool
-    pairs_scanned: int
-
+class ContractionReport(
+    namedtuple("ContractionReport", "kind feasible minimal_k witness_max infeasible_witness admissible pairs_scanned")
+):
+    __slots__ = ()
     to_dict = to_dict
 
 
@@ -392,16 +390,48 @@ def reports(
     return tuple(memo[key] for key in keys)
 
 
+class HypothesisReport(
+    namedtuple("HypothesisReport", "has_weak_element preserving contraction_feasible minimal_k all_hold notes", defaults=[()])
+):
+    # contraction_feasible: an admissible constant k in [0, 1) exists; minimal_k: the certificate-grade one (both orientations)
+    __slots__ = ()
+    to_dict = to_dict
+
+
+def hypothesis_check(space: FiniteSpace, mapping: SelfMap) -> HypothesisReport:
+    """Evaluate the fixed point theorem's hypotheses on a finite instance.
+
+    Checked: a weak orthogonal element exists; the map preserves orthogonal
+    relatedness; an admissible generalized contraction constant k in [0, 1)
+    exists (scanned over both orientations of every related pair, which is
+    what the convergence certificates require).
+
+    Orbital completeness and orbital continuity hold automatically on finite
+    spaces (every Cauchy sequence is eventually constant) and are recorded as
+    such in `notes`.  (O1), the subsequence condition's finite reading,
+    holds on every preserving map (README proves it), so it needs no check
+    of its own.  Preservation and the scan are those kept on the map (see
+    `report`).
+    """
+    has_weak = bool(space.weak_elements)
+    preserving = preservation(space, mapping).preserving
+    rep = report(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
+    return HypothesisReport(
+        has_weak_element=has_weak,
+        preserving=preserving,
+        contraction_feasible=rep.admissible,
+        minimal_k=rep.minimal_k,
+        all_hold=has_weak and preserving and rep.admissible,
+        notes=("orbital O_w-completeness: holds (finite space)", "orbital O_w-continuity: holds (finite space)"),
+    )
+
+
 # ---------------------------------------------------------------------------
 # hierarchy checks
 # ---------------------------------------------------------------------------
 
-class HierarchyVerdict(NamedTuple):
-    name: str
-    holds: bool
-    witness: tuple | None
-    detail: str
-
+class HierarchyVerdict(namedtuple("HierarchyVerdict", "name holds witness detail")):
+    __slots__ = ()
     to_dict = to_dict
 
 

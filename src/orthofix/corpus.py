@@ -12,13 +12,15 @@ carried as analytic-only annotations so the test surface stays honest.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .contraction import (
     _ORIENTED,
     ContractionKind,
     hierarchy_check,
+    hypothesis_check,
     m_value,
     preservation,
     report,
@@ -37,35 +39,24 @@ from .relational import (
     strong_orthogonal_elements,
     weak_orthogonal_elements,
 )
-from .solver import hypothesis_check, picard_solve
+from .solver import picard_solve
 from .space import FiniteSpace, PointRelation, SelfMap
 
 
-class Assertion(NamedTuple):
-    name: str
-    expected: str
-    actual: str
-    passed: bool
-    provenance: str  # "stated" | "derived" | "trivial"
-
+class Assertion(namedtuple("Assertion", "name expected actual passed provenance")):
+    __slots__ = ()  # provenance: "stated" | "derived" | "trivial"
     to_dict = to_dict
 
 
-class Annotation(NamedTuple):
-    name: str
-    note: str
-
+class Annotation(namedtuple("Annotation", "name note")):
+    __slots__ = ()
     status = "analytic-only"
     _json_extra = ("status",)
     to_dict = to_dict
 
 
-class CaseReport(NamedTuple):
-    name: str
-    title: str
-    assertions: tuple[Assertion, ...]
-    annotations: tuple[Annotation, ...]
-
+class CaseReport(namedtuple("CaseReport", "name title assertions annotations")):
+    __slots__ = ()
     _json_extra = ("ok",)
     to_dict = to_dict
 

@@ -51,15 +51,14 @@ import random
 import threading
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
-from .contraction import hierarchy_check, report
+from .contraction import hierarchy_check, hypothesis_check, report
 from .errors import CertificateError, InputError, OrthofixError
 from .kinds import _AUDIT_DEFAULTS, _MAX_POINTS, ContractionKind
 from .rational import _is_index, as_rational
 from .records import to_dict
 from .relational import _violations, brute_force_fixed_points
-from .solver import hypothesis_check, picard_solve
+from .solver import picard_solve
 from .space import FiniteSpace, SelfMap, validate_metric
 
 
@@ -203,26 +202,16 @@ def generate_map(
     return _sample_map(params, space, rng)[0]
 
 
-class AuditFailure(NamedTuple):
-    seed: int
-    space: dict
-    map: list[int]
-    discrepancy: str
-
+class AuditFailure(namedtuple("AuditFailure", "seed space map discrepancy")):
+    __slots__ = ()
     to_dict = to_dict
 
 
-class AuditSummary(NamedTuple):
-    params: GenParams
-    trials_run: int
-    conclusion_verified: int
-    failures: tuple[AuditFailure, ...]
-    spaces_generated: int
-    maps_tried: int
-    spaces_without_accepted_map: int
-    hierarchy_failures: int
-    traces_checked: int
-
+class AuditSummary(
+    namedtuple("AuditSummary", "params trials_run conclusion_verified failures spaces_generated maps_tried "
+                               "spaces_without_accepted_map hierarchy_failures traces_checked")
+):
+    __slots__ = ()
     _json_extra = ("acceptance_rate", "ok")
     to_dict = to_dict
 
@@ -286,14 +275,10 @@ def _audit_instance(space: FiniteSpace, mapping: SelfMap) -> tuple[list[str], in
     return problems, traces
 
 
-class _Trial(NamedTuple):
+class _Trial(namedtuple("_Trial", "maps_tried accepted traces_checked hierarchy_failures failure", defaults=(False, 0, 0, None))):
     """What one trial reports; a seed whose space ran out of map attempts is `_Trial(maps_tried)`."""
 
-    maps_tried: int
-    accepted: bool = False
-    traces_checked: int = 0
-    hierarchy_failures: int = 0
-    failure: AuditFailure | None = None
+    __slots__ = ()
 
 
 def _trial(params: GenParams, trial_seed: int) -> _Trial:

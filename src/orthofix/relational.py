@@ -16,39 +16,32 @@ every function takes a `PointRelation`, and a `FiniteSpace` is one.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import reduce
 from operator import and_
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InputError
 from .records import to_dict
 from .space import PointRelation, SelfMap, _check_map, _check_point
 
 
-class OrthoClassification(NamedTuple):
-    strong_elements: frozenset[int]
-    weak_elements: frozenset[int]
-    verdict: str  # "O-set" | "O_w-set-only" | "neither"
-
+class OrthoClassification(namedtuple("OrthoClassification", "strong_elements weak_elements verdict")):
+    __slots__ = ()  # verdict: "O-set" | "O_w-set-only" | "neither"
     to_dict = to_dict
 
 
-class PreservationReport(NamedTuple):
-    preserving: bool
-    violations: tuple[tuple[int, int], ...]
-
+class PreservationReport(namedtuple("PreservationReport", "preserving violations")):
+    __slots__ = ()
     to_dict = to_dict
 
 
-class SequenceCheck(NamedTuple):
-    ok: bool
-    first_violation: int | None
+class SequenceCheck(namedtuple("SequenceCheck", "ok first_violation")):
+    __slots__ = ()
 
 
-class OrbitInfo(NamedTuple):
-    prefix: tuple[int, ...]
-    cycle: tuple[int, ...]
-
+class OrbitInfo(namedtuple("OrbitInfo", "prefix cycle")):
+    __slots__ = ()
     _json_extra = ("enters_fixed_point",)
     to_dict = to_dict
 

@@ -1,4 +1,4 @@
-"""Certified Picard iteration and hypothesis checking.
+"""Certified Picard iteration.
 
 The fixed point scheme iterates x_{n+1} = T(x_n).  When the start is a weak
 orthogonal element and the map preserves orthogonal relatedness, consecutive
@@ -27,16 +27,19 @@ fixed point.
 Preservation and the certificate-grade constant are read through
 `contraction.preservation` and `contraction.report`, which keep them on the
 map: an instance filter, the hypothesis check and every Picard trace of
-one map on one space share a single symmetric scan.  Messages write
-rationals with `rational._shown`, safe past the interpreter's digit limit.
+one map on one space share a single symmetric scan.  The hypothesis check
+(`hypothesis_check`, `HypothesisReport`) lives in `contraction`, beside the
+facts it reads, so `verify` compiles no Picard iteration; both are
+re-exported here.  Messages write rationals with `rational._shown`, safe
+past the interpreter's digit limit.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
-from .contraction import preservation, report
+from .contraction import HypothesisReport, hypothesis_check, preservation, report  # the first two re-exported
 from .errors import CertificateError, InputError
 from .kinds import ContractionKind
 from .rational import _is_index, _shown, as_rational
@@ -44,17 +47,12 @@ from .records import to_dict
 from .space import FiniteSpace, SelfMap, _check_point
 
 
-class PicardTrace(NamedTuple):
-    start: int
-    iterates: tuple[int, ...]
-    step_distances: tuple
-    k: Fraction
-    apriori_bounds: tuple | None   # k^n/(1-k) * d(x0, T x0), one per iterate; only on certified traces
-    converged: bool
-    fixed_point: int | None
-    certified: bool
-    stop_reason: str               # "fixed_point" | "bound_below_eps" | "max_iter" | "cycle" (unenforced only)
-
+class PicardTrace(
+    namedtuple("PicardTrace", "start iterates step_distances k apriori_bounds converged fixed_point certified stop_reason")
+):
+    # apriori_bounds: k^n/(1-k) * d(x0, T x0), one per iterate, only on certified traces;
+    # stop_reason: "fixed_point" | "bound_below_eps" | "max_iter" | "cycle" (unenforced only)
+    __slots__ = ()
     _json_extra = ("applications",)
 
     @property
@@ -199,43 +197,4 @@ def picard_solve(
         fixed_point=iterates[-1] if converged else None,
         certified=certified,
         stop_reason=stop_reason,
-    )
-
-
-class HypothesisReport(NamedTuple):
-    has_weak_element: bool
-    preserving: bool
-    contraction_feasible: bool     # an admissible constant k in [0, 1) exists
-    minimal_k: Fraction | None     # certificate-grade constant (both orientations)
-    all_hold: bool
-    notes: tuple[str, ...] = ()
-
-    to_dict = to_dict
-
-
-def hypothesis_check(space: FiniteSpace, mapping: SelfMap) -> HypothesisReport:
-    """Evaluate the fixed point theorem's hypotheses on a finite instance.
-
-    Checked: a weak orthogonal element exists; the map preserves orthogonal
-    relatedness; an admissible generalized contraction constant k in [0, 1)
-    exists (scanned over both orientations of every related pair, which is
-    what the convergence certificates require).
-
-    Orbital completeness and orbital continuity hold automatically on finite
-    spaces (every Cauchy sequence is eventually constant) and are recorded as
-    such in `notes`.  (O1), the subsequence condition's finite reading,
-    holds on every preserving map (README proves it), so it needs no check
-    of its own.  Preservation and the scan are those kept on the map (see
-    `contraction.report`).
-    """
-    has_weak = bool(space.weak_elements)
-    preserving = preservation(space, mapping).preserving
-    rep = report(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
-    return HypothesisReport(
-        has_weak_element=has_weak,
-        preserving=preserving,
-        contraction_feasible=rep.admissible,
-        minimal_k=rep.minimal_k,
-        all_hold=has_weak and preserving and rep.admissible,
-        notes=("orbital O_w-completeness: holds (finite space)", "orbital O_w-continuity: holds (finite space)"),
     )

@@ -33,31 +33,31 @@ memo of facts is not carried over), so each can be sent to worker processes.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 from .rational import _is_index, _is_rational, _shown
 from .records import to_dict
 
 
-class Violation(NamedTuple):
-    """One broken metric axiom with a concrete witness."""
+class Violation(namedtuple("Violation", "axiom witness values")):
+    """One broken metric axiom with a concrete witness.
 
-    axiom: str                 # "diagonal" | "symmetry" | "positivity" | "triangle"
-    witness: tuple[int, ...]   # pair, or (i, j, k) meaning d(i,j) > d(i,k) + d(k,j)
-    values: tuple[str, ...]    # offending entries, rendered exactly
+    axiom: "diagonal" | "symmetry" | "positivity" | "triangle"; witness: a pair, or (i, j, k) meaning
+    d(i,j) > d(i,k) + d(k,j); values: the offending entries, rendered exactly.
+    """
 
+    __slots__ = ()
     to_dict = to_dict
 
 
-class ValidationReport(NamedTuple):
-    ok: bool
-    violations: tuple[Violation, ...]
-
+class ValidationReport(namedtuple("ValidationReport", "ok violations")):
+    __slots__ = ()
     to_dict = to_dict
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from orthofix import GenParams, InputError, oracle
-from orthofix.cli import _parser, main
+from orthofix.cli import _COMMANDS, _parser, main
 from orthofix.contraction import ContractionKind, check_contraction
 from orthofix.corpus import five_point_example
 from orthofix.kinds import list_cases
@@ -481,6 +481,28 @@ def test_cli_start_up_imports_only_stdlib():
     audited = imported_by("audit", "--trials", "5", "--json")
     assert "orthofix.oracle" in audited
     assert not audited & {"orthofix.spacefile", "mmap", "signal", "pickle"}
+    # `verify` reads the hypothesis check from `contraction`, so it compiles no Picard iteration.
+    assert "orthofix.solver" not in verify
+    # Each command imports its own handler module and no other command's; --help and --version import none.
+    # Under `python -m orthofix.cli` the running cli is `__main__`: a handler that imported `orthofix.cli` by
+    # name would run `cli.py` a second time.
+    runs = {
+        "verify": verify,
+        "classify": imported_by("classify", "data/five_point.json", "--orbit", "4"),
+        "estimate_k": imported_by("estimate-k", "data/five_point.json", "--kind", "generalized_perp"),
+        "solve": imported_by("solve", "data/five_point.json", "--start", "0"),
+        "corpus": listed,
+        "audit": audited,
+    }
+    handlers = {f"orthofix.commands.{module}" for _, module, *_ in _COMMANDS}
+    assert {module for _, module, *_ in _COMMANDS} == set(runs)
+    for module, imported in runs.items():
+        assert imported & handlers == {f"orthofix.commands.{module}"}, module
+        assert "orthofix.cli" not in imported, module
+    for args in (["--help"], ["--version"]):
+        imported = imported_by(*args)
+        assert not imported & handlers and "orthofix.commands" not in imported, args
+        assert "orthofix.cli" not in imported, args
 
 
 # Every command and option as the click command line defined them: option -> (parameter, default, choices,
@@ -600,6 +622,31 @@ def test_usage_errors_exit_two(runner, args):
     assert ": error: " in result.stderr.splitlines()[-1]
 
 
+def _full_tree_parses(args):
+    """What `_parser()`, every command's options added, writes and exits with on `args`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as done:
+        _parser().parse_args(args)
+    return done.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--help"], ["--frobnicate"], ["--help", "verify"],
+        *([*_least(command), ending] for command in sorted(SURFACE) for ending in ("--help", "--frobnicate")),
+        ["bogus"], ["bogus", "--json"], [""],
+    ],
+    ids=lambda args: " ".join(args) or "''",
+)
+def test_the_named_commands_parser_writes_what_the_full_tree_does(runner, args):
+    # `main` adds only the named command's options; no help, usage error or unknown command may show it.
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.stdout, result.stderr) == _full_tree_parses(args)
+    assert result.exit_code == (0 if args[-1] == "--help" or args[0] == "--help" else 2)
+    assert ("invalid choice" in result.stderr) == (args[0] in ("bogus", ""))
+
+
 def test_version_is_byte_identical(runner):
     result = runner.invoke(main, ["--version"])
     assert (result.exit_code, result.stdout, result.stderr) == (0, "orthofix, version 0.1.0\n", "")
@@ -663,11 +710,17 @@ def test_a_process_writing_to_a_full_device_prints_one_error_line(args):
 
 @pytest.mark.parametrize(
     "closed, args, code, streams",
-    [(1, ["--version"], 0, (b"", b"orthofix, version 0.1.0\n")), (2, ["verify"], 2, (b"usage: orthofix verify [--json] [--help] FILE\n", b""))],
-    ids=["stdout", "stderr"],
+    [
+        (1, ["--version"], 0, (b"", b"orthofix, version 0.1.0\n")),
+        (2, ["verify"], 2, (b"usage: orthofix verify [--json] [--help] FILE\n", b"")),
+        (1, ["verify", "data/five_point.json"], 0, (b"", b"")),
+        (1, ["verify", "data/preservation_violations.json"], 1, (b"", b"")),
+    ],
+    ids=["stdout", "stderr", "stdout, passing report", "stdout, failing report"],
 )
 def test_a_process_started_with_a_stream_closed_exits_with_its_code(closed, args, code, streams):
-    # Its `sys` stream is None, and argparse writes what it would have written there to the other one.
+    # Its `sys` stream is None: argparse writes what it would have written there to the other one, and a report
+    # to a closed stdout is lost, but the command keeps its exit code.
     done = run_process(args, preexec_fn=lambda: os.close(closed))
     assert (done.returncode, (done.stdout, done.stderr)) == (code, streams)
 

@@ -13,10 +13,12 @@ from pathlib import Path
 import pytest
 
 import orthofix
-from orthofix import cli, corpus, kinds, oracle, relational
+from orthofix import cli, contraction, corpus, kinds, oracle, relational, solver
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-MODULES = sorted(path.stem for path in (SRC / "orthofix").glob("*.py"))
+PACKAGE = SRC / "orthofix"
+# each module's dotted name under the package: "cli", "commands" (its `__init__`), "commands.verify", ...
+MODULES = sorted(".".join(path.relative_to(PACKAGE).with_suffix("").parts).removesuffix(".__init__") for path in PACKAGE.rglob("*.py"))
 
 
 def test_every_public_name_resolves():
@@ -38,6 +40,8 @@ def test_every_public_name_is_its_home_modules_object():
 def test_moved_names_keep_their_old_homes():
     assert oracle.brute_force_fixed_points is relational.brute_force_fixed_points
     assert corpus.list_cases is kinds.list_cases
+    assert solver.hypothesis_check is contraction.hypothesis_check
+    assert solver.HypothesisReport is contraction.HypothesisReport
 
 
 def test_dir_covers_all_and_unknown_names_raise():
@@ -50,7 +54,7 @@ def test_dir_covers_all_and_unknown_names_raise():
 def test_case_registry_matches_the_runners_and_the_cli_choices():
     names = [name for name, _ in kinds.list_cases()]
     assert names == list(corpus._RUNNERS)
-    (case_choices,) = [options["--case"]["choices"] for run, *_, options in cli._COMMANDS if run is cli.corpus]
+    (case_choices,) = [options["--case"]["choices"] for _, module, *_, options in cli._COMMANDS if module == "corpus"]
     assert case_choices == names
     assert [report.name for report in corpus.run_all()] == names
 

@@ -1,14 +1,14 @@
-"""The result records are immutable NamedTuples with a pinned JSON form.
+"""The result records are immutable `collections.namedtuple` subclasses
+(`__slots__ = ()`) with a pinned JSON form.
 
 `EXPECTED_DICTS` writes out the `to_dict()` of every record `_records()`
 builds, derived keys included, so a change to any report's JSON shows here.
-Each record refuses attribute assignment, survives `pickle` (an
-`AuditFailure` crosses the audit's pipe that way) and keeps the
-`Name(field=...)` repr: the audit embeds a `Violation` repr in its
+Each record refuses attribute assignment, survives `pickle` and keeps
+the `Name(field=...)` repr: the audit embeds a `Violation` repr in its
 discrepancy strings.  A command that builds records loads no
 `dataclasses` (nor `inspect`, which it imports): the audit's `GenParams`
-is a NamedTuple too, whose constructor, `_make` and `_replace` check every
-field.
+is a namedtuple subclass too, whose constructor, `_make` and `_replace`
+check every field.
 """
 
 import json
