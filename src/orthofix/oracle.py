@@ -31,12 +31,12 @@ Python versions and runs for a given seed.
 
 Each trial is a pure function of its seed, drawn from the master stream,
 and reports one record (`_Trial`).  The audit draws a list of seeds, and
-the usable CPUs walk it in forked processes, each its own stride of
-positions, until a shared board shows the target met (one process when
-there is no ``os.fork``, one CPU, a small target or a second live thread).
-The board is the only channel: each position's counts and status are ints
-on it, and a position whose trial failed or raised is run again in the
-parent, which rebuilds the failure or raises the exception itself.  The
+the usable CPUs claim its positions in forked processes, one per CPU,
+until a shared board shows the target met (one process when there is no
+``os.fork``, one CPU, a small target or a second live thread).  The board
+is the only channel: each position's counts and status are ints on it,
+and a position whose trial failed or raised is run again in the parent,
+which rebuilds the failure or raises the exception itself.  The
 records are kept in seed order up to the seed that completes the target,
 and every count of the summary is a `len` or a `sum` over them, so its
 output does not depend on the number of CPUs.  `spacefile`, ``mmap`` and
@@ -301,7 +301,7 @@ def _trial(params: GenParams, trial_seed: int) -> _Trial:
 
 _SEEDS_PER_PROCESS = 32  # below this a forked process costs more than it saves
 
-_DONE, _ACCEPTED, _FAILED, _RAISED = 1, 2, 3, 4  # a position's status on the board; 0 is pending
+_CLAIMED, _DONE, _ACCEPTED, _FAILED, _RAISED = 1, 2, 3, 4, 5  # a position's status on the board; 0 is pending
 
 
 def _usable_cpus() -> int:
@@ -326,26 +326,41 @@ def _processes(missing: int) -> int:
     return max(1, min(_usable_cpus(), missing // _SEEDS_PER_PROCESS))
 
 
-def _walk(params: GenParams, seeds: list[int], first: int, step: int, board, missing: int) -> None:
-    """One worker's share of a phase: `_trial` of seeds[first::step] in order, up to the stop.
+def _pin(cpus: set[int]) -> None:
+    """Run this process on `cpus` alone; where that cannot be done it runs where it did, as a pin never fails an audit."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):  # no such call on this platform, or a CPU this process may not take
+        pass
+
+
+def _walk(params: GenParams, seeds: list[int], first: int, board, missing: int) -> None:
+    """One worker's share of a phase: from position `first` on, `_trial` of each position it claims, up to the stop.
 
     `board` holds four ints per position of `seeds` (its status, then the
     trial's `maps_tried`, `traces_checked` and `hierarchy_failures`) and,
-    last, the stop slot.  After each trial the worker writes its fields, the
-    status last, and advances its own view of the done prefix, and it sets
-    the stop slot once that prefix holds `missing` accepted trials or reaches
-    a raised position.  Every position up to there is then done, so a worker
-    that reads the stop slot before its next position has no need to run it.
-    A trial's exception is marked on the board and ends the walk: only the
-    reader of the whole board knows whether an earlier position completed the
-    target or raised first.
+    last, the stop slot.  The worker passes over every position another
+    worker has claimed or done, marks the next pending one claimed and runs
+    it; two workers that claim one position at once both run it and write the
+    same record, as a trial is a pure function of its seed.  After each trial
+    the worker writes its fields, the status last, and advances its own view
+    of the done prefix, which ends at a pending or claimed position, and it
+    sets the stop slot once that prefix holds `missing` accepted trials or
+    reaches a raised position.  Every position up to there is then done, so a
+    worker that reads the stop slot before its next position has no need to
+    run it.  A trial's exception is marked on the board and ends the walk:
+    only the reader of the whole board knows whether an earlier position
+    completed the target or raised first.
     """
     stop = 4 * len(seeds)
     prefix = accepted = 0
-    for position in range(first, len(seeds), step):
+    for position in range(first, len(seeds)):
         if board[stop]:
             break
         slot = 4 * position
+        if board[slot]:  # another worker's
+            continue
+        board[slot] = _CLAIMED
         try:
             trial = _trial(params, seeds[position])
         except Exception:
@@ -355,7 +370,7 @@ def _walk(params: GenParams, seeds: list[int], first: int, step: int, board, mis
         board[slot + 2] = trial.traces_checked
         board[slot + 3] = trial.hierarchy_failures
         board[slot] = (_FAILED if trial.failure else _ACCEPTED) if trial.accepted else _DONE
-        while prefix < stop and (status := board[prefix]):
+        while prefix < stop and (status := board[prefix]) > _CLAIMED:
             prefix += 4
             accepted += _ACCEPTED <= status <= _FAILED
             if status == _RAISED or accepted == missing:
@@ -366,16 +381,20 @@ def _walk(params: GenParams, seeds: list[int], first: int, step: int, board, mis
 def _run_phase(params: GenParams, seeds: list[int], missing: int) -> list[_Trial]:
     """`_trial` of `seeds` in seed order, up to the one that completes `missing` accepted trials, or all of them.
 
-    W processes walk the seed list (`_walk`), the caller as worker 0, on one
-    board: a ``bytearray`` when W is 1, else a shared anonymous ``mmap``.
-    After its own walk the caller reaps every child and reads the board in
-    seed order; the board decides only how early a worker stops, so a stale
-    read costs at most an extra trial.  A position marked failed or raised is
-    run again here: a trial is a pure function of its seed, so the re-run
-    rebuilds its `AuditFailure`, or raises its exception, which is then the
-    first in seed order before the target is met, as in a one-at-a-time
-    loop.  A child that exits with a nonzero status is an error, and any
-    exception kills and reaps every child still running.
+    W processes claim the seed list's positions (`_walk`), the caller as
+    worker 0, on one board: a ``bytearray`` when W is 1, else a shared
+    anonymous ``mmap``.  When W > 1, worker w starts at position w and pins
+    itself to CPU w of the caller's set (`_pin`), so the workers run on
+    distinct CPUs while there are enough, not on the CPU the kernel forked a
+    child on; the caller gets its own set back on every path.  After its own
+    walk the caller reaps every child and reads the board in seed order, up
+    to the first position not done; the board decides only how early a worker
+    stops, so a stale read costs at most an extra trial.  A position marked
+    failed or raised is run again here: a trial is a pure function of its
+    seed, so the re-run rebuilds its `AuditFailure`, or raises its exception,
+    which is then the first in seed order before the target is met, as in a
+    one-at-a-time loop.  A child that exits with a nonzero status is an
+    error, and any exception kills and reaps every child still running.
     """
     workers = _processes(missing)
     size = 8 * (4 * len(seeds) + 1)
@@ -385,18 +404,23 @@ def _run_phase(params: GenParams, seeds: list[int], missing: int) -> list[_Trial
         import mmap
 
         board = memoryview(mmap.mmap(-1, size)).cast("q")  # anonymous and shared, so every forked worker sees every write
+    cpus = sorted(os.sched_getaffinity(0)) if workers > 1 and hasattr(os, "sched_getaffinity") else []
     children: list[int] = []
     try:
-        for first in range(1, workers):
+        for worker in range(1, workers):
             pid = os.fork()
             if pid == 0:
                 try:
-                    _walk(params, seeds, first, workers, board, missing)
+                    if cpus:
+                        _pin({cpus[worker % len(cpus)]})
+                    _walk(params, seeds, worker, board, missing)
                     os._exit(0)
                 finally:  # reached only when the walk raised
                     os._exit(1)
             children.append(pid)
-        _walk(params, seeds, 0, workers, board, missing)
+        if cpus:
+            _pin({cpus[0]})
+        _walk(params, seeds, 0, board, missing)
         while children:
             _, status = os.waitpid(children[0], 0)
             pid = children.pop(0)
@@ -404,6 +428,8 @@ def _run_phase(params: GenParams, seeds: list[int], missing: int) -> list[_Trial
                 code = os.waitstatus_to_exitcode(status)
                 raise OrthofixError(f"audit process {pid} ended without results (exit code {code})")
     finally:
+        if cpus:
+            _pin(set(cpus))
         if children:
             import signal
         for pid in children:  # not reaped yet, so none of these pids can have been reused
@@ -412,7 +438,7 @@ def _run_phase(params: GenParams, seeds: list[int], missing: int) -> list[_Trial
     done: list[_Trial] = []
     fields = iter(board.tolist())
     for seed, status, maps_tried, traces, hierarchy in zip(seeds, fields, fields, fields, fields):
-        if not status:  # no worker ran it: a stop came before it
+        if status <= _CLAIMED:  # no worker finished it: a stop came before it
             break
         if status >= _FAILED:
             done.append(_trial(params, seed))

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gc
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from orthofix import GenParams, InputError, oracle
-from orthofix.cli import _COMMANDS, _parser, main
+from orthofix.cli import _COMMANDS, _parser, main, process_main
 from orthofix.contraction import ContractionKind, check_contraction
 from orthofix.corpus import five_point_example
 from orthofix.kinds import list_cases
@@ -765,6 +766,40 @@ def test_a_process_skips_the_exit_hooks():
         [sys.executable, "-c", _HOOK_THEN_RUN], cwd=ROOT, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, timeout=60
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, b"orthofix, version 0.1.0\n", b"")
+
+
+class _Exited(Exception):
+    pass
+
+
+def _raise_exited(code):
+    raise _Exited(code)
+
+
+def test_a_process_runs_without_the_cyclic_collector(monkeypatch, capsys):
+    # `os._exit` raises here, so the process lives on to be looked at.
+    monkeypatch.setattr(os, "_exit", _raise_exited)
+    monkeypatch.setattr(sys, "argv", ["orthofix", "--version"])
+    was = gc.isenabled()
+    try:
+        with pytest.raises(_Exited) as ended:
+            process_main()
+        assert (ended.value.args, gc.isenabled()) == ((0,), False)
+    finally:
+        if was:
+            gc.enable()
+    assert capsys.readouterr().out == "orthofix, version 0.1.0\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_leaves_the_collector_as_the_caller_had_it(runner, enabled):
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        result = runner.invoke(main, ["corpus", "--list"])
+        assert (result.exit_code, gc.isenabled()) == (0, enabled)
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_the_console_script_is_the_process_entry_point():
