@@ -10,6 +10,9 @@ The coefficients follow the package's exact-rational rule
 public constructor applies those checks; arithmetic does not repeat them on
 its own results (`QuadExt._make`), whose coefficients are Fraction
 arithmetic on checked Fractions and whose radicand is an operand's.
+The operators are those the analytic samples and the value-domain scans use:
+a rational may stand on either side of `+` and `*`, but only on the right of
+`-` and `/`, and there are no powers.
 
 Ordering is decided exactly by sign case analysis on a and b (comparing
 a^2 against b^2*d where the signs differ), never by floating point.
@@ -24,7 +27,7 @@ from .rational import _is_index, _is_rational, as_rational
 
 
 _set = object.__setattr__
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 
 def is_squarefree(n: int) -> bool:
@@ -111,12 +114,6 @@ class QuadExt:
         d = o.d if self.b == 0 else self.d
         return QuadExt._make(self.a - o.a, self.b - o.b, d)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -138,24 +135,6 @@ class QuadExt:
         if o is NotImplemented:
             return NotImplemented
         return self * o._inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self._inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = QuadExt._make(_ONE, _ZERO, self.d)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- exact ordering -------------------------------------------------------
 

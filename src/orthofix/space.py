@@ -28,7 +28,7 @@ only the lanes above the diagonal: on a symmetric form the pairs below it
 mirror those above, and on any other form a pass over the transpose covers
 them (see `validate_metric`).  Relations, spaces and maps refuse attribute assignment.
 Pickling or copying one rebuilds it from its constructor arguments (a map's
-memo of facts is not carried over), so each can be sent to worker processes.
+memo of facts is not carried over), so callers can pickle and copy them.
 """
 
 from __future__ import annotations

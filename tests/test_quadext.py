@@ -69,19 +69,26 @@ def test_arithmetic_identities():
     assert w - 1 == QuadExt(0, Fraction(1, 11), 11)
     assert w * 0 == QuadExt(0, 0, 11)
     assert (w / 3) * 3 == w
-    assert w * (1 / w) == 1
+    assert w * (QuadExt(1, 0, 11) / w) == 1
     assert abs(QuadExt(1, -1, 11)) == QuadExt(-1, 1, 11)  # sqrt(11) > 1
+
+
+@pytest.mark.parametrize("q", [QuadExt(1, Fraction(1, 11), 11), QuadExt(Fraction(1, 2), 0, 11), QuadExt(0, -1, 2)])
+def test_only_the_operators_the_samples_and_scans_use(q):
+    # A rational stands only on the right of - and /, and there are no powers.
+    for op in (lambda: Fraction(1) - q, lambda: 2 / q, lambda: q**2):
+        with pytest.raises(TypeError):
+            op()
+    assert q - 1 == QuadExt(q.a - 1, q.b, q.d)
+    assert q / 2 == QuadExt(q.a / 2, q.b / 2, q.d)
+    assert 1 + q == QuadExt(q.a + 1, q.b, q.d)
+    # the value-domain kernel's `num{i} * k{f}` with num{i} still at its initial -1
+    assert -1 * q == QuadExt(-q.a, -q.b, q.d)
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         QuadExt(1, 0, 11) / QuadExt(0, 0, 11)
-
-
-def test_pow():
-    w = QuadExt(1, 1, 2)
-    assert w**2 == QuadExt(3, 2, 2)
-    assert w**0 == 1
 
 
 small = st.fractions(min_value=-12, max_value=12, max_denominator=12)
@@ -138,17 +145,11 @@ def test_arithmetic_results_are_well_formed(a, b, a2, b2, m):
     _checked(x * y, QuadExt(a * a2 + 11 * b * b2, a * b2 + a2 * b, 11))
     _checked(-x, QuadExt(-a, -b, 11))
     _checked(x + m, QuadExt(a + m, b, 11))
-    _checked(m - x, QuadExt(m - a, -b, 11))
     _checked(x * m, QuadExt(a * m, b * m, 11))
-    _checked(x**2, QuadExt(a * a + 11 * b * b, 2 * a * b, 11))
-    _checked(x**0, QuadExt(1, 0, 11))
     _checked(abs(x), x if x.sign() >= 0 else QuadExt(-a, -b, 11))
     if y:
         norm = a2 * a2 - 11 * b2 * b2
         _checked(x / y, QuadExt((a * a2 - 11 * b * b2) / norm, (a2 * b - a * b2) / norm, 11))
-    if x:
-        norm = a * a - 11 * b * b
-        _checked(m / x, QuadExt(m * a / norm, -m * b / norm, 11))
 
 
 def test_rational_operand_of_another_radicand_is_relabelled():

@@ -587,7 +587,7 @@ def test_perturbed_closure_reports_planted_witness(n, seed, upward, both_orienta
     "clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
 )
 def test_spaces_maps_and_numbers_round_trip(five_point, clone):
-    # A worker pool pickles its arguments; slots are rebuilt from the constructor, not set one by one.
+    # Callers may pickle and copy these; slots are rebuilt from the constructor, not set one by one.
     space, mapping = five_point
     views = _RELATION_VIEWS + ("metric", "int_metric")
     expected = [check_contraction(kind, space, mapping, symmetric=s) for kind in ContractionKind for s in (False, True)]
