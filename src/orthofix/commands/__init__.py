@@ -15,7 +15,7 @@ from fractions import Fraction
 from ..errors import InputError
 from ..rational import _past_digit_limit, parse_rational
 
-SCHEMA = 2
+SCHEMA = 3
 
 
 def _emit_json(payload: dict) -> None:

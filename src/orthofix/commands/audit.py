@@ -28,7 +28,7 @@ def run(trials, seed, max_points, density, map_attempts, dump_dir, as_json):
         _emit_json({"command": "audit", **summary.to_dict()})
     else:
         d = summary.to_dict()
-        for key in ("trials_run", "conclusion_verified", "spaces_generated", "maps_tried", "acceptance_rate",
+        for key in ("trials_run", "conclusion_verified", "spaces_generated", "maps_tried",
                     "spaces_without_accepted_map", "traces_checked", "hierarchy_failures"):
             print(f"{key.replace('_', ' ')}: {d[key]}")
         for failure in summary.failures:

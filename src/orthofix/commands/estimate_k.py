@@ -9,7 +9,7 @@ def run(file, kind, symmetric, as_json):
     rep = check_contraction(kind, space, mapping, symmetric=symmetric)
     _writable([(f"{kind} k", rep.minimal_k)])
     if as_json:
-        _emit_json({"command": "estimate-k", "file": str(file), "symmetric": symmetric, "report": rep.to_dict()})
+        _emit_json({"command": "estimate-k", "file": str(file), "kind": kind, "symmetric": symmetric, "report": rep.to_dict()})
     else:
         if not rep.feasible:
             print(f"{kind}: infeasible, witness {_labels(space, rep.infeasible_witness)} has zero denominator but moves")

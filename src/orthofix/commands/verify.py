@@ -54,7 +54,5 @@ def run(file, as_json):
         for v in verdicts:
             mark = "holds" if v.holds else f"FAILS at {v.witness}"
             print(f"hierarchy {v.name}: {mark}")
-        for note in hyp.notes:
-            print(note)
         print(f"hypotheses: {'all hold' if hyp.all_hold else 'NOT satisfied'}")
     return 0 if ok else 1

@@ -121,7 +121,7 @@ _SLOT = {
 
 
 class ContractionReport(
-    namedtuple("ContractionReport", "kind feasible minimal_k witness_max infeasible_witness admissible pairs_scanned")
+    namedtuple("ContractionReport", "feasible minimal_k witness_max infeasible_witness admissible pairs_scanned")
 ):
     __slots__ = ()
     to_dict = to_dict
@@ -250,7 +250,6 @@ def _report(slot: list, pair_at: Callable[[int], tuple], count: int) -> Contract
         else:
             admissible = minimal_k < kind.k_bound
     return ContractionReport(
-        kind=kind,
         feasible=feasible,
         minimal_k=minimal_k,
         witness_max=tuple(pair_at(best_pos)) if best_pos >= 0 else None,
@@ -391,9 +390,9 @@ def reports(
 
 
 class HypothesisReport(
-    namedtuple("HypothesisReport", "has_weak_element preserving contraction_feasible minimal_k all_hold notes", defaults=[()])
+    namedtuple("HypothesisReport", "has_weak_element preserving minimal_k all_hold")
 ):
-    # contraction_feasible: an admissible constant k in [0, 1) exists; minimal_k: the certificate-grade one (both orientations)
+    # minimal_k: the certificate-grade constant (both orientations); all_hold needs it admissible, in [0, 1)
     __slots__ = ()
     to_dict = to_dict
 
@@ -407,8 +406,8 @@ def hypothesis_check(space: FiniteSpace, mapping: SelfMap) -> HypothesisReport:
     what the convergence certificates require).
 
     Orbital completeness and orbital continuity hold automatically on finite
-    spaces (every Cauchy sequence is eventually constant) and are recorded as
-    such in `notes`.  (O1), the subsequence condition's finite reading,
+    spaces (every Cauchy sequence is eventually constant), so the report
+    states neither.  (O1), the subsequence condition's finite reading,
     holds on every preserving map (README proves it), so it needs no check
     of its own.  Preservation and the scan are those kept on the map (see
     `report`).
@@ -419,10 +418,8 @@ def hypothesis_check(space: FiniteSpace, mapping: SelfMap) -> HypothesisReport:
     return HypothesisReport(
         has_weak_element=has_weak,
         preserving=preserving,
-        contraction_feasible=rep.admissible,
         minimal_k=rep.minimal_k,
         all_hold=has_weak and preserving and rep.admissible,
-        notes=("orbital O_w-completeness: holds (finite space)", "orbital O_w-continuity: holds (finite space)"),
     )
 
 
@@ -430,7 +427,7 @@ def hypothesis_check(space: FiniteSpace, mapping: SelfMap) -> HypothesisReport:
 # hierarchy checks
 # ---------------------------------------------------------------------------
 
-class HierarchyVerdict(namedtuple("HierarchyVerdict", "name holds witness detail")):
+class HierarchyVerdict(namedtuple("HierarchyVerdict", "name holds witness")):
     __slots__ = ()
     to_dict = to_dict
 
@@ -452,20 +449,14 @@ def hierarchy_check(space: FiniteSpace, mapping: SelfMap) -> tuple[HierarchyVerd
     ban, cir, kan, cha, gen = reports(space, mapping, [(kind, False) for kind in _ORIENTED])
 
     bad = _integer_form_mismatch(space.metric, space.int_metric)
-    detail = "every integer-form entry is the exact entry times the lcm of the denominators"
-    verdicts = [HierarchyVerdict("integer-form-exact", bad is None, bad, detail)]
+    verdicts = [HierarchyVerdict("integer-form-exact", bad is None, bad)]
 
     def implication(name: str, premise: ContractionReport, conclusion: ContractionReport, factor: int) -> HierarchyVerdict:
         if not premise.admissible:
-            return HierarchyVerdict(name, True, None, "premise not admissible; implication vacuous")
+            return HierarchyVerdict(name, True, None)  # the implication holds vacuously
         k, kp = conclusion.minimal_k, premise.minimal_k  # Fractions on feasible reports, as every kept report reads ints
         ok = conclusion.feasible and k.numerator * kp.denominator <= factor * kp.numerator * k.denominator
-        return HierarchyVerdict(
-            name,
-            ok,
-            None if ok else (premise.witness_max or conclusion.witness_max),
-            f"admissible at k implies the conclusion admissible at {factor}k" if factor != 1 else "admissible at k implies the conclusion admissible at k",
-        )
+        return HierarchyVerdict(name, ok, None if ok else (premise.witness_max or conclusion.witness_max))
 
     verdicts.append(implication("banach-implies-ciric", ban, cir, 1))
     verdicts.append(implication("ciric-implies-generalized", cir, gen, 1))

@@ -50,8 +50,6 @@ class Assertion(namedtuple("Assertion", "name expected actual passed provenance"
 
 class Annotation(namedtuple("Annotation", "name note")):
     __slots__ = ()
-    status = "analytic-only"
-    _json_extra = ("status",)
     to_dict = to_dict
 
 

@@ -212,13 +212,8 @@ class AuditSummary(
                                "spaces_without_accepted_map hierarchy_failures traces_checked")
 ):
     __slots__ = ()
-    _json_extra = ("acceptance_rate", "ok")
+    _json_extra = ("ok",)
     to_dict = to_dict
-
-    @property
-    def acceptance_rate(self) -> str:
-        """Accepted trials over candidate maps tried, unreduced: "trials_run/maps_tried"."""
-        return f"{self.trials_run}/{self.maps_tried}" if self.maps_tried else "0/0"
 
     @property
     def ok(self) -> bool:
@@ -247,7 +242,7 @@ def _audit_instance(space: FiniteSpace, mapping: SelfMap) -> tuple[list[str], in
     (z,) = fixed
     hyp = hypothesis_check(space, mapping)
     if not hyp.all_hold:  # the sampler accepted a map that the one definition of the hypotheses rejects
-        held = ", ".join(f"{name}={getattr(hyp, name)}" for name in ("has_weak_element", "preserving", "contraction_feasible"))
+        held = ", ".join(f"{name}={getattr(hyp, name)}" for name in ("has_weak_element", "preserving", "minimal_k"))
         return problems + [f"accepted map fails the hypotheses: {held}"], 0
     k = hyp.minimal_k
     traces = 0

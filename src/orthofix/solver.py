@@ -48,7 +48,7 @@ from .space import FiniteSpace, SelfMap, _check_point
 
 
 class PicardTrace(
-    namedtuple("PicardTrace", "start iterates step_distances k apriori_bounds converged fixed_point certified stop_reason")
+    namedtuple("PicardTrace", "iterates step_distances k apriori_bounds converged fixed_point certified stop_reason")
 ):
     # apriori_bounds: k^n/(1-k) * d(x0, T x0), one per iterate, only on certified traces;
     # stop_reason: "fixed_point" | "bound_below_eps" | "max_iter" | "cycle" (unenforced only)
@@ -64,7 +64,6 @@ class PicardTrace(
         label = (lambda i: space.points[i]) if space is not None else (lambda i: i)
         return {
             **to_dict(self),
-            "start": label(self.start),
             "iterates": [label(i) for i in self.iterates],
             "step_distances": [str(d) for d in self.step_distances],
             "fixed_point": label(self.fixed_point) if self.fixed_point is not None else None,
@@ -188,7 +187,6 @@ def picard_solve(
 
     converged = stop_reason == "fixed_point"
     return PicardTrace(
-        start=start,
         iterates=tuple(iterates),
         step_distances=tuple(steps),
         k=k,

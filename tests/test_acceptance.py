@@ -244,7 +244,7 @@ def test_criterion_7_audit_determinism():
     assert first.exit_code == 0 and second.exit_code == 0
     assert first.output == second.output
     payload = json.loads(first.output)
-    assert payload["schema"] == 2 and payload["trials_run"] == 100
+    assert payload["schema"] == 3 and payload["trials_run"] == 100
 
     _announce(7, True, "determinism: audit --seed 42 --trials 100 twice -> byte-identical JSON")
 

@@ -103,7 +103,7 @@ def test_verify_json_schema(runner, five_point_file):
     result = runner.invoke(main, ["verify", five_point_file, "--json"])
     assert result.exit_code == 0
     data = json.loads(result.output)
-    assert data["schema"] == 2
+    assert data["schema"] == 3
     assert data["classification"]["verdict"] == "O_w-set-only"
     assert data["contractions"]["generalized_perp"]["minimal_k"] == "1/2"
     assert data["hypotheses"]["all_hold"] is True
@@ -175,7 +175,7 @@ def test_solve_json_trace(runner, five_point_file):
     )
     assert result.exit_code == 0
     data = json.loads(result.output)
-    assert data["schema"] == 2
+    assert data["schema"] == 3
     trace = data["trace"]
     assert trace["iterates"] == ["4", "2", "1", "0"]
     assert trace["fixed_point"] == "0"
@@ -352,7 +352,7 @@ def test_corpus_list_json(runner):
     result = runner.invoke(main, ["corpus", "--list", "--json"])
     assert result.exit_code == 0
     assert json.loads(result.output) == {
-        "schema": 2, "command": "corpus", "cases": [{"name": name, "summary": summary} for name, summary in list_cases()]
+        "schema": 3, "command": "corpus", "cases": [{"name": name, "summary": summary} for name, summary in list_cases()]
     }
 
 
@@ -372,7 +372,7 @@ def test_audit_json_deterministic(runner):
     assert first.exit_code == 0
     assert first.output == second.output
     data = json.loads(first.output)
-    assert data["schema"] == 2
+    assert data["schema"] == 3
     assert data["conclusion_verified"] == 30
     assert data["failures"] == []
 
@@ -381,6 +381,10 @@ def test_audit_text_output(runner):
     result = runner.invoke(main, ["audit", "--trials", "10", "--seed", "3"])
     assert result.exit_code == 0
     assert "all conclusions verified" in result.output
+    assert [line.split(":")[0] for line in result.output.splitlines()] == [
+        "trials run", "conclusion verified", "spaces generated", "maps tried", "spaces without accepted map",
+        "traces checked", "hierarchy failures", "audit",
+    ]
 
 
 def test_audit_text_output_names_each_failure(runner, monkeypatch):

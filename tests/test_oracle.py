@@ -75,7 +75,7 @@ def test_cyclic_permutation_on_equilateral_space_rejected():
     space = FiniteSpace(["a", "b", "c"], metric, [(i, j) for i in range(3) for j in range(3)])
     cyclic = SelfMap([1, 2, 0], 3)
     rep = hypothesis_check(space, cyclic)
-    assert not rep.contraction_feasible and not rep.all_hold
+    assert rep.has_weak_element and rep.preserving and rep.minimal_k == 1 and not rep.all_hold
 
 
 def test_generate_map_returns_accepted_candidate():
@@ -195,7 +195,7 @@ def test_accepted_map_failing_the_hypotheses_is_a_discrepancy(monkeypatch):
     summary = theorem_audit(GenParams(seed=3, trials=2))
     assert not summary.ok and summary.trials_run == 2 and summary.conclusion_verified == 0
     assert [failure.discrepancy for failure in summary.failures] == [
-        "accepted map fails the hypotheses: has_weak_element=True, preserving=False, contraction_feasible=True"
+        "accepted map fails the hypotheses: has_weak_element=True, preserving=False, minimal_k=0"
     ] * 2
 
 

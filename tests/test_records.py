@@ -79,7 +79,6 @@ _FIRST_ASSERTION = _assertion("1 is a strong orthogonal element", "true", "state
 _FIRST_ANNOTATION = {
     "name": "the positive reals with this relation are not orthogonally complete",
     "note": "witnessed by the reciprocal sequence converging to 0 outside the space; unbounded, analytic-only",
-    "status": "analytic-only",
 }
 
 # the JSON form of each record of `_records()`, written out; compared as JSON text, so that
@@ -91,20 +90,16 @@ EXPECTED_DICTS = {
     "PreservationReport": {"preserving": True, "violations": []},
     "OrbitInfo": {"prefix": [4, 2, 1], "cycle": [0], "enters_fixed_point": True},
     "ContractionReport": {
-        "kind": "generalized_perp", "feasible": True, "minimal_k": "2/3", "witness_max": [4, 3],
-        "infeasible_witness": None, "admissible": True, "pairs_scanned": 11,
+        "feasible": True, "minimal_k": "2/3", "witness_max": [4, 3], "infeasible_witness": None, "admissible": True,
+        "pairs_scanned": 11,
     },
-    "HierarchyVerdict": {
-        "name": "integer-form-exact", "holds": True, "witness": None,
-        "detail": "every integer-form entry is the exact entry times the lcm of the denominators",
-    },
+    "HierarchyVerdict": {"name": "integer-form-exact", "holds": True, "witness": None},
     "PicardTrace": {
-        "start": 0, "iterates": [0], "step_distances": [], "k": "2/3", "apriori_bounds": ["0"], "converged": True,
+        "iterates": [0], "step_distances": [], "k": "2/3", "apriori_bounds": ["0"], "converged": True,
         "fixed_point": 0, "certified": True, "stop_reason": "fixed_point", "applications": 0,
     },
     "HypothesisReport": {
-        "has_weak_element": True, "preserving": True, "contraction_feasible": True, "minimal_k": "2/3", "all_hold": True,
-        "notes": ["orbital O_w-completeness: holds (finite space)", "orbital O_w-continuity: holds (finite space)"],
+        "has_weak_element": True, "preserving": True, "minimal_k": "2/3", "all_hold": True,
     },
     "AuditFailure": {
         "seed": 7,
@@ -119,7 +114,7 @@ EXPECTED_DICTS = {
     "AuditSummary": {
         "params": {"seed": 1, "trials": 2, "max_points": 8, "relation_density": "1/4", "map_attempts": 64},
         "trials_run": 2, "conclusion_verified": 2, "failures": [], "spaces_generated": 2,
-        "maps_tried": 3, "spaces_without_accepted_map": 0, "acceptance_rate": "2/3", "hierarchy_failures": 0,
+        "maps_tried": 3, "spaces_without_accepted_map": 0, "hierarchy_failures": 0,
         "traces_checked": 3, "ok": True,
     },
     "CaseReport": {
@@ -142,7 +137,6 @@ EXPECTED_DICTS = {
             {
                 "name": "the map is not orthogonally continuous on the full space",
                 "note": "witnessed by a sequence increasing to 1 whose images stay at 2; analytic-only",
-                "status": "analytic-only",
             },
         ],
     },
@@ -254,6 +248,6 @@ def test_value_domain_report_encodes_its_quadext_scalars_as_text():
     pairs = [(x, y) for x in values for y in values]
     report = scan_value_pairs(ContractionKind.UNRESTRICTED_LIPSCHITZ, pairs, dist, apply_map)
     assert json.loads(json.dumps(report.to_dict())) == {
-        "kind": "unrestricted_lipschitz", "feasible": True, "minimal_k": "(1/3)*sqrt(11)",
+        "feasible": True, "minimal_k": "(1/3)*sqrt(11)",
         "witness_max": ["1", "1 + (1/11)*sqrt(11)"], "infeasible_witness": None, "admissible": False, "pairs_scanned": 36,
     }

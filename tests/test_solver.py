@@ -267,7 +267,7 @@ def test_hypothesis_check_five_point(five_point):
     space, mapping = five_point
     rep = hypothesis_check(space, mapping)
     assert rep.all_hold
-    assert rep.has_weak_element and rep.preserving and rep.contraction_feasible
+    assert rep.has_weak_element and rep.preserving
     assert rep.minimal_k == Fraction(2, 3)
 
 
