@@ -11,8 +11,8 @@ The relation facts (labels, the relation, its closure, the weak elements)
 live on a `PointRelation`; a `FiniteSpace` is one with an exact rational
 metric.  Metric validation and the contraction scan kernels read that
 metric's integer form, built once per space; only the analytic samples'
-value-domain scans read exact scalars.  Every result record but the
-Picard trace gets its JSON form from one function, `records.to_dict`.
+value-domain scans read exact scalars.  Every result record gets its JSON
+form from one function, `records.to_dict`.
 
 `import orthofix` loads no submodule.  A public name is resolved on first
 use (PEP 562) through `_EXPORTS`, which imports only the name's home

@@ -106,16 +106,16 @@ _ORIENTED = (
 # are doubled, so that their half-sum terms stay exact
 _SCALE = (1, 2, 1, 1, 2)
 
-# each kind's admissible bound k < p / q as (p, q)
-_BOUND = {kind: kind.k_bound.as_integer_ratio() for kind in ContractionKind}
+# each functional's admissible bound k < p / q as (p, q): 1/2 for kannan and chatterjea, 1 for the others
+_BOUND = ((1, 1), (1, 1), (1, 2), (1, 2), (1, 1))
 
 # the pair sets, largest first: every ordered pair, the symmetric closure, the stored relation
 _EVERY, _CLOSURE, _RELATION = 0, 1, 2
 
-# (kind, symmetric) -> the initial slot of its report (see `_walk`), with the kind at the end
+# (kind, symmetric) -> the initial slot of its report (see `_walk`)
 _SLOT = {
     (kind, sym): (_KIND_ID[kind], _EVERY if kind is ContractionKind.UNRESTRICTED_LIPSCHITZ else _CLOSURE if sym else _RELATION,
-                  -1, 0, -1, -1, kind)
+                  -1, 0, -1, -1)
     for kind in ContractionKind for sym in (False, True)
 }
 
@@ -210,7 +210,7 @@ def _walk(pairs: Iterable[tuple[int, int]] | None, m, t, slots: list[list], *row
     """One pass over `pairs` (every ordered pair of `m`'s points when None), read from matrix `m` and
     image table `t`, filling every slot through the kernel of the slots' configuration.
 
-    A slot is [functional id, pair set, num, den, best_pos, inf_pos, kind] (see `_SLOT`): the best
+    A slot is [functional id, pair set, num, den, best_pos, inf_pos] (see `_SLOT`): the best
     ratio num / den (den > 0, the functional at its `_SCALE`) and the walk position of its pair (-1 / 0
     at -1 if no pair has a nonzero denominator), and that of the first pair with zero denominator that
     moves (-1 if none).  Without bit rows (`closure_rows`, `relation_rows`) every slot takes every
@@ -235,7 +235,7 @@ def _ratio(num, den) -> Scalar:
 
 def _report(slot: list, pair_at: Callable[[int], tuple], count: int) -> ContractionReport:
     """Build the report from a slot filled by `_walk`; `pair_at` maps a walk position to its pair."""
-    fid, _, num, den, best_pos, inf_pos, kind = slot
+    fid, _, num, den, best_pos, inf_pos = slot
     feasible = inf_pos < 0
     if not feasible:
         minimal_k, admissible = None, False
@@ -244,11 +244,8 @@ def _report(slot: list, pair_at: Callable[[int], tuple], count: int) -> Contract
     else:
         num *= _SCALE[fid]
         minimal_k = _ratio(num, den)
-        if isinstance(num, int):  # num / den < p / q, decided on ints (den > 0)
-            p, q = _BOUND[kind]
-            admissible = num * q < p * den
-        else:
-            admissible = minimal_k < kind.k_bound
+        p, q = _BOUND[fid]
+        admissible = num * q < p * den  # num / den < p / q, exact in every value domain as den > 0
     return ContractionReport(
         feasible=feasible,
         minimal_k=minimal_k,
@@ -312,20 +309,20 @@ def check_contraction(
 
 def scan_value_pairs(
     kind: ContractionKind,
-    pairs: Sequence[tuple],
+    pairs: Iterable[tuple],
     dist: Callable,
     apply_map: Callable,
 ) -> ContractionReport:
     """Value-domain scan for analytic sample spaces.
 
-    `pairs` are ordered pairs of hashable point values, `dist` an exact
-    metric on values and `apply_map` the map evaluator; images need not
-    belong to the scanned sample.  The values, their images and their
-    images' images are indexed, and a kernel of the same template walks their distance
-    matrix, in the order of `pairs`.  Same report semantics as
-    check_contraction.
+    `pairs` are ordered pairs of hashable point values (any iterable, read
+    once), `dist` an exact metric on values and `apply_map` the map
+    evaluator; images need not belong to the scanned sample.  The values,
+    their images and their images' images are indexed, and a kernel of the
+    same template walks their distance matrix, in the order of `pairs`.
+    Same report semantics as check_contraction.
     """
-    kind = ContractionKind(kind)
+    kind, pairs = ContractionKind(kind), list(pairs)
     values: list = []
     index: dict = {}
     images: dict[int, int] = {}

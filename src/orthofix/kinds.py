@@ -12,8 +12,6 @@ from fractions import Fraction
 
 from .errors import InputError
 
-_HALF, _ONE = Fraction(1, 2), Fraction(1)
-
 
 class ContractionKind(str, Enum):
     BANACH_PERP = "banach_perp"
@@ -22,13 +20,6 @@ class ContractionKind(str, Enum):
     CHATTERJEA = "chatterjea"
     GENERALIZED_PERP = "generalized_perp"
     UNRESTRICTED_LIPSCHITZ = "unrestricted_lipschitz"
-
-    @property
-    def k_bound(self) -> Fraction:
-        """Upper end of the admissible constant range for this kind."""
-        if self in (ContractionKind.KANNAN, ContractionKind.CHATTERJEA):
-            return _HALF
-        return _ONE
 
     @classmethod
     def _missing_(cls, value):

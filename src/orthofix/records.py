@@ -1,18 +1,15 @@
 """The JSON form of every result record, by one rule.
 
-`to_dict(record)` is the `to_dict` of every record class but `PicardTrace`,
-whose `to_dict(space)` builds on it.  A record is a `collections.namedtuple`
-subclass with `__slots__ = ()`; its dict holds its fields, then the
-properties its class names in `_json_extra`.  Values convert recursively: a
-record or a dict the same way, an enum member to its value, a tuple or list
-to a list, a frozenset to a sorted list, None, bool, int and str as they
-are, and any other value, an exact scalar (a Fraction or a QuadExt), to its
+`to_dict(record)` is the `to_dict` of every record class.  A record is a
+`collections.namedtuple` subclass with `__slots__ = ()`; its dict holds its
+fields, then the properties its class names in `_json_extra`.  Values
+convert recursively: a record or a dict the same way, a tuple or list to a
+list, a frozenset to a sorted list, None, bool, int and str as they are,
+and any other value, an exact scalar (a Fraction or a QuadExt), to its
 `str()`.
 """
 
 from __future__ import annotations
-
-from enum import Enum
 
 _AS_IS = frozenset([type(None), bool, int, str])
 
@@ -31,8 +28,6 @@ def _value(value):
         return value
     if cls is tuple or cls is list or isinstance(value, (tuple, list)) and not hasattr(cls, "to_dict"):
         return [_value(item) for item in value]  # a plain sequence; a record is a tuple too
-    if isinstance(value, Enum):
-        return value.value
     if hasattr(cls, "to_dict"):
         return to_dict(value)
     if isinstance(value, dict):

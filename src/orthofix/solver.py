@@ -54,20 +54,11 @@ class PicardTrace(
     # stop_reason: "fixed_point" | "bound_below_eps" | "max_iter" | "cycle" (unenforced only)
     __slots__ = ()
     _json_extra = ("applications",)
+    to_dict = to_dict
 
     @property
     def applications(self) -> int:
         return len(self.iterates) - 1
-
-    def to_dict(self, space: FiniteSpace | None = None) -> dict:
-        """`records.to_dict`, with the points labelled in `space` and every step distance, an int too, as a string."""
-        label = (lambda i: space.points[i]) if space is not None else (lambda i: i)
-        return {
-            **to_dict(self),
-            "iterates": [label(i) for i in self.iterates],
-            "step_distances": [str(d) for d in self.step_distances],
-            "fixed_point": label(self.fixed_point) if self.fixed_point is not None else None,
-        }
 
 
 def picard_solve(

@@ -23,6 +23,8 @@ from orthofix import (
     scan_value_pairs,
     space_to_dict,
 )
+from orthofix.corpus import rational_product_sample
+from orthofix.quadext import QuadExt
 from reference import oracle_report
 
 KINDS = list(ContractionKind)
@@ -161,6 +163,55 @@ def test_chatterjea_infeasible_on_swap():
     rep = check_contraction(ContractionKind.CHATTERJEA, space, swap)
     assert not rep.feasible
     assert rep.infeasible_witness == (0, 1)
+
+
+# Each kind's bound, exactly, in each value domain.  On the swap (two points at distance a, relation
+# {(0, 1)}, map [1, 0]) the banach, ciric and generalized constants are exactly 1 and the kannan constant
+# exactly 1/2.  On three points with d(0, 1) = d(0, 2) = a, d(1, 2) = b and map [1, 2, 2], the pair (0, 1)
+# gives b / a and b / (a + b): with b just below a, each constant is just below its bound.
+_AT_AND_BELOW = {
+    "integer form": (10**30, 10**30 - 1),
+    "Fraction metric": (Fraction(10**30, 3), Fraction(10**30, 3) - Fraction(1, 10**30)),
+    "QuadExt": (QuadExt(0, 1, 2), QuadExt(0, 1, 2) - Fraction(1, 10**30)),
+}
+
+
+def _scan_in(domain, kind, metric, images):
+    if domain == "QuadExt":
+        return scan_value_pairs(kind, [(0, 1)], lambda x, y: metric[x][y], images.__getitem__)
+    space = FiniteSpace([str(i) for i in range(len(metric))], metric, [(0, 1)])
+    if domain == "integer form":
+        assert space.int_metric is space.metric
+        return check_contraction(kind, space, SelfMap(images, len(metric)))
+    assert space.int_metric != space.metric  # the generic engine reads the Fraction metric, not the integer form
+    return check_contraction(kind, space, SelfMap(images, len(metric)), engine="generic")
+
+
+@pytest.mark.parametrize("domain", _AT_AND_BELOW)
+def test_a_constant_at_its_bound_is_inadmissible_and_one_just_below_is_admissible(domain):
+    a, b = _AT_AND_BELOW[domain]
+    swap = ([[0, a], [a, 0]], [1, 0])
+    below = ([[0, a, a], [a, 0, b], [a, b, 0]], [1, 2, 2])
+    ratio = b / a if domain != "integer form" else Fraction(b, a)
+    for kind, bound, just_below in (
+        (ContractionKind.BANACH_PERP, 1, ratio),
+        (ContractionKind.CIRIC, 1, ratio),
+        (ContractionKind.GENERALIZED_PERP, 1, ratio),
+        (ContractionKind.KANNAN, Fraction(1, 2), ratio / (1 + ratio)),
+    ):
+        at = _scan_in(domain, kind, *swap)
+        assert at.feasible and at.minimal_k == bound and not at.admissible, kind
+        under = _scan_in(domain, kind, *below)
+        assert under.feasible and under.minimal_k == just_below < bound and under.admissible, kind
+
+
+def test_value_scan_reads_an_iterator_of_pairs_as_its_list():
+    _, values, dist, _, apply_map = rational_product_sample()
+    pairs = [(x, y) for x in values for y in values]
+    for kind in KINDS:
+        rep = scan_value_pairs(kind, ((x, y) for x, y in pairs), dist, apply_map)
+        assert rep == scan_value_pairs(kind, pairs, dist, apply_map), kind
+    assert rep.witness_max is not None  # read back from the pairs after the scan
 
 
 def test_constant_map_gives_zero_constant_for_every_kind(five_point):

@@ -228,14 +228,13 @@ def test_params_convert_and_pickle():
 
 
 def test_every_record_encodes_by_the_one_rule():
-    # only `PicardTrace` keeps its own encoder: it labels points and writes int step distances as strings
+    # `PicardTrace` too: `solve` labels its trace's points before encoding it, as `classify` labels its orbit
     import orthofix
 
     exported = {getattr(orthofix, name) for name in orthofix.__all__}
     classes = {cls for cls in exported if isinstance(cls, type) and hasattr(cls, "to_dict")}
     classes |= {type(record) for record in RECORDS} | {GenParams}
-    classes.discard(PicardTrace)
-    assert len(classes) == 14
+    assert PicardTrace in classes and len(classes) == 15
     assert all(cls.to_dict is to_dict for cls in classes), sorted(c.__name__ for c in classes if c.to_dict is not to_dict)
 
 
