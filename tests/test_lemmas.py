@@ -14,7 +14,10 @@ forcing its certificate raises.
 give the conclusion on seeded random instances, once for each reading of
 the constant: from each weak element w, consecutive orbit points are
 related (L1), the orbit ends in a fixed point (L2), and that fixed point is
-the only one (L3).
+the only one (L3).  `test_lemma_l4_rate_under_both_readings` checks the
+rate on the same instances (L4): under the symmetric reading every step
+shrinks by k, and under the oriented reading every step whose pair is
+stored; a step stored only reversed may not.
 """
 
 import random
@@ -86,28 +89,62 @@ def _random_instances(count, seed):
         yield n, d, relation, [rng.randrange(n) for _ in range(n)]
 
 
-def test_lemmas_l1_to_l3_under_both_readings():
+def _kept_instances():
+    """The instances of `_random_instances(10000, 0)` that preserve on the symmetric closure, once per reading
+    whose generalized constant (`tests/reference.py`) is below 1: (d, relation, closure, images, weak, symmetric, k)."""
     kind = ContractionKind.GENERALIZED_PERP
-    kept = {False: 0, True: 0}
     for n, d, relation, images in _random_instances(10000, 0):
         closure = relation | {(y, x) for x, y in relation}
         if not all((images[x], images[y]) in closure for x, y in relation):
             continue  # not preserving on the symmetric closure
         space, mapping = FiniteSpace([str(i) for i in range(n)], d, sorted(relation)), SelfMap(images, n)
         weak = [w for w in range(n) if all((w, y) in closure for y in range(n))]
-        fixed = [x for x in range(n) if images[x] == x]
         for symmetric in (False, True):
             feasible, k, _, _ = oracle_report(kind, space, mapping, symmetric)
             if not (feasible and k < 1):
                 break  # the symmetric constant is never below the oriented one
-            kept[symmetric] += 1
-            for w in weak:
-                orbit = [w]
-                for _ in range(n):
-                    orbit.append(images[orbit[-1]])
-                assert all(pair in closure for pair in zip(orbit, orbit[1:])), (d, relation, images, w)  # L1
-                assert images[orbit[-1]] == orbit[-1], (d, relation, images, w)  # L2
-            assert len(fixed) == 1, (d, relation, images, symmetric)  # L3
+            yield d, relation, closure, images, weak, symmetric, k
+
+
+def _orbit(images, w, length):
+    """The first `length` points of w's orbit."""
+    orbit = [w]
+    while len(orbit) < length:
+        orbit.append(images[orbit[-1]])
+    return orbit
+
+
+def test_lemmas_l1_to_l3_under_both_readings():
+    kept = {False: 0, True: 0}
+    for d, relation, closure, images, weak, symmetric, _ in _kept_instances():
+        kept[symmetric] += 1
+        for w in weak:
+            orbit = _orbit(images, w, len(d) + 1)
+            assert all(pair in closure for pair in zip(orbit, orbit[1:])), (d, relation, images, w)  # L1
+            assert images[orbit[-1]] == orbit[-1], (d, relation, images, w)  # L2
+        assert sum(images[x] == x for x in range(len(d))) == 1, (d, relation, images, symmetric)  # L3
     # seed 0: of 10,000 instances 3,189 preserve, 1,107 are kept under the oriented reading and 1,095 under
     # the symmetric one, so 12 are oriented-only
     assert kept[False] > kept[True] > 0, kept
+
+
+def test_lemma_l4_rate_under_both_readings():
+    # L4: d(x_i, x_{i+1}) <= k d(x_{i-1}, x_i) for i in 1..n along each weak element's orbit x_0 .. x_{n+1}.  It
+    # holds at every step under the symmetric reading, and under the oriented one at every step whose pair
+    # (x_{i-1}, x_i) is stored; at a pair stored only as (x_i, x_{i-1}) the T^2 x term reads d(x_{i+2}, x_{i-1}),
+    # which can exceed both distances, so the rate may fail there.
+    held, reversed_failures = {False: 0, True: 0}, 0
+    for d, relation, _, images, weak, symmetric, k in _kept_instances():
+        n = len(d)
+        for w in weak:
+            orbit = _orbit(images, w, n + 2)
+            for i in range(1, n + 1):
+                a, b, c = orbit[i - 1 : i + 2]
+                if symmetric or (a, b) in relation:
+                    assert d[b][c] <= k * d[a][b], (d, relation, images, w, i, symmetric)
+                    held[symmetric] += 1
+                else:
+                    reversed_failures += not d[b][c] <= k * d[a][b]
+    # seed 0: all 3,420 stored steps hold under the oriented reading and all 3,550 steps under the symmetric
+    # one; 1 of the 183 steps stored only reversed fails under the oriented reading
+    assert held[False] > 0 and held[True] > 0 and reversed_failures > 0, (held, reversed_failures)
