@@ -7,7 +7,7 @@ process (`process_main`) runs without the cyclic garbage collector and ends
 with `os._exit` once stdout and stderr are flushed, so no teardown or
 `atexit` hook runs; `main` raises SystemExit and leaves the collector be.
 Reports are deterministic: identical invocations on identical files
-produce byte-identical output, and JSON reports carry "schema": 3.
+produce byte-identical output, and JSON reports carry "schema": 4.
 Rationals are written and read as integers or "p/q" only; a report with a
 rational past the interpreter's digit limit (`rational._past_digit_limit`)
 is an input error, and nothing of it is written.  An integer option takes

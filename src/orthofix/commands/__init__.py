@@ -15,7 +15,7 @@ from fractions import Fraction
 from ..errors import InputError
 from ..rational import _past_digit_limit, parse_rational
 
-SCHEMA = 3
+SCHEMA = 4
 
 
 def _emit_json(payload: dict) -> None:

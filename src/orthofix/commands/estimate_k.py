@@ -11,10 +11,10 @@ def run(file, kind, symmetric, as_json):
     if as_json:
         _emit_json({"command": "estimate-k", "file": str(file), "kind": kind, "symmetric": symmetric, "report": rep.to_dict()})
     else:
-        if not rep.feasible:
-            print(f"{kind}: infeasible, witness {_labels(space, rep.infeasible_witness)} has zero denominator but moves")
+        if rep.minimal_k is None:
+            print(f"{kind}: infeasible, witness {_labels(space, rep.witness)} has zero denominator but moves")
         else:
             status = "admissible" if rep.admissible else "inadmissible"
-            witness = f", witness {_labels(space, rep.witness_max)}" if rep.witness_max else ""
-            print(f"{kind}: {status}, minimal k = {_fmt_k(rep.minimal_k)}{witness} ({rep.pairs_scanned} pairs scanned)")
+            witness = f", witness {_labels(space, rep.witness)}" if rep.witness else ""
+            print(f"{kind}: {status}, minimal k = {_fmt_k(rep.minimal_k)}{witness}")
     return 0 if rep.admissible else 1

@@ -44,11 +44,11 @@ def run(file, as_json):
             print(f"  preservation violated at {_labels(space, (i, j))}")
         for kind, rep in contractions.items():
             name = "generalized" if kind is ContractionKind.GENERALIZED_PERP else kind.value
-            if not rep.feasible:
-                print(f"{name}: infeasible, witness {_labels(space, rep.infeasible_witness)}")
+            if rep.minimal_k is None:
+                print(f"{name}: infeasible, witness {_labels(space, rep.witness)}")
                 continue
             status = "admissible" if rep.admissible else "inadmissible"
-            witness = f", witness {_labels(space, rep.witness_max)}" if rep.witness_max else ""
+            witness = f", witness {_labels(space, rep.witness)}" if rep.witness else ""
             print(f"{name} k = {_fmt_k(rep.minimal_k)} ({status}{witness})")
         print(f"certified generalized k (both orientations) = {_fmt_k(certified.minimal_k)}")
         for v in verdicts:

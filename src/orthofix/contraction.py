@@ -14,7 +14,8 @@ Every kind except unrestricted_lipschitz quantifies only over orthogonally
 related pairs.  The scan computes the exact supremum of
 d(Tx,Ty) / functional over pairs with a nonzero denominator (the minimal
 feasible constant), plus the first pair attaining it; a pair with zero
-denominator but d(Tx,Ty) > 0 makes the kind infeasible.
+denominator but d(Tx,Ty) > 0 makes the kind infeasible, and the first such
+pair is then the report's one witness.
 
 By default each stored relation pair is scanned once, oriented exactly as
 stored (x the first component) -- this is how the worked examples evaluate
@@ -44,12 +45,12 @@ its slots need -- every ordered pair (nested ranges, never a list of n^2
 pairs), the closure, or the relation -- and enters each smaller set, nested
 in the larger, through the space's bit rows (`closure_rows`,
 `relation_rows`).  A slot keeps the walk position of its best pair and of
-its first infeasible pair, and the report reads the pair back at that
-position.  The walk order restricted to a slot's set is that set's own
-sorted order, so the first pair, each witness and the count are those of a
-scan of the set alone.  Ratios are compared by cross-multiplication with
-the denominator made positive, so a negative entry of an out-of-contract
-matrix is ranked by its true ratio.
+its first infeasible pair, and the report reads its witness back at one of
+them.  The walk order restricted to a slot's set is that set's own sorted
+order, so the first pair and each witness are those of a scan of the set
+alone.  Ratios are compared by cross-multiplication with the denominator
+made positive, so a negative entry of an out-of-contract matrix is ranked
+by its true ratio.
 
 The facts of one map on a space -- preservation and every report scanned so
 far -- are kept on the map, so that `verify`, the hypothesis check, Picard
@@ -120,9 +121,9 @@ _SLOT = {
 }
 
 
-class ContractionReport(
-    namedtuple("ContractionReport", "feasible minimal_k witness_max infeasible_witness admissible pairs_scanned")
-):
+class ContractionReport(namedtuple("ContractionReport", "minimal_k witness admissible")):
+    # minimal_k None: infeasible, and witness is the first moving pair with a zero denominator; otherwise witness
+    # is the first pair attaining minimal_k, None when no pair has a nonzero denominator (minimal_k 0)
     __slots__ = ()
     to_dict = to_dict
 
@@ -233,27 +234,17 @@ def _ratio(num, den) -> Scalar:
     return Fraction(num, den) if isinstance(num, int) else num / den
 
 
-def _report(slot: list, pair_at: Callable[[int], tuple], count: int) -> ContractionReport:
+def _report(slot: list, pair_at: Callable[[int], tuple]) -> ContractionReport:
     """Build the report from a slot filled by `_walk`; `pair_at` maps a walk position to its pair."""
     fid, _, num, den, best_pos, inf_pos = slot
-    feasible = inf_pos < 0
-    if not feasible:
-        minimal_k, admissible = None, False
-    elif best_pos < 0:
-        minimal_k, admissible = Fraction(0), True
-    else:
-        num *= _SCALE[fid]
-        minimal_k = _ratio(num, den)
-        p, q = _BOUND[fid]
-        admissible = num * q < p * den  # num / den < p / q, exact in every value domain as den > 0
-    return ContractionReport(
-        feasible=feasible,
-        minimal_k=minimal_k,
-        witness_max=tuple(pair_at(best_pos)) if best_pos >= 0 else None,
-        infeasible_witness=tuple(pair_at(inf_pos)) if inf_pos >= 0 else None,
-        admissible=admissible,
-        pairs_scanned=count,
-    )
+    if inf_pos >= 0:
+        return ContractionReport(None, tuple(pair_at(inf_pos)), False)
+    if best_pos < 0:
+        return ContractionReport(Fraction(0), None, True)
+    num *= _SCALE[fid]
+    p, q = _BOUND[fid]
+    # admissible: num / den < p / q, exact in every value domain as den > 0
+    return ContractionReport(_ratio(num, den), tuple(pair_at(best_pos)), num * q < p * den)
 
 
 def _pass(space: FiniteSpace, m, images, keys: Sequence[tuple[ContractionKind, bool]]) -> list[ContractionReport]:
@@ -268,8 +259,7 @@ def _pass(space: FiniteSpace, m, images, keys: Sequence[tuple[ContractionKind, b
         pair_at = pairs.__getitem__
     rows = (space.closure_rows, space.relation_rows) if max(sets) > walked else ()
     _walk(pairs, m, images, slots, *rows)
-    sizes = (n * n, sum(map(int.bit_count, space.closure_rows)), len(space.sorted_relation))
-    return [_report(slot, pair_at, sizes[slot[1]]) for slot in slots]
+    return [_report(slot, pair_at) for slot in slots]
 
 
 def m_value(kind: ContractionKind, space: FiniteSpace, mapping: SelfMap, x: int, y: int) -> Fraction:
@@ -345,7 +335,7 @@ def scan_value_pairs(
     m = [[dist(a, b) for b in values] for a in values]
     slot = list(_SLOT[kind, False])
     _walk(index_pairs, m, images, [slot])
-    return _report(slot, pairs.__getitem__, len(pairs))
+    return _report(slot, pairs.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +442,8 @@ def hierarchy_check(space: FiniteSpace, mapping: SelfMap) -> tuple[HierarchyVerd
         if not premise.admissible:
             return HierarchyVerdict(name, True, None)  # the implication holds vacuously
         k, kp = conclusion.minimal_k, premise.minimal_k  # Fractions on feasible reports, as every kept report reads ints
-        ok = conclusion.feasible and k.numerator * kp.denominator <= factor * kp.numerator * k.denominator
-        return HierarchyVerdict(name, ok, None if ok else (premise.witness_max or conclusion.witness_max))
+        ok = k is not None and k.numerator * kp.denominator <= factor * kp.numerator * k.denominator
+        return HierarchyVerdict(name, ok, None if ok else (premise.witness or conclusion.witness))
 
     verdicts.append(implication("banach-implies-ciric", ban, cir, 1))
     verdicts.append(implication("ciric-implies-generalized", cir, gen, 1))

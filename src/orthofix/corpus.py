@@ -122,15 +122,15 @@ def _case_five_point(rec: _Recorder) -> str:
     ban, _, _, _, gen = reports(space, mapping, [(kind, False) for kind in _ORIENTED])
     rec.check("generalized minimal k", Fraction(1, 2), gen.minimal_k, "derived")
     rec.check_true("generalized admissible", gen.admissible, "derived")
-    rec.check("generalized max-ratio witness", (0, 2), gen.witness_max, "derived")
+    rec.check("generalized max-ratio witness", (0, 2), gen.witness, "derived")
 
     gen_sym = report(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
     rec.check("orientation-complete minimal k", Fraction(2, 3), gen_sym.minimal_k, "derived")
-    rec.check("orientation-complete witness", (4, 3), gen_sym.witness_max, "derived")
+    rec.check("orientation-complete witness", (4, 3), gen_sym.witness, "derived")
 
     rec.check("banach minimal k", Fraction(2), ban.minimal_k, "derived")
     rec.check("banach admissible", False, ban.admissible, "stated")
-    rec.check("banach max-ratio witness", (3, 4), ban.witness_max, "stated")
+    rec.check("banach max-ratio witness", (3, 4), ban.witness, "stated")
 
     rec.check("fixed points (brute force)", {0}, set(brute_force_fixed_points(space, mapping)), "stated")
 
@@ -216,7 +216,7 @@ def _case_rational_product(rec: _Recorder) -> str:
     all_pairs = [(values[i], values[j]) for i in range(n) for j in range(n)]
     unr = scan_value_pairs(ContractionKind.UNRESTRICTED_LIPSCHITZ, all_pairs, dist, apply_map)
     rec.check("unrestricted Lipschitz admissible", False, unr.admissible, "stated")
-    witness_labels = tuple(labels[idx[v]] for v in unr.witness_max) if unr.witness_max else None
+    witness_labels = tuple(labels[idx[v]] for v in unr.witness) if unr.witness else None
     rec.check("unrestricted worst pair", ("1", "1+(1/11)*sqrt(11)"), witness_labels, "stated")
     rec.check("unrestricted minimal k", QuadExt(0, Fraction(1, 3), 11), unr.minimal_k, "derived")
 

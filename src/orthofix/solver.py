@@ -115,10 +115,10 @@ def picard_solve(
                 f"supply k explicitly (scan reported minimal_k={_shown(cert.minimal_k)})"
             )
         k = cert.minimal_k
-    certificate_grade = cert.feasible and k >= cert.minimal_k
+    certificate_grade = cert.minimal_k is not None and k >= cert.minimal_k
     if not (certificate_grade or allow_inadmissible_k):
         rep = report(ContractionKind.GENERALIZED_PERP, space, mapping)
-        if not rep.feasible or k < rep.minimal_k:
+        if rep.minimal_k is None or k < rep.minimal_k:
             raise InputError(
                 f"k={_shown(k)} is below the scanned minimal generalized constant "
                 f"{_shown(rep.minimal_k)}; pass allow_inadmissible_k to try anyway"

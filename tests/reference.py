@@ -75,6 +75,13 @@ def scan_pairs(kind, pairs, d, t):
     return feasible, minimal, witness, infeasible
 
 
+def one_witness(result):
+    """(minimal_k, witness) of a `scan_pairs` result as a report states them: the one witness is the first
+    moving pair with a zero denominator when there is one, and the first max-ratio pair otherwise."""
+    _, minimal, witness, infeasible = result
+    return minimal, infeasible or witness
+
+
 def full_lane_screen(m):
     """The triangle screen over every lane: the sorted pairs (i, j), i != j, whose lane loses its guard bit.
 

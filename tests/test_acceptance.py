@@ -87,16 +87,16 @@ def test_criterion_1_five_point_reproduction():
     assert m_value(ContractionKind.GENERALIZED_PERP, space, mapping, 3, 4) == Fraction(4)
 
     ban = check_contraction(ContractionKind.BANACH_PERP, space, mapping)
-    assert not ban.admissible and ban.minimal_k == Fraction(2) and ban.witness_max == (3, 4)
+    assert not ban.admissible and ban.minimal_k == Fraction(2) and ban.witness == (3, 4)
     oracle_ban, oracle_ban_wits = _brute_minimal_k(space, mapping, ContractionKind.BANACH_PERP)
-    assert oracle_ban == Fraction(2) and ban.witness_max in oracle_ban_wits
+    assert oracle_ban == Fraction(2) and ban.witness in oracle_ban_wits
 
     gen = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping)
     oracle_gen, oracle_gen_wits = _brute_minimal_k(space, mapping, ContractionKind.GENERALIZED_PERP)
     assert oracle_gen == Fraction(1, 2)
     assert gen.minimal_k == Fraction(1, 2) and gen.admissible
     assert oracle_gen_wits == {(0, 2), (3, 4), (4, 0)}
-    assert gen.witness_max in oracle_gen_wits
+    assert gen.witness in oracle_gen_wits
 
     assert brute_force_fixed_points(space, mapping) == frozenset({0})
 
@@ -156,7 +156,7 @@ def test_criterion_3_quadratic_sample():
     all_pairs = [(values[i], values[j]) for i in range(n) for j in range(n)]
     unr = scan_value_pairs(ContractionKind.UNRESTRICTED_LIPSCHITZ, all_pairs, dist, apply_map)
     assert not unr.admissible
-    assert unr.witness_max == (values[1], values[5])  # (1, 1 + (1/11) sqrt 11)
+    assert unr.witness == (values[1], values[5])  # (1, 1 + (1/11) sqrt 11)
 
     # Deciding comparison, squaring oracle first: (1/3)^2 = 1/9 > 1/11 = ((1/11) sqrt 11)^2.
     assert Fraction(1, 9) > Fraction(1, 11)
@@ -244,7 +244,7 @@ def test_criterion_7_audit_determinism():
     assert first.exit_code == 0 and second.exit_code == 0
     assert first.output == second.output
     payload = json.loads(first.output)
-    assert payload["schema"] == 3 and payload["trials_run"] == 100
+    assert payload["schema"] == 4 and payload["trials_run"] == 100
 
     _announce(7, True, "determinism: audit --seed 42 --trials 100 twice -> byte-identical JSON")
 

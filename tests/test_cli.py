@@ -103,7 +103,7 @@ def test_verify_json_schema(runner, five_point_file):
     result = runner.invoke(main, ["verify", five_point_file, "--json"])
     assert result.exit_code == 0
     data = json.loads(result.output)
-    assert data["schema"] == 3
+    assert data["schema"] == 4
     assert data["classification"]["verdict"] == "O_w-set-only"
     assert data["contractions"]["generalized_perp"]["minimal_k"] == "1/2"
     assert data["hypotheses"]["all_hold"] is True
@@ -134,8 +134,7 @@ def test_classify_orbit(runner, five_point_file):
 def test_estimate_k_inadmissible_exit_one(runner, five_point_file):
     result = runner.invoke(main, ["estimate-k", five_point_file, "--kind", "banach_perp"])
     assert result.exit_code == 1
-    assert "inadmissible, minimal k = 2" in result.output
-    assert "witness (3, 4)" in result.output
+    assert result.output == "banach_perp: inadmissible, minimal k = 2, witness (3, 4)\n"  # README's sample
 
 
 def test_estimate_k_admissible_exit_zero(runner, five_point_file):
@@ -175,7 +174,7 @@ def test_solve_json_trace(runner, five_point_file):
     )
     assert result.exit_code == 0
     data = json.loads(result.output)
-    assert data["schema"] == 3
+    assert data["schema"] == 4
     trace = data["trace"]
     assert trace["iterates"] == ["4", "2", "1", "0"]
     assert trace["fixed_point"] == "0"
@@ -352,7 +351,7 @@ def test_corpus_list_json(runner):
     result = runner.invoke(main, ["corpus", "--list", "--json"])
     assert result.exit_code == 0
     assert json.loads(result.output) == {
-        "schema": 3, "command": "corpus", "cases": [{"name": name, "summary": summary} for name, summary in list_cases()]
+        "schema": 4, "command": "corpus", "cases": [{"name": name, "summary": summary} for name, summary in list_cases()]
     }
 
 
@@ -372,7 +371,7 @@ def test_audit_json_deterministic(runner):
     assert first.exit_code == 0
     assert first.output == second.output
     data = json.loads(first.output)
-    assert data["schema"] == 3
+    assert data["schema"] == 4
     assert data["conclusion_verified"] == 30
     assert data["failures"] == []
 

@@ -25,7 +25,7 @@ from orthofix import (
 )
 from orthofix.corpus import rational_product_sample
 from orthofix.quadext import QuadExt
-from reference import oracle_report
+from reference import one_witness, oracle_report
 
 KINDS = list(ContractionKind)
 RESTRICTED = [k for k in KINDS if k is not ContractionKind.UNRESTRICTED_LIPSCHITZ]
@@ -76,29 +76,29 @@ def test_m_value_rejects_unrestricted_and_bad_index(five_point):
 def test_five_point_reports_frozen_values(five_point):
     space, mapping = five_point
     ban = check_contraction(ContractionKind.BANACH_PERP, space, mapping)
-    assert (ban.minimal_k, ban.admissible, ban.witness_max) == (Fraction(2), False, (3, 4))
+    assert (ban.minimal_k, ban.admissible, ban.witness) == (Fraction(2), False, (3, 4))
 
     gen = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping)
-    assert (gen.minimal_k, gen.admissible, gen.witness_max) == (Fraction(1, 2), True, (0, 2))
+    assert (gen.minimal_k, gen.admissible, gen.witness) == (Fraction(1, 2), True, (0, 2))
 
     cir = check_contraction(ContractionKind.CIRIC, space, mapping)
-    assert (cir.minimal_k, cir.admissible, cir.witness_max) == (Fraction(2, 3), True, (3, 4))
+    assert (cir.minimal_k, cir.admissible, cir.witness) == (Fraction(2, 3), True, (3, 4))
 
     kan = check_contraction(ContractionKind.KANNAN, space, mapping)
-    assert (kan.minimal_k, kan.admissible, kan.witness_max) == (Fraction(1), False, (0, 2))
+    assert (kan.minimal_k, kan.admissible, kan.witness) == (Fraction(1), False, (0, 2))
 
     cha = check_contraction(ContractionKind.CHATTERJEA, space, mapping)
-    assert (cha.minimal_k, cha.admissible, cha.witness_max) == (Fraction(2, 5), True, (3, 4))
+    assert (cha.minimal_k, cha.admissible, cha.witness) == (Fraction(2, 5), True, (3, 4))
 
     unr = check_contraction(ContractionKind.UNRESTRICTED_LIPSCHITZ, space, mapping)
-    assert (unr.minimal_k, unr.admissible, unr.witness_max) == (Fraction(2), False, (3, 4))
+    assert (unr.minimal_k, unr.admissible, unr.witness) == (Fraction(2), False, (3, 4))
 
 
 def test_five_point_symmetric_scan_raises_constant(five_point):
     # Scanning both orientations adds (4, 3), whose functional is only 3.
     space, mapping = five_point
     rep = check_contraction(ContractionKind.GENERALIZED_PERP, space, mapping, symmetric=True)
-    assert (rep.minimal_k, rep.witness_max) == (Fraction(2, 3), (4, 3))
+    assert (rep.minimal_k, rep.witness) == (Fraction(2, 3), (4, 3))
     assert m_value(ContractionKind.GENERALIZED_PERP, space, mapping, 4, 3) == 3
 
 
@@ -107,24 +107,14 @@ def test_reports_match_oracle_on_five_point(five_point):
     for kind in KINDS:
         for symmetric in (False, True):
             rep = check_contraction(kind, space, mapping, symmetric=symmetric)
-            feasible, minimal, witness, infeasible = oracle_report(kind, space, mapping, symmetric)
-            assert rep.feasible == feasible
-            assert rep.minimal_k == minimal
-            assert rep.witness_max == witness
-            assert rep.infeasible_witness == infeasible
+            assert (rep.minimal_k, rep.witness) == one_witness(oracle_report(kind, space, mapping, symmetric))
 
 
 def test_reports_match_oracle_on_generated_instances(accepted_instances):
     for space, mapping in accepted_instances:
         for kind in KINDS:
             rep = check_contraction(kind, space, mapping)
-            feasible, minimal, witness, infeasible = oracle_report(kind, space, mapping)
-            assert (rep.feasible, rep.minimal_k, rep.witness_max, rep.infeasible_witness) == (
-                feasible,
-                minimal,
-                witness,
-                infeasible,
-            )
+            assert (rep.minimal_k, rep.witness) == one_witness(oracle_report(kind, space, mapping))
 
 
 def test_half_sum_term_decides_the_generalized_constant():
@@ -139,7 +129,7 @@ def test_half_sum_term_decides_the_generalized_constant():
     for symmetric, expected in ((False, (True, Fraction(5, 6), (2, 3), None)), (True, (True, Fraction(1), (3, 2), None))):
         assert oracle_report(kind, space, mapping, symmetric) == expected
         rep = check_contraction(kind, space, mapping, symmetric=symmetric)
-        assert (rep.feasible, rep.minimal_k, rep.witness_max, rep.infeasible_witness) == expected
+        assert (rep.minimal_k, rep.witness) == one_witness(expected)
 
 
 def _unit_space(relation):
@@ -151,9 +141,8 @@ def test_kannan_infeasible_on_related_fixed_pair():
     space = _unit_space([(0, 1)])
     identity = SelfMap([0, 1], 2)
     rep = check_contraction(ContractionKind.KANNAN, space, identity)
-    assert not rep.feasible
     assert rep.minimal_k is None
-    assert rep.infeasible_witness == (0, 1)
+    assert rep.witness == (0, 1)
     assert not rep.admissible
 
 
@@ -161,8 +150,8 @@ def test_chatterjea_infeasible_on_swap():
     space = _unit_space([(0, 1)])
     swap = SelfMap([1, 0], 2)
     rep = check_contraction(ContractionKind.CHATTERJEA, space, swap)
-    assert not rep.feasible
-    assert rep.infeasible_witness == (0, 1)
+    assert rep.minimal_k is None
+    assert rep.witness == (0, 1)
 
 
 # Each kind's bound, exactly, in each value domain.  On the swap (two points at distance a, relation
@@ -200,9 +189,9 @@ def test_a_constant_at_its_bound_is_inadmissible_and_one_just_below_is_admissibl
         (ContractionKind.KANNAN, Fraction(1, 2), ratio / (1 + ratio)),
     ):
         at = _scan_in(domain, kind, *swap)
-        assert at.feasible and at.minimal_k == bound and not at.admissible, kind
+        assert at.minimal_k == bound and not at.admissible, kind
         under = _scan_in(domain, kind, *below)
-        assert under.feasible and under.minimal_k == just_below < bound and under.admissible, kind
+        assert under.minimal_k == just_below < bound and under.admissible, kind
 
 
 def test_value_scan_reads_an_iterator_of_pairs_as_its_list():
@@ -211,7 +200,7 @@ def test_value_scan_reads_an_iterator_of_pairs_as_its_list():
     for kind in KINDS:
         rep = scan_value_pairs(kind, ((x, y) for x, y in pairs), dist, apply_map)
         assert rep == scan_value_pairs(kind, pairs, dist, apply_map), kind
-    assert rep.witness_max is not None  # read back from the pairs after the scan
+    assert rep.witness is not None  # read back from the pairs after the scan
 
 
 def test_constant_map_gives_zero_constant_for_every_kind(five_point):
@@ -219,21 +208,20 @@ def test_constant_map_gives_zero_constant_for_every_kind(five_point):
     constant = SelfMap([0] * 5, 5)
     for kind in KINDS:
         rep = check_contraction(kind, space, constant)
-        assert rep.feasible and rep.minimal_k == 0 and rep.admissible
+        assert rep.minimal_k == 0 and rep.admissible
 
 
 def test_identity_map_is_not_a_contraction():
     space = _unit_space([(0, 0), (0, 1), (1, 1)])
     identity = SelfMap([0, 1], 2)
     rep = check_contraction(ContractionKind.BANACH_PERP, space, identity)
-    assert rep.feasible and rep.minimal_k == 1 and not rep.admissible
+    assert rep.minimal_k == 1 and not rep.admissible
 
 
 def test_empty_relation_scans_vacuously():
     space = _unit_space([])
     rep = check_contraction(ContractionKind.GENERALIZED_PERP, space, SelfMap([1, 0], 2))
-    assert rep.feasible and rep.minimal_k == 0 and rep.witness_max is None
-    assert rep.pairs_scanned == 0
+    assert rep.minimal_k == 0 and rep.witness is None and rep.admissible
 
 
 def test_minimal_k_monotone_in_functional(accepted_instances):
@@ -242,9 +230,9 @@ def test_minimal_k_monotone_in_functional(accepted_instances):
         cir = check_contraction(ContractionKind.CIRIC, space, mapping)
         ban = check_contraction(ContractionKind.BANACH_PERP, space, mapping)
         unr = check_contraction(ContractionKind.UNRESTRICTED_LIPSCHITZ, space, mapping)
-        if ban.feasible and cir.feasible and gen.feasible:
+        if None not in (ban.minimal_k, cir.minimal_k, gen.minimal_k):
             assert gen.minimal_k <= cir.minimal_k <= ban.minimal_k
-        if ban.feasible and unr.feasible:
+        if None not in (ban.minimal_k, unr.minimal_k):
             assert unr.minimal_k >= ban.minimal_k
 
 
@@ -253,7 +241,7 @@ def test_symmetric_scan_never_lowers_constant(accepted_instances):
         for kind in RESTRICTED:
             plain = check_contraction(kind, space, mapping)
             sym = check_contraction(kind, space, mapping, symmetric=True)
-            if plain.feasible and sym.feasible:
+            if None not in (plain.minimal_k, sym.minimal_k):
                 assert sym.minimal_k >= plain.minimal_k
 
 

@@ -7,7 +7,7 @@ both orientations and on a pair stored only as (j, i) with j > i, so its
 report pins the order and orientation of preservation violations.
 `data/infeasible.json` (identity map on three points) makes kannan
 infeasible with three moving zero-denominator pairs, so its reports pin the
-first of them, (a, b), as `infeasible_witness` in JSON and in text.  Two
+first of them, (a, b), as the report's `witness` in JSON and in text.  Two
 `solve` reports on `data/five_point.json` pin a certified trace (from the weak element 0, where
 it stops at once) and an uncertified one (from 4 at k = 1/2, three steps,
 its integer step distances written as strings); a third, on the 8-point

@@ -21,7 +21,7 @@ import pytest
 
 from orthofix import ContractionKind, FiniteSpace, SelfMap, contraction, scan_value_pairs
 from orthofix.corpus import rational_product_sample
-from reference import oracle_report, scan_pairs
+from reference import one_witness, oracle_report, scan_pairs
 from test_backends import BATCHES, KEYS, OFF_CONTRACT, _off_contract_space
 
 # what `verify`, the hierarchy check and `solve` fill in one pass, and every key at once
@@ -38,11 +38,11 @@ SLOT_LISTS = [[key] for key in KEYS] + list(CLI_BATCHES.values()) + RANDOM_LISTS
 
 def _assert_lists_match(space, mapping, where, lists=SLOT_LISTS):
     """Every slot list, on the integer form and on the exact metric, gives the reference's reports."""
-    expected = {key: oracle_report(key[0], space, mapping, key[1]) for key in KEYS}
+    expected = {key: one_witness(oracle_report(key[0], space, mapping, key[1])) for key in KEYS}
     for m in dict.fromkeys((space.int_metric, space.metric), None):  # one object when the metric is all ints
         for keys in lists:
             reports = contraction._pass(space, m, mapping.images, keys)
-            got = [(r.feasible, r.minimal_k, r.witness_max, r.infeasible_witness) for r in reports]
+            got = [(r.minimal_k, r.witness) for r in reports]
             assert got == [expected[key] for key in keys], (where, keys)  # the i-th report is keys[i]'s
 
 
@@ -74,7 +74,7 @@ def _value_scan(pairs, dist, apply_map, keys):
     m = [[dist(a, b) for b in values] for a in values]
     slots = [list(contraction._SLOT[key]) for key in keys]
     contraction._walk(index_pairs, m, images, slots)
-    return [contraction._report(slot, pairs.__getitem__, len(pairs)) for slot in slots]
+    return [contraction._report(slot, pairs.__getitem__) for slot in slots]
 
 
 def test_slot_lists_match_the_reference_on_the_quadext_sample():
@@ -82,13 +82,13 @@ def test_slot_lists_match_the_reference_on_the_quadext_sample():
     related = [(x, y) for x in values for y in values if rel(x, y)]
     every = [(x, y) for x in values for y in values]
     for pairs in (related, every):
-        expected = {kind: scan_pairs(kind, pairs, dist, apply_map) for kind in ContractionKind}
+        expected = {kind: one_witness(scan_pairs(kind, pairs, dist, apply_map)) for kind in ContractionKind}
         for keys in SLOT_LISTS:
-            got = [(r.feasible, r.minimal_k, r.witness_max, r.infeasible_witness) for r in _value_scan(pairs, dist, apply_map, keys)]
+            got = [(r.minimal_k, r.witness) for r in _value_scan(pairs, dist, apply_map, keys)]
             assert got == [expected[kind] for kind, _ in keys], keys
         for kind in ContractionKind:
             rep = scan_value_pairs(kind, pairs, dist, apply_map)
-            assert (rep.feasible, rep.minimal_k, rep.witness_max, rep.infeasible_witness) == expected[kind], kind
+            assert (rep.minimal_k, rep.witness) == expected[kind], kind
 
 
 def test_a_configuration_is_compiled_once(accepted_instances, monkeypatch):
